@@ -192,14 +192,11 @@ let tcp_transfer ~window () =
   Netsim.Net.run net;
   assert (!got = 8192)
 
-(* The sharded engine against the plain one on the same two-domain
-   ping-pong world: the pair keeps the merged executor's pick-loop
-   overhead visible revision over revision.  (The parallel executor is
-   benchmarked by experiment E21, not here — Domain.spawn per barrier
-   window would drown a microbenchmark quota.) *)
-let shard_proto = Netsim.Ipv4_packet.P_other 252
+(* Twenty round trips across a two-router point-to-point world: the
+   engine's per-event dispatch cost with nothing else in the loop. *)
+let pingpong_proto = Netsim.Ipv4_packet.P_other 252
 
-let shard_pingpong ~shards () =
+let pingpong () =
   let net = Netsim.Net.create () in
   Netsim.Net.set_tracing net false;
   let a = Netsim.Net.add_host net "a" in
@@ -224,13 +221,12 @@ let shard_pingpong ~shards () =
     ~gateway:(addr "10.0.2.2") ~iface:"if1";
   Netsim.Routing.add_default (Netsim.Net.routing r1)
     ~gateway:(addr "10.0.2.1") ~iface:"if0";
-  if shards > 1 then Netsim.Net.set_shards net shards;
   let sent = ref 1 and got = ref 0 in
   let payload = Netsim.Ipv4_packet.Raw (Bytes.make 64 'q') in
   let fire node ~src ~dst =
     ignore
       (Netsim.Net.send node
-         (Netsim.Ipv4_packet.make ~protocol:shard_proto ~src:(addr src)
+         (Netsim.Ipv4_packet.make ~protocol:pingpong_proto ~src:(addr src)
             ~dst:(addr dst) payload))
   in
   let handler node _ (_ : Netsim.Ipv4_packet.t) =
@@ -243,8 +239,8 @@ let shard_pingpong ~shards () =
       end
     end
   in
-  Netsim.Net.set_protocol_handler a shard_proto handler;
-  Netsim.Net.set_protocol_handler b shard_proto handler;
+  Netsim.Net.set_protocol_handler a pingpong_proto handler;
+  Netsim.Net.set_protocol_handler b pingpong_proto handler;
   fire a ~src:"10.0.1.1" ~dst:"10.0.3.2";
   Netsim.Net.run net;
   assert (!got = 20)
@@ -313,9 +309,7 @@ let micro_tests =
                   ~src:(addr "1.2.3.4") ~dst:(addr "5.6.7.8")
                   (Netsim.Ipv4_packet.Raw (Bytes.make 3000 'f')))));
       Test.make ~name:"sim-pingpong-unsharded"
-        (Staged.stage (shard_pingpong ~shards:1));
-      Test.make ~name:"sim-pingpong-2shards-merged"
-        (Staged.stage (shard_pingpong ~shards:2));
+        (Staged.stage pingpong);
       Test.make ~name:"sim-tunnel-ping-full-world" (Staged.stage tunnel_ping);
       Test.make ~name:"sim-tcp-8KB-stop-and-wait"
         (Staged.stage (tcp_transfer ~window:1));

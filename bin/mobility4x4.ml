@@ -127,22 +127,6 @@ let pcap_arg =
         ~doc:"Write every transmitted frame to $(docv) as a libpcap \
               capture (LINKTYPE_RAW; open it with tcpdump or Wireshark)")
 
-let shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition every simulated world into $(docv) shards (sequential \
-           merged mode: deterministic, event order identical to unsharded; \
-           see Net.set_shards)")
-
-let apply_shards n =
-  if n < 1 then Some (Printf.sprintf "--shards: need >= 1, got %d" n)
-  else begin
-    Scenarios.Topo.set_default_shards n;
-    None
-  end
-
 let open_trace_out file =
   try Ok (open_out file)
   with Sys_error msg -> Error (Printf.sprintf "--trace-json: %s" msg)
@@ -212,32 +196,27 @@ let experiments_cmd =
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (E1..E14)")
   in
-  let run ids trace_json pcap shards =
-    match apply_shards shards with
-    | Some e -> `Error (false, e)
-    | None ->
-        with_trace_stream trace_json (fun () ->
-            with_pcap_stream pcap (fun () ->
-                match ids with
-                | [] ->
-                    Experiments.Registry.run_all out_fmt;
-                    `Ok ()
-                | ids ->
-                    let bad =
-                      List.filter
-                        (fun id ->
-                          not (Experiments.Registry.run_one out_fmt id))
-                        ids
-                    in
-                    if bad = [] then `Ok ()
-                    else
-                      `Error
-                        ( false,
-                          "unknown experiment(s): " ^ String.concat ", " bad )))
+  let run ids trace_json pcap =
+    with_trace_stream trace_json (fun () ->
+        with_pcap_stream pcap (fun () ->
+            match ids with
+            | [] ->
+                Experiments.Registry.run_all out_fmt;
+                `Ok ()
+            | ids ->
+                let bad =
+                  List.filter
+                    (fun id -> not (Experiments.Registry.run_one out_fmt id))
+                    ids
+                in
+                if bad = [] then `Ok ()
+                else
+                  `Error
+                    (false, "unknown experiment(s): " ^ String.concat ", " bad)))
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Reproduce the paper's figures and claims")
-    Term.(ret (const run $ ids $ trace_json_arg $ pcap_arg $ shards_arg))
+    Term.(ret (const run $ ids $ trace_json_arg $ pcap_arg))
 
 (* ---- scenario ---- *)
 
@@ -348,35 +327,31 @@ let scenario_cmd =
   let scenario_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"Scenario name")
   in
-  let run name trace_json pcap shards =
-    match apply_shards shards with
-    | Some e -> `Error (false, e)
-    | None -> (
-        match List.find_opt (fun (n, _, _) -> n = name) scenarios with
-        | Some (_, _, f) -> (
-            with_pcap_stream pcap (fun () ->
-                match trace_json with
-                | None ->
-                    let (_ : Netsim.Net.t) = f () in
-                    `Ok ()
-                | Some file -> (
-                    match open_trace_out file with
-                    | Error e -> `Error (false, e)
-                    | Ok oc ->
-                        let net = f () in
-                        dump_trace_json oc file net;
-                        `Ok ())))
-        | None ->
-            `Error
-              ( false,
-                Printf.sprintf "unknown scenario %S; try: %s" name
-                  (String.concat ", "
-                     (List.map (fun (n, _, _) -> n) scenarios)) ))
+  let run name trace_json pcap =
+    match List.find_opt (fun (n, _, _) -> n = name) scenarios with
+    | Some (_, _, f) -> (
+        with_pcap_stream pcap (fun () ->
+            match trace_json with
+            | None ->
+                let (_ : Netsim.Net.t) = f () in
+                `Ok ()
+            | Some file -> (
+                match open_trace_out file with
+                | Error e -> `Error (false, e)
+                | Ok oc ->
+                    let net = f () in
+                    dump_trace_json oc file net;
+                    `Ok ())))
+    | None ->
+        `Error
+          ( false,
+            Printf.sprintf "unknown scenario %S; try: %s" name
+              (String.concat ", " (List.map (fun (n, _, _) -> n) scenarios)) )
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a canned scenario and dump its packet trace")
     Term.(
-      ret (const run $ scenario_arg $ trace_json_arg $ pcap_arg $ shards_arg))
+      ret (const run $ scenario_arg $ trace_json_arg $ pcap_arg))
 
 let rules_cmd =
   let file =
@@ -422,8 +397,7 @@ let stats_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit the snapshot as JSON instead of a table")
   in
-  let run json shards =
-    (match apply_shards shards with Some e -> failwith e | None -> ());
+  let run json =
     let reg = Netobs.Metrics.create () in
     let gauge name help v =
       Netobs.Metrics.set (Netobs.Metrics.gauge reg ~help name) v
@@ -454,8 +428,6 @@ let stats_cmd =
       st.Netsim.Engine.wall_time;
     gauge "engine_cpu_time_s" "host CPU seconds inside Engine.run"
       st.Netsim.Engine.cpu_time;
-    gauge "engine_shards" "shards the reference world is partitioned into"
-      (float_of_int (Netsim.Net.shard_count net));
     let trace = Netsim.Net.trace net in
     count "trace_events_total" "trace records in the reference world"
       (Netsim.Trace.length trace);
@@ -560,7 +532,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:"Run a reference workload and print a metrics snapshot (engine \
              gauges, per-cell flow-latency histograms)")
-    Term.(const run $ json $ shards_arg)
+    Term.(const run $ json)
 
 (* ---- soak ---- *)
 

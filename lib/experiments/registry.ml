@@ -23,8 +23,6 @@ let all =
     ("E19", "Failure signaling and home-agent failover", E19_failover.run);
     ("E20", "Observability overhead: recorder / JSONL / pcap ladder",
      E20_obs_overhead.run);
-    ("E21", "Sharded scale-out: parallel domains with conservative lookahead",
-     E21_scale_out.run);
     ("A1", "Section 4 ablation: source routing vs encapsulation",
      A01_source_routing.run);
     ("A2", "Sections 2/3.3 ablation: encapsulation formats",

@@ -159,12 +159,14 @@ let handle_registration t udp (dgram : Transport.Udp_service.datagram) =
       (* A retransmitted request (same sequence, same care-of) is
          idempotent: the reply may have been lost and the mobile host is
          retrying.  Only genuinely old sequences — or replays naming a
-         different care-of address — are stale. *)
+         different care-of address — are stale.  "Old" is serial-number
+         order, so the 16-bit sequence may wrap. *)
       let stale =
         List.exists
           (fun b ->
             Ipv4_addr.equal b.Types.home req.Registration.home
-            && (b.Types.sequence > req.Registration.sequence
+            && (Registration.sequence_older req.Registration.sequence
+                  ~than:b.Types.sequence
                || (b.Types.sequence = req.Registration.sequence
                   && not
                        (Ipv4_addr.equal b.Types.care_of

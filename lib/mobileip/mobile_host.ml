@@ -292,7 +292,7 @@ let send_registration t ~src ~reg_dst ~care_of ~lifetime ~sequence =
 
 let rec register ?src ?reg_dst t ~care_of ~lifetime ?(on_result = fun _ -> ())
     () =
-  t.sequence <- t.sequence + 1;
+  t.sequence <- Registration.next_sequence t.sequence;
   let sequence = t.sequence in
   t.pending_reg <- Some sequence;
   let udp = Transport.Udp_service.get t.mh_node in

@@ -49,6 +49,12 @@ let get_addr buf off =
 let op_request = 1
 let op_reply = 3
 
+let next_sequence s = (s + 1) land 0xffff
+
+let sequence_older a ~than =
+  let ahead = (than - a) land 0xffff in
+  ahead <> 0 && ahead < 0x8000
+
 (* Request: op(1) home(4) ha(4) coa(4) lifetime(2) seq(2) auth(4) = 21. *)
 let request_length = 21
 

@@ -26,6 +26,15 @@ type reply = {
   r_code : Types.reg_code;
 }
 
+val next_sequence : int -> int
+(** The sequence number after [s].  The wire field is 16 bits, so the
+    count wraps from 65535 to 0. *)
+
+val sequence_older : int -> than:int -> bool
+(** [sequence_older a ~than:b]: [a] was issued before [b], by RFC 1982
+    serial-number arithmetic on 16 bits — [b] lies less than half the
+    sequence space (2^15) ahead of [a].  So 65535 is older than 0. *)
+
 val authenticator : key:string -> Bytes.t -> int
 (** 32-bit keyed digest over a message body. *)
 

@@ -13,15 +13,8 @@ type t = {
   (* The clock lives in a one-element floatarray rather than a mutable
      float field so consumers polled on every trace event (the trace
      fast path) can read it as an unboxed load through [clock_cell],
-     with no accessor call and no float boxing.  The field itself is
-     mutable so a sharded net can point several engines at one shared
-     cell (sequential sharded mode: one global clock). *)
-  mutable clock : floatarray;
-  (* Tie-break counter for same-timestamp events.  A ref cell rather
-     than a plain int field so a sharded net can make all its engines
-     draw from one shared counter, keeping one global FIFO order among
-     simultaneous events across shard queues. *)
-  mutable seq : int ref;
+     with no accessor call and no float boxing. *)
+  clock : floatarray;
   mutable executed : int;
   mutable max_pending : int;
   mutable truncated : int;
@@ -34,7 +27,6 @@ let create () =
   {
     queue = Pqueue.create ();
     clock = Float.Array.make 1 0.0;
-    seq = ref 0;
     executed = 0;
     max_pending = 0;
     truncated = 0;
@@ -45,14 +37,6 @@ let create () =
 
 let now t = Float.Array.get t.clock 0
 let clock_cell t = t.clock
-let use_clock_cell t cell = t.clock <- cell
-let seq_counter t = t.seq
-let use_seq_counter t r = t.seq <- r
-
-let set_now t time =
-  if time < Float.Array.get t.clock 0 then
-    invalid_arg "Engine.set_now: time moves backward";
-  Float.Array.set t.clock 0 time
 
 let stats t =
   {
@@ -66,16 +50,13 @@ let stats t =
   }
 
 let set_observer t f = t.observer <- f
-let notify_observer t = match t.observer with Some f -> f (stats t) | None -> ()
 
 let schedule t ~at f =
   let clk = Float.Array.get t.clock 0 in
   if at < clk then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now (%g)" at clk);
-  let seq = !(t.seq) in
-  t.seq := seq + 1;
-  Pqueue.add_seq t.queue ~priority:at ~seq f;
+  Pqueue.add t.queue ~priority:at f;
   let depth = Pqueue.length t.queue in
   if depth > t.max_pending then t.max_pending <- depth
 
@@ -99,18 +80,6 @@ let step t =
       Prof.leave Prof.Dispatch;
       true
 
-let next_key t = Pqueue.min_key t.queue
-
-let add_run_time t ~wall ~cpu =
-  t.wall_time <- t.wall_time +. wall;
-  t.cpu_time <- t.cpu_time +. cpu
-
-let mark_truncated ?(max_events = 0) t =
-  t.truncated <- t.truncated + 1;
-  Logs.warn (fun m ->
-      m "Engine.run: stopped after %d events with %d still pending" max_events
-        (Pqueue.length t.queue))
-
 let run ?until ?(max_events = 10_000_000) t =
   let wall_start = Unix.gettimeofday () in
   let cpu_start = Sys.time () in
@@ -128,32 +97,18 @@ let run ?until ?(max_events = 10_000_000) t =
             ignore (step t);
             incr events)
   done;
-  if !continue && !events >= max_events && not (Pqueue.is_empty t.queue) then
+  if !continue && !events >= max_events && not (Pqueue.is_empty t.queue)
+  then begin
     (* The runaway guard fired: the run stopped with work still queued.
        Record it so callers (and the metrics layer) can see it. *)
-    mark_truncated ~max_events t;
-  add_run_time t
-    ~wall:(Unix.gettimeofday () -. wall_start)
-    ~cpu:(Sys.time () -. cpu_start);
-  notify_observer t
-
-let run_window ?until ?(max_events = max_int) ~horizon t =
-  let events = ref 0 in
-  let continue = ref true in
-  while !continue && !events < max_events do
-    match Pqueue.peek t.queue with
-    | None -> continue := false
-    | Some (at, _) ->
-        if at >= horizon then continue := false
-        else begin
-          match until with
-          | Some limit when at > limit -> continue := false
-          | _ ->
-              ignore (step t);
-              incr events
-        end
-  done;
-  !events
+    t.truncated <- t.truncated + 1;
+    Logs.warn (fun m ->
+        m "Engine.run: stopped after %d events with %d still pending"
+          max_events (Pqueue.length t.queue))
+  end;
+  t.wall_time <- t.wall_time +. (Unix.gettimeofday () -. wall_start);
+  t.cpu_time <- t.cpu_time +. (Sys.time () -. cpu_start);
+  match t.observer with Some f -> f (stats t) | None -> ()
 
 let pending t = Pqueue.length t.queue
 let clear t = Pqueue.clear t.queue

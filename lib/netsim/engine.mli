@@ -6,9 +6,7 @@
 
     Every simulated network ({!Net}) owns one engine; link transmission,
     protocol timers (TCP retransmission, registration lifetimes, binding
-    cache TTLs) are all engine events.  A sharded network ({!Net.set_shards})
-    owns one engine per shard and coordinates them through the sharding
-    hooks at the bottom of this interface. *)
+    cache TTLs) are all engine events. *)
 
 type t
 
@@ -33,10 +31,7 @@ val after : t -> float -> (unit -> unit) -> unit
 
 val cancellable_after : t -> float -> (unit -> unit) -> unit -> unit
 (** [cancellable_after t delay f] schedules [f] and returns a cancel
-    function.  Cancelling after the event fired is a no-op.  The timer
-    belongs to this engine's clock: in a sharded net it fires (or is
-    cancelled) on the owning shard's timeline only, never on another
-    shard's clock. *)
+    function.  Cancelling after the event fired is a no-op. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when empty, when simulated time would
@@ -55,15 +50,10 @@ type stats = {
   max_pending : int;  (** high-water mark of the queue depth *)
   truncated : int;  (** runs stopped by the [max_events] guard *)
   sim_time : float;  (** current simulated time, seconds *)
-  wall_time : float;
-      (** monotonic wall-clock seconds spent inside [run] — real elapsed
-          time, which a parallel sharded run makes smaller than the CPU
-          work done *)
+  wall_time : float;  (** wall-clock seconds spent inside [run] *)
   cpu_time : float;
       (** host CPU seconds spent inside [run] ([Sys.time]-based, process
-          wide) — the overhead ladders (E20) ratio against this, and it
-          keeps growing with total work even when [wall_time] shrinks
-          under parallel execution *)
+          wide) — the overhead ladders (E20) ratio against this *)
 }
 
 val stats : t -> stats
@@ -81,49 +71,3 @@ val pending : t -> int
 
 val clear : t -> unit
 (** Drop all pending events (does not reset the clock). *)
-
-(** {1 Sharding support}
-
-    Hooks {!Net.set_shards} uses to coordinate several engines.  Ordinary
-    simulation code never needs these. *)
-
-val next_key : t -> (float * int) option
-(** The head event's full sort key [(time, seq)] — what the sequential
-    sharded merge loop compares across shard queues to pick the globally
-    next event. *)
-
-val use_clock_cell : t -> floatarray -> unit
-(** Repoint this engine's clock at another cell.  Sequential sharded mode
-    points every shard engine at shard 0's cell so there is exactly one
-    global clock; parallel mode leaves each engine its own. *)
-
-val use_seq_counter : t -> int ref -> unit
-(** Repoint the same-timestamp tie-break counter.  Sharing one counter
-    across engines (sequential sharded mode) makes the per-queue
-    [(time, seq)] keys a single global total order, so the merge loop
-    reproduces the unsharded event order bit-for-bit. *)
-
-val seq_counter : t -> int ref
-
-val set_now : t -> float -> unit
-(** Advance the clock without running events (a barrier coordinator
-    clamping idle shards to the window edge, or to [until]).
-    @raise Invalid_argument if the time moves backward. *)
-
-val run_window : ?until:float -> ?max_events:int -> horizon:float -> t -> int
-(** Run events strictly before [horizon] (and not beyond [until], when
-    given); returns the number executed.  This is one shard's share of a
-    conservative-lookahead window: the coordinator computes [horizon] as
-    the global minimum next-event time plus the inter-shard lookahead, so
-    everything below it is safe to run without seeing another shard's
-    frames.  Does not touch wall/CPU accounting or the observer — the
-    coordinator owns those. *)
-
-val add_run_time : t -> wall:float -> cpu:float -> unit
-(** Accrue run-time accounting from an external coordinator. *)
-
-val mark_truncated : ?max_events:int -> t -> unit
-(** Record (and log) a run stopped by the runaway guard. *)
-
-val notify_observer : t -> unit
-(** Fire the stats observer, as [run] does at its end. *)

@@ -3,30 +3,10 @@ type fault_verdict =
   | Fault_drop of Trace.drop_reason
   | Fault_deliver of { extra_delay : float; duplicate : bool }
 
-(* One shard of the simulation: an engine (event queue + clock), the
-   trace its nodes write, and per-shard resources.  An unsharded net is
-   exactly one shard wrapping the net's own engine and trace, so the
-   data plane goes through [node.shard] uniformly with no special case.
-   In sequential sharded mode every shard shares the primary engine's
-   clock cell and tie-break counter (one global timeline); in parallel
-   mode each shard has its own clock, its own buffered trace and its own
-   id counters (strided so ids stay globally unique and deterministic). *)
-type shard = {
-  sh_idx : int;
-  sh_engine : Engine.t;
-  mutable sh_trace : Trace.t;
-  sh_pool : Pool.t;
-  mutable sh_next_frame : int;
-  mutable sh_next_flow : int;
-}
-
 type t = {
   engine : Engine.t;
   trace : Trace.t;
   mutable all_nodes : node list;
-  mutable node_count : int;
-      (* creation counter; nodes carry their index so the shard
-         partitioner orders components deterministically *)
   mutable next_frame : int;
   mutable next_flow : int;
   mutable fault_hook :
@@ -34,27 +14,7 @@ type t = {
   mutable icmp_errors : icmp_errors option;
       (* ICMP error signaling config; None (the default) keeps every drop
          silent and costs the fast path a single field load. *)
-  mutable shards : shard array;  (* length 1 = unsharded *)
-  mutable parallel : bool;
-  mutable lookahead : float;
-      (* minimum latency of any cross-shard link: the conservative
-         window size for parallel barriers *)
-  mutable merge_seed : int;
-      (* seeds the ordering of same-timestamp cross-shard arrivals from
-         different source shards at a barrier *)
-  mutable frame_base : int;
-  mutable flow_base : int;
-      (* id counters frozen at [set_shards ~parallel:true]: parallel ids
-         are [base + local * nshards + shard_idx + 1] so they never
-         collide across shards and replay identically *)
-  mutable outboxes : outbox array array;
-      (* [src].(dst): bounded SPSC cross-shard channels, written only by
-         the source shard's domain during a window, drained only by the
-         coordinator at the barrier *)
 }
-
-and outbox = { mutable ob_rev : xevent list; mutable ob_count : int }
-and xevent = { x_at : float; x_target : iface; x_frame : frame }
 
 (* Opt-in ICMP error signaling: per-(node, offender) hold-down with a
    seeded LCG jitter so error emission is deterministic yet a packet storm
@@ -70,8 +30,6 @@ and node = {
   name : string;
   router : bool;
   net : t;
-  created : int;  (* creation index, orders the shard partitioner *)
-  mutable shard : shard;
   mutable node_ifaces : iface list;
   table : Routing.table;
   mutable policy : Filter.policy;
@@ -133,10 +91,6 @@ and frame = {
   content : content;
   l2_src : Mac_addr.t;
   l2_dst : Mac_addr.t;
-  csum : int;
-      (* Header checksum of the IP packet in [content], computed once at
-         origin and updated incrementally (RFC 1624) at each forwarding
-         hop; -1 when not computed (ARP, locally injected frames). *)
 }
 
 and content = Ip of Ipv4_packet.t | Arp_msg of arp
@@ -161,32 +115,14 @@ let create () =
   let engine = Engine.create () in
   let trace = Trace.create () in
   Trace.set_time_source trace (Engine.clock_cell engine);
-  let shard0 =
-    {
-      sh_idx = 0;
-      sh_engine = engine;
-      sh_trace = trace;
-      sh_pool = Pool.create ();
-      sh_next_frame = 0;
-      sh_next_flow = 0;
-    }
-  in
   {
     engine;
     trace;
     all_nodes = [];
-    node_count = 0;
     next_frame = 0;
     next_flow = 0;
     fault_hook = None;
     icmp_errors = None;
-    shards = [| shard0 |];
-    parallel = false;
-    lookahead = infinity;
-    merge_seed = 0;
-    frame_base = 0;
-    flow_base = 0;
-    outboxes = [||];
   }
 
 let set_fault_hook t f = t.fault_hook <- f
@@ -212,11 +148,6 @@ let error_signaling t = t.icmp_errors <> None
 let icmp_errors_sent t =
   match t.icmp_errors with None -> 0 | Some c -> c.errors_sent
 
-(* When on, every forwarding hop cross-checks the RFC 1624 incremental
-   checksum against a full field-wise recompute.  Global (not per-world):
-   it guards an algorithm, not a topology. *)
-let checksum_debug = ref false
-let set_checksum_debug b = checksum_debug := b
 let set_tracing t b = Trace.set_enabled t.trace b
 
 let engine t = t.engine
@@ -231,8 +162,6 @@ let add_node t name router =
       name;
       router;
       net = t;
-      created = t.node_count;
-      shard = t.shards.(0);
       node_ifaces = [];
       table = Routing.create ();
       policy = Filter.accept_all;
@@ -247,7 +176,6 @@ let add_node t name router =
       option_penalty = (if router then 0.001 else 0.0);
     }
   in
-  t.node_count <- t.node_count + 1;
   t.all_nodes <- node :: t.all_nodes;
   node
 
@@ -258,13 +186,8 @@ let node_name n = n.name
 let is_router n = n.router
 let nodes t = List.rev t.all_nodes
 let node_net n = n.net
-let node_engine n = n.shard.sh_engine
-let node_now n = Engine.now n.shard.sh_engine
-let node_pool n = n.shard.sh_pool
-let node_shard n = n.shard.sh_idx
-let shard_count t = Array.length t.shards
-let parallel t = t.parallel
-let lookahead t = t.lookahead
+let node_engine n = n.net.engine
+let node_now n = Engine.now n.net.engine
 
 let make_loss_gen ?loss ?(loss_seed = 0x5eed) () =
   match loss with
@@ -474,42 +397,20 @@ let new_flow t =
   t.next_flow <- t.next_flow + 1;
   t.next_flow
 
-(* Flow allocation with a node in hand: sequential modes share the net
-   counter (ids identical to the unsharded world); parallel mode strides
-   a per-shard counter so concurrent shards never collide and a replay
-   hands out the same ids. *)
-let new_flow_on node =
-  let t = node.net in
-  if not t.parallel then new_flow t
-  else begin
-    let sh = node.shard in
-    sh.sh_next_flow <- sh.sh_next_flow + 1;
-    t.flow_base + ((sh.sh_next_flow - 1) * Array.length t.shards) + sh.sh_idx + 1
-  end
-
 let new_frame_id node =
   let t = node.net in
-  if not t.parallel then begin
-    t.next_frame <- t.next_frame + 1;
-    t.next_frame
-  end
-  else begin
-    let sh = node.shard in
-    sh.sh_next_frame <- sh.sh_next_frame + 1;
-    t.frame_base
-    + ((sh.sh_next_frame - 1) * Array.length t.shards)
-    + sh.sh_idx + 1
-  end
+  t.next_frame <- t.next_frame + 1;
+  t.next_frame
 
 let frame_info (f : frame) pkt : Trace.frame_info =
   { Trace.id = f.fid; flow = f.flow; pkt }
 
 let record node event =
-  Trace.record node.shard.sh_trace ~time:(Engine.now node.shard.sh_engine) event
+  Trace.record node.net.trace ~time:(Engine.now node.net.engine) event
 
 (* Checked before building any trace event: when false, the per-hop
    fast path skips [frame_info]/event allocation entirely. *)
-let tracing node = Trace.interested node.shard.sh_trace
+let tracing node = Trace.interested node.net.trace
 
 (* Allocation-free tracing of the hottest per-hop events: when only fast
    taps (the flight recorder) are listening, these skip the
@@ -517,19 +418,19 @@ let tracing node = Trace.interested node.shard.sh_trace
    self-gated and stamp the time from the engine's clock cell, so the
    call sites below use them unguarded. *)
 let trace_send node (f : frame) pkt =
-  Trace.emit_send node.shard.sh_trace ~node:node.name ~id:f.fid ~flow:f.flow
+  Trace.emit_send node.net.trace ~node:node.name ~id:f.fid ~flow:f.flow
     ~pkt
 
 let trace_transmit node ~link (f : frame) pkt ~bytes =
-  Trace.emit_transmit node.shard.sh_trace ~link ~id:f.fid ~flow:f.flow ~pkt
+  Trace.emit_transmit node.net.trace ~link ~id:f.fid ~flow:f.flow ~pkt
     ~bytes
 
 let trace_forward node ~in_iface ~out_iface (f : frame) pkt =
-  Trace.emit_forward node.shard.sh_trace ~node:node.name ~in_iface ~out_iface
+  Trace.emit_forward node.net.trace ~node:node.name ~in_iface ~out_iface
     ~id:f.fid ~flow:f.flow ~pkt
 
 let trace_deliver node (f : frame) pkt =
-  Trace.emit_deliver node.shard.sh_trace ~node:node.name ~id:f.fid
+  Trace.emit_deliver node.net.trace ~node:node.name ~id:f.fid
     ~flow:f.flow ~pkt
 
 let same_segment a b =
@@ -621,22 +522,7 @@ and emit out frame =
    (with a trace reason), delay it, or duplicate it. *)
 and fault_deliver node ~link ~delay target frame =
   let schedule d =
-    let src = node.shard and dst = target.owner.shard in
-    if src == dst then
-      Engine.after src.sh_engine d (fun () -> deliver_frame_to target frame)
-    else begin
-      (* Cross-shard hop.  The timestamp is the *sender's* clock plus the
-         link delay.  Sequential sharded mode schedules straight into the
-         target shard's queue (shared clock and tie-break counter keep
-         the global order identical to unsharded); parallel mode may not
-         touch another domain's queue, so the frame goes into the bounded
-         SPSC outbox and is merged at the next barrier. *)
-      let at = Engine.now src.sh_engine +. d in
-      if node.net.parallel then push_xshard node.net src dst ~at target frame
-      else
-        Engine.schedule dst.sh_engine ~at (fun () ->
-            deliver_frame_to target frame)
-    end
+    Engine.after node.net.engine d (fun () -> deliver_frame_to target frame)
   in
   match node.net.fault_hook with
   | None -> schedule delay
@@ -659,17 +545,6 @@ and record_fault_drop node reason frame =
 
 and record_link_loss node frame = record_fault_drop node Trace.Link_loss frame
 
-and push_xshard t src dst ~at target frame =
-  let ob = t.outboxes.(src.sh_idx).(dst.sh_idx) in
-  if ob.ob_count >= 65536 then
-    failwith
-      (Printf.sprintf
-         "Net: cross-shard channel %d->%d overflowed (65536 frames in one \
-          window)"
-         src.sh_idx dst.sh_idx);
-  ob.ob_rev <- { x_at = at; x_target = target; x_frame = frame } :: ob.ob_rev;
-  ob.ob_count <- ob.ob_count + 1
-
 and send_arp out ~l2_dst arp =
   let node = out.owner in
   let frame =
@@ -679,7 +554,6 @@ and send_arp out ~l2_dst arp =
       content = Arp_msg arp;
       l2_src = out.mac;
       l2_dst;
-      csum = -1;
     }
   in
   emit out frame
@@ -712,7 +586,7 @@ and arp_request_retry out next_hop =
       pending.tries <- pending.tries + 1;
       send_arp out ~l2_dst:Mac_addr.broadcast
         { op = `Request; spa = out.addr; sha = out.mac; tpa = next_hop };
-      Engine.after node.shard.sh_engine 0.5 (fun () ->
+      Engine.after node.net.engine 0.5 (fun () ->
           arp_request_retry out next_hop)
 
 and arp_resolve out next_hop frame =
@@ -752,11 +626,11 @@ and arp_input iface frame arp =
         send_arp iface ~l2_dst:frame.l2_src
           { op = `Reply; spa = arp.tpa; sha = iface.mac; tpa = arp.spa }
 
-and ip_output node ~out ~next_hop ?l2_dst ~flow ?(csum = -1) pkt =
+and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
   if not out.up then begin
     let f =
       { fid = new_frame_id node; flow; content = Ip pkt;
-        l2_src = out.mac; l2_dst = Mac_addr.broadcast; csum }
+        l2_src = out.mac; l2_dst = Mac_addr.broadcast }
     in
     if tracing node then
       record node
@@ -768,7 +642,7 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow ?(csum = -1) pkt =
     | Error _ ->
         let f =
           { fid = new_frame_id node; flow; content = Ip pkt;
-            l2_src = out.mac; l2_dst = Mac_addr.broadcast; csum }
+            l2_src = out.mac; l2_dst = Mac_addr.broadcast }
         in
         if tracing node then
           record node
@@ -785,7 +659,7 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow ?(csum = -1) pkt =
             Ipv4_packet.make ~protocol:Ipv4_packet.P_icmp ~src:out.addr
               ~dst:pkt.Ipv4_packet.src (Ipv4_packet.Icmp icmp)
           in
-          originate node ~flow:(new_flow_on node) reply
+          originate node ~flow:(new_flow node.net) reply
         end
     | Ok pieces ->
         List.iter
@@ -797,14 +671,6 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow ?(csum = -1) pkt =
                 content = Ip piece;
                 l2_src = out.mac;
                 l2_dst = Mac_addr.broadcast;
-                (* Fragmenting rewrites length/flags/offset, so each piece
-                   gets its own full checksum; the common unfragmented case
-                   returns the packet unchanged and keeps the carried one. *)
-                csum =
-                  (if piece == pkt then
-                     if csum >= 0 then csum
-                     else Ipv4_packet.header_checksum pkt
-                   else Ipv4_packet.header_checksum piece);
               }
             in
             match out.attachment with
@@ -854,7 +720,7 @@ and ip_input iface frame pkt =
              { node = node.name; reason = Trace.Not_for_me; frame = frame_info frame pkt })
 
 and deliver node in_iface frame pkt =
-  match Fragment.Reassembly.add node.reasm ~now:(Engine.now node.shard.sh_engine) pkt with
+  match Fragment.Reassembly.add node.reasm ~now:(Engine.now node.net.engine) pkt with
   | None -> (* incomplete datagram; wait for more fragments *) ()
   | Some whole -> (
       (* Loose source routing: a packet addressed to us whose route is not
@@ -908,36 +774,8 @@ and forward node in_iface frame pkt =
         record node
         (Trace.Drop
            { node = node.name; reason = Trace.Ttl_expired; frame = frame_info frame pkt })
-  | Some pkt ->
-      forward_routed node in_iface frame
-        ~csum:
-          (if frame.csum >= 0 then begin
-             (* Only the TTL/protocol word changed: RFC 1624 incremental
-                update instead of re-summing the whole header.  [frame.csum]
-                belongs to the pre-decrement packet, so derive from the
-                original frame content. *)
-             let c =
-               match frame.content with
-               | Ip orig ->
-                   Ipv4_packet.decrement_ttl_checksum ~checksum:frame.csum
-                     orig
-               | Arp_msg _ -> Ipv4_packet.header_checksum pkt
-             in
-             if !checksum_debug then begin
-               let full = Ipv4_packet.header_checksum pkt in
-               if c <> full then
-                 failwith
-                   (Printf.sprintf
-                      "Net.forward: incremental checksum %#x <> recompute %#x"
-                      c full)
-             end;
-             c
-           end
-           else Ipv4_packet.header_checksum pkt)
-        pkt
-
-and forward_routed node in_iface frame ~csum pkt =
-  (match Routing.lookup node.table pkt.Ipv4_packet.dst with
+  | Some pkt -> (
+      match Routing.lookup node.table pkt.Ipv4_packet.dst with
       | None ->
           (if tracing node then
              record node
@@ -969,9 +807,9 @@ and forward_routed node in_iface frame ~csum pkt =
                 node.option_penalty > 0.0
                 && Ipv4_options.has_options pkt.Ipv4_packet.options
               then
-                Engine.after node.shard.sh_engine node.option_penalty (fun () ->
-                    ip_output node ~out ~next_hop ~flow:frame.flow ~csum pkt)
-              else ip_output node ~out ~next_hop ~flow:frame.flow ~csum pkt))
+                Engine.after node.net.engine node.option_penalty (fun () ->
+                    ip_output node ~out ~next_hop ~flow:frame.flow pkt)
+              else ip_output node ~out ~next_hop ~flow:frame.flow pkt))
 
 (* Answer a drop with a real RFC 792 error quoting the offending datagram
    (IP header + 8 payload bytes), so senders get fast negative feedback
@@ -994,7 +832,7 @@ and send_icmp_error node ~reason ~code ~src pkt =
         && not (Ipv4_addr.is_multicast pkt.Ipv4_packet.dst)
       then begin
         let key = (node.name, offender) in
-        let t_now = Engine.now node.shard.sh_engine in
+        let t_now = Engine.now node.net.engine in
         let due =
           match Hashtbl.find_opt cfg.err_recent key with
           | None -> true
@@ -1014,7 +852,7 @@ and send_icmp_error node ~reason ~code ~src pkt =
             Ipv4_packet.make ~protocol:Ipv4_packet.P_icmp ~src ~dst:offender
               (Ipv4_packet.Icmp icmp)
           in
-          let flow = new_flow_on node in
+          let flow = new_flow node.net in
           if tracing node then
             record node
               (Trace.Icmp_error
@@ -1042,14 +880,13 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
     in
     let fake_frame pkt =
       { fid = new_frame_id node; flow; content = Ip pkt;
-        l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast;
-        csum = Ipv4_packet.header_checksum pkt }
+        l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
     in
     let emit_via out ~next_hop ?l2_dst pkt =
       let pkt = fill_src out pkt in
       let f = fake_frame pkt in
       trace_send node f pkt;
-      ip_output node ~out ~next_hop ?l2_dst ~flow ~csum:f.csum pkt
+      ip_output node ~out ~next_hop ?l2_dst ~flow pkt
     in
     if owns_address node pkt.Ipv4_packet.dst then begin
       (* Loopback delivery: never touches a wire. *)
@@ -1126,14 +963,14 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
   end
 
 let send node ?flow ?via ?l2_dst pkt =
-  let flow = match flow with Some f -> f | None -> new_flow_on node in
+  let flow = match flow with Some f -> f | None -> new_flow node.net in
   originate node ~flow ?via ?l2_dst pkt;
   flow
 
 let inject_local node ~flow pkt =
   let frame =
     { fid = new_frame_id node; flow; content = Ip pkt;
-      l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast; csum = -1 }
+      l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
   in
   if tracing node then
     record node
@@ -1148,476 +985,5 @@ let gratuitous_arp _node iface addr =
   send_arp iface ~l2_dst:Mac_addr.broadcast
     { op = `Reply; spa = addr; sha = iface.mac; tpa = addr }
 
-(* ---------------------------------------------------------------- *)
-(* Sharding                                                          *)
-(* ---------------------------------------------------------------- *)
-
-(* Union-find over node creation indices.  Roots are always the minimum
-   creation index of their component, so component identity (and with it
-   the whole partition) is a pure function of topology construction
-   order — re-running the same build re-derives the same shards. *)
-let uf_find parent i =
-  let rec root i = if parent.(i) = i then i else root parent.(i) in
-  let r = root i in
-  let rec compress i =
-    if parent.(i) <> r then begin
-      let p = parent.(i) in
-      parent.(i) <- r;
-      compress p
-    end
-  in
-  compress i;
-  r
-
-let uf_union parent a b =
-  let ra = uf_find parent a and rb = uf_find parent b in
-  if ra <> rb then if ra < rb then parent.(rb) <- ra else parent.(ra) <- rb
-
-(* Walk every link once: anything that would let two shards touch the
-   same mutable state must end up in one component.  Segments are shared
-   ARP/broadcast domains; lossy point-to-point links carry a shared
-   seeded LCG.  Loss-free point-to-point links are the only permitted
-   shard cuts — their latency is the conservative lookahead. *)
-let merge_colocated parent arr ~same =
-  Array.iter
-    (fun nd ->
-      List.iter
-        (fun i ->
-          match i.attachment with
-          | Seg s ->
-              List.iter
-                (fun m -> uf_union parent nd.created m.owner.created)
-                s.members
-          | Ptp l ->
-              if l.ptp_loss <> None then
-                List.iter
-                  (fun m -> uf_union parent nd.created m.owner.created)
-                  l.ends
-          | Detached -> ())
-        nd.node_ifaces)
-    arr;
-  List.iter (fun (a, b) -> uf_union parent a.created b.created) same
-
-(* Cross-shard audit: returns the conservative lookahead (minimum latency
-   over links that span shards).  With [strict] (parallel runs) it also
-   rejects configurations the barrier executor cannot handle — checked
-   again at every run start, because roaming ([reattach]) can move an
-   interface onto a foreign shard's segment after partitioning. *)
-let validate_shards t ~strict =
-  let la = ref infinity in
-  List.iter
-    (fun nd ->
-      List.iter
-        (fun i ->
-          match i.attachment with
-          | Seg s ->
-              if strict then
-                List.iter
-                  (fun m ->
-                    if m.owner.shard != nd.shard then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Net: segment %S spans shards %d and %d; parallel \
-                            runs need each segment confined to one shard \
-                            (pass ~same hints to set_shards for roaming \
-                            nodes)"
-                           s.seg_name nd.shard.sh_idx m.owner.shard.sh_idx))
-                  s.members
-          | Ptp l ->
-              List.iter
-                (fun m ->
-                  if m.owner.shard != nd.shard then begin
-                    if strict && l.ptp_loss <> None then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Net: lossy link %S spans shards; its loss \
-                            generator is shared state (co-shard the \
-                            endpoints)"
-                           l.ptp_name);
-                    if strict && l.ptp_latency <= 0.0 then
-                      invalid_arg
-                        (Printf.sprintf
-                           "Net: link %S crosses shards with zero latency; \
-                            conservative parallel windows need lookahead > 0"
-                           l.ptp_name);
-                    if l.ptp_latency < !la then la := l.ptp_latency
-                  end)
-                l.ends
-          | Detached -> ())
-        nd.node_ifaces)
-    (nodes t);
-  !la
-
-let collapse_shards t =
-  let shard0 = t.shards.(0) in
-  shard0.sh_trace <- t.trace;
-  shard0.sh_next_frame <- 0;
-  shard0.sh_next_flow <- 0;
-  t.shards <- [| shard0 |];
-  t.parallel <- false;
-  t.lookahead <- infinity;
-  t.outboxes <- [||];
-  List.iter (fun nd -> nd.shard <- shard0) t.all_nodes
-
-let set_shards ?(parallel = false) ?(seed = 0) ?(same = []) t n =
-  if n < 1 then invalid_arg "Net.set_shards: shard count must be >= 1";
-  Array.iter
-    (fun sh ->
-      if sh.sh_idx > 0 && Engine.pending sh.sh_engine > 0 then
-        invalid_arg
-          "Net.set_shards: cannot repartition with events pending on a \
-           non-primary shard")
-    t.shards;
-  if parallel && Engine.pending t.engine > 0 then
-    invalid_arg
-      "Net.set_shards: parallel sharding requires an idle primary engine \
-       (events scheduled before partitioning could touch any shard)";
-  List.iter
-    (fun (a, b) ->
-      if a.net != t || b.net != t then
-        invalid_arg "Net.set_shards: ~same pair from a different net")
-    same;
-  let count = t.node_count in
-  let arr = Array.of_list (nodes t) in
-  let parent = Array.init (max count 1) (fun i -> i) in
-  merge_colocated parent arr ~same;
-  (* Components keyed by root (their minimum creation index). *)
-  let comp_tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun nd ->
-      let r = uf_find parent nd.created in
-      let cur = try Hashtbl.find comp_tbl r with Not_found -> [] in
-      Hashtbl.replace comp_tbl r (nd :: cur))
-    arr;
-  let comps =
-    Hashtbl.fold
-      (fun r members acc -> (r, List.rev members, List.length members) :: acc)
-      comp_tbl []
-  in
-  (* Deterministic greedy packing: components largest-first (root index
-     breaks ties), each into the least-loaded bin (lowest index breaks
-     ties).  Loads are node counts. *)
-  let comps =
-    List.sort
-      (fun (r1, _, s1) (r2, _, s2) ->
-        if s1 <> s2 then compare s2 s1 else compare r1 r2)
-      comps
-  in
-  let bins = Array.make n [] and loads = Array.make n 0 in
-  List.iter
-    (fun (_, members, size) ->
-      let best = ref 0 in
-      for i = 1 to n - 1 do
-        if loads.(i) < loads.(!best) then best := i
-      done;
-      bins.(!best) <- members :: bins.(!best);
-      loads.(!best) <- loads.(!best) + size)
-    comps;
-  let nonempty =
-    Array.to_list bins |> List.filter (fun b -> b <> []) |> List.map List.rev
-  in
-  let k = List.length nonempty in
-  if k <= 1 then collapse_shards t
-  else begin
-    let shard0 = t.shards.(0) in
-    shard0.sh_next_frame <- 0;
-    shard0.sh_next_flow <- 0;
-    let shards =
-      Array.init k (fun i ->
-          if i = 0 then shard0
-          else
-            {
-              sh_idx = i;
-              sh_engine = Engine.create ();
-              sh_trace = t.trace;
-              sh_pool = Pool.create ();
-              sh_next_frame = 0;
-              sh_next_flow = 0;
-            })
-    in
-    if parallel then begin
-      (* Each shard gets its own clock, starting where the primary's is,
-         and its own quarantined trace: buffered, stamped from the shard
-         clock, drained and merged at barriers.  Frozen id bases keep
-         per-shard strided frame/flow ids disjoint and replayable. *)
-      Array.iter
-        (fun sh ->
-          if sh.sh_idx > 0 then
-            Engine.set_now sh.sh_engine (Engine.now t.engine);
-          let tr = Trace.create () in
-          Trace.set_time_source tr (Engine.clock_cell sh.sh_engine);
-          Trace.set_buffered tr true;
-          sh.sh_trace <- tr)
-        shards;
-      t.frame_base <- t.next_frame;
-      t.flow_base <- t.next_flow;
-      t.outboxes <-
-        Array.init k (fun _ ->
-            Array.init k (fun _ -> { ob_rev = []; ob_count = 0 }))
-    end
-    else begin
-      (* Sequential sharded mode: one global timeline.  Every shard
-         engine shares the primary's clock cell and tie-break counter and
-         writes the primary trace, so the merged pick loop reproduces the
-         unsharded event order bit-for-bit. *)
-      shard0.sh_trace <- t.trace;
-      Array.iter
-        (fun sh ->
-          if sh.sh_idx > 0 then begin
-            Engine.use_clock_cell sh.sh_engine (Engine.clock_cell t.engine);
-            Engine.use_seq_counter sh.sh_engine (Engine.seq_counter t.engine)
-          end)
-        shards;
-      t.outboxes <- [||]
-    end;
-    t.shards <- shards;
-    t.parallel <- parallel;
-    t.merge_seed <- seed;
-    List.iteri
-      (fun i members ->
-        List.iter
-          (fun comp -> List.iter (fun nd -> nd.shard <- shards.(i)) comp)
-          members)
-      nonempty;
-    t.lookahead <- validate_shards t ~strict:parallel
-  end
-
-(* Barrier merge of cross-shard frames.  Arrivals are sorted by
-   (timestamp, seeded source-shard key, destination shard, push order) —
-   a total, seed-controlled order — then scheduled into the destination
-   queues in that order, so tie-break counters advance identically on
-   every run. *)
-let drain_outboxes t ~horizon =
-  let k = Array.length t.shards in
-  let all = ref [] in
-  for s = 0 to k - 1 do
-    let skey = (s + t.merge_seed) * 0x9E3779B1 land 0x3fffffff in
-    for d = 0 to k - 1 do
-      let ob = t.outboxes.(s).(d) in
-      if ob.ob_count > 0 then begin
-        let xs = List.rev ob.ob_rev in
-        ob.ob_rev <- [];
-        ob.ob_count <- 0;
-        List.iteri
-          (fun i x ->
-            if x.x_at < horizon then
-              failwith
-                (Printf.sprintf
-                   "Net: conservative lookahead violated: cross-shard frame \
-                    %d->%d at t=%g inside window ending %g"
-                   s d x.x_at horizon);
-            all := (x.x_at, skey, d, i, x) :: !all)
-          xs
-      end
-    done
-  done;
-  let evs =
-    List.sort
-      (fun (a1, k1, d1, i1, _) (a2, k2, d2, i2, _) ->
-        compare (a1, k1, d1, i1) (a2, k2, d2, i2))
-      !all
-  in
-  List.iter
-    (fun (_, _, _, _, x) ->
-      let dst = x.x_target.owner.shard in
-      Engine.schedule dst.sh_engine ~at:x.x_at (fun () ->
-          deliver_frame_to x.x_target x.x_frame))
-    evs
-
-(* Replay each shard's buffered records through the main trace in
-   (time, shard index) order.  Records are time-ordered within a shard
-   already, and the sort is stable, so same-time records keep their
-   shard-local order — one deterministic interleaving, delivered to the
-   flow index, observers, sinks and rings exactly once. *)
-let merge_shard_traces t =
-  let tagged = ref [] in
-  Array.iter
-    (fun sh ->
-      List.iter
-        (fun r -> tagged := (r, sh.sh_idx) :: !tagged)
-        (Trace.drain sh.sh_trace))
-    t.shards;
-  let ordered =
-    List.stable_sort
-      (fun ((r1 : Trace.record), s1) ((r2 : Trace.record), s2) ->
-        compare (r1.Trace.time, s1) (r2.Trace.time, s2))
-      (List.rev !tagged)
-  in
-  List.iter
-    (fun ((r : Trace.record), _) ->
-      Trace.record t.trace ~time:r.Trace.time r.Trace.event)
-    ordered
-
-(* Sequential sharded executor: repeatedly run the event whose
-   (timestamp, tie-break) key is globally minimal across shard queues.
-   With the shared clock cell and shared counter this is, by induction,
-   exactly the order the single-queue engine would execute. *)
-let run_merged ?until ?(max_events = 10_000_000) t =
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
-  let events = ref 0 in
-  let continue = ref true in
-  while !continue && !events < max_events do
-    let best = ref None in
-    Array.iter
-      (fun sh ->
-        match Engine.next_key sh.sh_engine with
-        | None -> ()
-        | Some key -> (
-            match !best with
-            | Some (bk, _) when compare bk key <= 0 -> ()
-            | _ -> best := Some (key, sh)))
-      t.shards;
-    match !best with
-    | None -> continue := false
-    | Some ((at, _), sh) -> (
-        match until with
-        | Some limit when at > limit ->
-            if limit > Engine.now t.engine then Engine.set_now t.engine limit;
-            continue := false
-        | _ ->
-            ignore (Engine.step sh.sh_engine);
-            incr events)
-  done;
-  let still_pending =
-    Array.exists (fun sh -> Engine.pending sh.sh_engine > 0) t.shards
-  in
-  if !continue && !events >= max_events && still_pending then
-    Engine.mark_truncated ~max_events t.engine;
-  Engine.add_run_time t.engine
-    ~wall:(Unix.gettimeofday () -. wall0)
-    ~cpu:(Sys.time () -. cpu0);
-  Engine.notify_observer t.engine
-
-(* Parallel barrier executor.  Each iteration: find the global minimum
-   next-event time N, run every shard up to the horizon N + lookahead in
-   its own domain (cross-shard frames can only arrive at or after the
-   horizon, so the window is causally closed), then join, merge outboxes
-   and traces at the barrier, repeat. *)
-let run_parallel ?until ?(max_events = 10_000_000) t =
-  if t.fault_hook <> None then
-    invalid_arg
-      "Net.run: parallel sharded runs do not support fault hooks (the plan \
-       RNG is call-order dependent); use sequential sharding";
-  if t.icmp_errors <> None then
-    invalid_arg
-      "Net.run: parallel sharded runs do not support ICMP error signaling \
-       (shared hold-down state); use sequential sharding";
-  t.lookahead <- validate_shards t ~strict:true;
-  (* Shard traces must capture whenever anything observes the main trace;
-     refreshing here picks up observers/sinks/rings installed since
-     set_shards. *)
-  let want = Trace.interested t.trace in
-  Array.iter (fun sh -> Trace.set_enabled sh.sh_trace want) t.shards;
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
-  let budget = ref max_events in
-  let continue = ref true in
-  while !continue && !budget > 0 do
-    let n =
-      Array.fold_left
-        (fun acc sh ->
-          match Engine.next_key sh.sh_engine with
-          | None -> acc
-          | Some (at, _) -> Float.min acc at)
-        infinity t.shards
-    in
-    if n = infinity then continue := false
-    else
-      match until with
-      | Some limit when n > limit ->
-          Array.iter
-            (fun sh ->
-              if limit > Engine.now sh.sh_engine then
-                Engine.set_now sh.sh_engine limit)
-            t.shards;
-          continue := false
-      | _ ->
-          let horizon = n +. t.lookahead in
-          let window_budget = !budget in
-          let domains =
-            Array.init
-              (Array.length t.shards - 1)
-              (fun i ->
-                let sh = t.shards.(i + 1) in
-                Domain.spawn (fun () ->
-                    Engine.run_window ?until ~max_events:window_budget ~horizon
-                      sh.sh_engine))
-          in
-          let e0 =
-            Engine.run_window ?until ~max_events:window_budget ~horizon
-              t.shards.(0).sh_engine
-          in
-          let executed =
-            Array.fold_left (fun acc d -> acc + Domain.join d) e0 domains
-          in
-          budget := !budget - executed;
-          drain_outboxes t ~horizon;
-          merge_shard_traces t;
-          if executed = 0 then
-            (* The shard owning the minimum event always makes progress
-               (its event is strictly inside the window); reaching here
-               means every queue head was beyond [until]. *)
-            continue := false
-  done;
-  let still_pending =
-    Array.exists (fun sh -> Engine.pending sh.sh_engine > 0) t.shards
-  in
-  if !budget <= 0 && still_pending then
-    Engine.mark_truncated ~max_events t.engine;
-  (* Barrier clocks drift apart by design; align them forward so [now]
-     and [stats] read one consistent end time. *)
-  let tmax =
-    Array.fold_left
-      (fun acc sh -> Float.max acc (Engine.now sh.sh_engine))
-      0.0 t.shards
-  in
-  Array.iter
-    (fun sh ->
-      if tmax > Engine.now sh.sh_engine then Engine.set_now sh.sh_engine tmax)
-    t.shards;
-  (* Advance the sequential id counters past everything the strided
-     per-shard counters handed out, so a later unsharded run (or a
-     repartition) never reissues an id. *)
-  let k = Array.length t.shards in
-  let maxf =
-    Array.fold_left (fun acc sh -> max acc sh.sh_next_frame) 0 t.shards
-  in
-  let maxw =
-    Array.fold_left (fun acc sh -> max acc sh.sh_next_flow) 0 t.shards
-  in
-  t.next_frame <- max t.next_frame (t.frame_base + (maxf * k));
-  t.next_flow <- max t.next_flow (t.flow_base + (maxw * k));
-  Engine.add_run_time t.engine
-    ~wall:(Unix.gettimeofday () -. wall0)
-    ~cpu:(Sys.time () -. cpu0);
-  Engine.notify_observer t.engine
-
-let run ?until ?max_events t =
-  if Array.length t.shards = 1 then Engine.run ?until ?max_events t.engine
-  else if t.parallel then run_parallel ?until ?max_events t
-  else run_merged ?until ?max_events t
-
-let stats t =
-  Array.fold_left
-    (fun (acc : Engine.stats) sh ->
-      let s = Engine.stats sh.sh_engine in
-      {
-        Engine.executed = acc.Engine.executed + s.Engine.executed;
-        pending = acc.Engine.pending + s.Engine.pending;
-        max_pending = max acc.Engine.max_pending s.Engine.max_pending;
-        truncated = acc.Engine.truncated + s.Engine.truncated;
-        sim_time = Float.max acc.Engine.sim_time s.Engine.sim_time;
-        wall_time = acc.Engine.wall_time +. s.Engine.wall_time;
-        cpu_time = acc.Engine.cpu_time +. s.Engine.cpu_time;
-      })
-    {
-      Engine.executed = 0;
-      pending = 0;
-      max_pending = 0;
-      truncated = 0;
-      sim_time = 0.0;
-      wall_time = 0.0;
-      cpu_time = 0.0;
-    }
-    t.shards
+let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
+let stats t = Engine.stats t.engine

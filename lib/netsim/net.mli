@@ -46,16 +46,11 @@ val set_tracing : t -> bool -> unit
 val now : t -> float
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Run the world to quiescence (or [until]).  Unsharded worlds delegate
-    to {!Engine.run} on the primary engine; sharded worlds dispatch to
-    the sequential merged executor or the parallel barrier executor (see
-    {!set_shards}).  [max_events] (default 10M) is the runaway guard. *)
+(** Run the world to quiescence (or [until]): {!Engine.run} on its
+    engine.  [max_events] (default 10M) is the runaway guard. *)
 
 val stats : t -> Engine.stats
-(** Aggregate engine statistics across shards: executed, pending and
-    truncated counts are summed, [sim_time] and [max_pending] are maxima,
-    wall/CPU time is the coordinator's.  On an unsharded world this is
-    [Engine.stats (engine t)]. *)
+(** [Engine.stats (engine t)]. *)
 
 val add_host : t -> string -> node
 val add_router : t -> string -> node
@@ -68,66 +63,7 @@ val nodes : t -> node list
 val node_net : node -> t
 val node_engine : node -> Engine.t
 val node_now : node -> float
-
-(** {1 Sharded simulation}
-
-    A world can be partitioned into {e shards}: groups of nodes, each
-    with its own event queue, that only interact across point-to-point
-    links.  The partition is derived deterministically from the topology:
-    segment co-members, lossy-link endpoints and [~same] pairs are forced
-    into one shard (they share mutable state — ARP broadcast domains,
-    seeded loss generators); loss-free point-to-point links are the only
-    shard cuts, and their minimum latency is the {e lookahead}.
-
-    Two executors:
-
-    - {e sequential merged} (default): one thread repeatedly runs the
-      globally minimal event across shard queues.  All shards share the
-      primary clock and tie-break counter, so the event order — and every
-      trace byte — is identical to the unsharded world.  Safe with every
-      feature (faults, ICMP signaling, observers).
-    - {e parallel} ([~parallel:true]): conservative barrier windows of
-      width [lookahead], one domain per shard per window.  Cross-shard
-      frames travel through bounded per-(src,dst) outboxes drained at
-      barriers in seeded deterministic order; per-shard traces are
-      buffered and merged by (time, shard) at each barrier, so runs
-      replay identically for a fixed shard count and seed (event order
-      may differ from the sequential schedule only in same-timestamp
-      interleavings across shards).  Parallel runs refuse fault hooks and
-      ICMP error signaling (call-order-dependent shared state), and
-      require agents to use per-node accessors ({!node_engine},
-      {!node_now}, {!new_flow_on}) rather than the world-level ones. *)
-
-val set_shards :
-  ?parallel:bool -> ?seed:int -> ?same:(node * node) list -> t -> int -> unit
-(** Partition the world into at most [n] shards (fewer when the topology
-    has fewer independent components; 1 collapses back to unsharded).
-    [seed] (default 0) controls the merge order of same-timestamp
-    cross-shard arrivals in parallel runs; [same] pins node pairs into
-    one shard (e.g. a mobile host with every router it will roam to).
-    @raise Invalid_argument if [n < 1], if a previous shard still has
-    pending events, or if [~parallel] and the primary engine is not
-    idle, or the topology has a zero-latency or lossy cross-shard link. *)
-
-val shard_count : t -> int
-val parallel : t -> bool
-
-val lookahead : t -> float
-(** Minimum latency over cross-shard links — the conservative window
-    width; [infinity] when no link crosses shards. *)
-
-val node_shard : node -> int
-(** Which shard the node lives on (0 on an unsharded world). *)
-
-val node_pool : node -> Pool.t
-(** The byte-buffer pool of the node's shard — workload generators
-    allocate payloads here so capacity runs recycle buffers per shard. *)
-
-val new_flow_on : node -> int
-(** A fresh flow id drawn on the node's shard: identical to {!new_flow}
-    on sequential worlds, strided per-shard (collision-free and
-    replayable) on parallel ones.  Parallel-safe code must use this (or
-    {!send} without [?flow]) instead of {!new_flow}. *)
+(** The world's engine and its current time, reached from a node. *)
 
 val add_segment :
   t -> name:string -> ?latency:float -> ?bandwidth:float -> ?mtu:int ->
@@ -309,11 +245,6 @@ val send :
 val same_segment : node -> node -> bool
 (** True when the two nodes have interfaces attached to a common segment —
     the applicability test for the paper's Row C. *)
-
-val set_checksum_debug : bool -> unit
-(** When on (default off), every forwarding hop cross-checks the RFC 1624
-    incremental header-checksum update against a full field-wise recompute
-    and fails loudly on divergence.  Global; used by the test suite. *)
 
 (** {1 ICMP error signaling}
 

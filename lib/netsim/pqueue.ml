@@ -19,50 +19,52 @@ let clear t =
 let before a b =
   a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
+(* Both sifts move a hole instead of swapping, so each level costs one
+   array store (and one GC write barrier) rather than two. *)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Put [e] in the hole at [i], or higher up, moving later parents down. *)
+let rec sift_up t i e =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before e t.heap.(parent) then begin
+    t.heap.(i) <- t.heap.(parent);
+    sift_up t parent e
   end
+  else t.heap.(i) <- e
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Put [e] in the hole at [i], or lower down, moving earlier children up. *)
+let rec sift_down t i e =
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < t.size && before t.heap.(l + 1) t.heap.(l) then l + 1 else l
+  in
+  if c < t.size && before t.heap.(c) e then begin
+    t.heap.(i) <- t.heap.(c);
+    sift_down t c e
   end
+  else t.heap.(i) <- e
 
-let grow t entry =
+(* Filler for every slot at or beyond [size], so the array never keeps a
+   popped entry (and the closure it carries) reachable.  Its value is
+   never read: only slots below [size] are. *)
+let vacant_slot : unit entry =
+  { priority = infinity; seq = max_int; value = () }
+
+let vacant () : 'a entry = Obj.magic vacant_slot
+
+let grow t =
   let capacity = Array.length t.heap in
   if t.size = capacity then begin
-    let new_capacity = max 16 (2 * capacity) in
-    let heap = Array.make new_capacity entry in
+    let heap = Array.make (max 16 (2 * capacity)) (vacant ()) in
     Array.blit t.heap 0 heap 0 t.size;
     t.heap <- heap
   end
 
-let add_seq t ~priority ~seq value =
-  let entry = { priority; seq; value } in
-  grow t entry;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
 let add t ~priority value =
   let seq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
-  add_seq t ~priority ~seq value
+  t.next_seq <- seq + 1;
+  grow t;
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1) { priority; seq; value }
 
 let peek t =
   if t.size = 0 then None
@@ -70,20 +72,14 @@ let peek t =
     let e = t.heap.(0) in
     Some (e.priority, e.value)
 
-let min_key t =
-  if t.size = 0 then None
-  else
-    let e = t.heap.(0) in
-    Some (e.priority, e.seq)
-
 let pop t =
   if t.size = 0 then None
   else begin
     let e = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
+    let last = t.size - 1 in
+    let moved = t.heap.(last) in
+    t.size <- last;
+    t.heap.(last) <- vacant ();
+    if last > 0 then sift_down t 0 moved;
     Some (e.priority, e.value)
   end

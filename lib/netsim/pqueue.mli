@@ -12,25 +12,12 @@ val create : unit -> 'a t
 val add : 'a t -> priority:float -> 'a -> unit
 (** Insert an element. O(log n). *)
 
-val add_seq : 'a t -> priority:float -> seq:int -> 'a -> unit
-(** Insert with an explicit tie-break sequence number instead of the
-    queue's own counter.  The sharded engine uses this to draw sequence
-    numbers from one shared counter across several queues, so that
-    same-timestamp events keep one global FIFO order no matter which
-    shard's queue they sit in.  Mixing [add] and [add_seq] on one queue
-    is allowed but the caller owns uniqueness of the tie-break order. *)
-
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element, FIFO among ties.
-    O(log n). *)
+    The queue keeps no reference to the removed element. O(log n). *)
 
 val peek : 'a t -> (float * 'a) option
 (** The minimum-priority element without removing it. O(1). *)
-
-val min_key : 'a t -> (float * int) option
-(** The minimum element's full sort key [(priority, seq)] without removing
-    it — what a multi-queue merge loop compares to pick the globally next
-    event. O(1). *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -73,13 +73,6 @@ type t = {
       (* the handle [set_observer] manages, so the optional-argument API
          keeps its replace-in-place semantics on top of the tee *)
   mutable enabled : bool;
-  mutable buffered : bool;
-      (* quarantine mode for per-shard traces in parallel runs: [record]
-         only appends to the in-memory log — no observers, no process-wide
-         sinks, no rings, no per-flow index — so a shard's domain never
-         touches shared state.  The barrier coordinator [drain]s the log
-         and replays it through the main trace, which feeds every consumer
-         in deterministic merged order. *)
   mutable local_on : bool;
       (* cached [enabled || observers present] — see [sink_on] *)
   mutable time_source : floatarray;
@@ -519,7 +512,6 @@ let create () =
     obs_fns = [||];
     legacy_observer = None;
     enabled = true;
-    buffered = false;
     local_on = true;
     time_source = Float.Array.make 1 0.0;
   }
@@ -558,14 +550,6 @@ let set_enabled t b =
   t.local_on <- b || Array.length t.obs_fns > 0
 
 let enabled t = t.enabled
-let set_buffered t b = t.buffered <- b
-let buffered t = t.buffered
-
-let drain t =
-  let rs = List.rev t.rev_records in
-  t.rev_records <- [];
-  t.count <- 0;
-  rs
 
 (* Installed observers (invariant oracle), process-wide sinks
    (--trace-json, --pcap) or attached rings (the flight recorder)
@@ -594,7 +578,7 @@ let flow_entry t flow =
       Hashtbl.add t.by_flow flow e;
       e
 
-let record_full t ~time event =
+let record t ~time event =
   Prof.enter Prof.Trace_emit;
   let r = { time; event } in
   (* The unbounded in-memory log (and the per-flow index over it) fills
@@ -631,18 +615,6 @@ let record_full t ~time event =
        ring_store_record (Array.unsafe_get rs i) r
      done);
   Prof.leave Prof.Trace_emit
-
-let record t ~time event =
-  if t.buffered then begin
-    (* Shard-local quarantine: append only.  No per-flow index, no
-       observers, no process-wide sinks or rings, and no Prof bracket —
-       the profiler's accumulators are process globals and this path runs
-       inside a shard's domain.  The barrier coordinator drains and
-       replays through the main trace's full path. *)
-    t.rev_records <- { time; event } :: t.rev_records;
-    t.count <- t.count + 1
-  end
-  else record_full t ~time event
 
 (* Specialised emit points for the hottest data-plane events.  With only
    rings interested these cost a handful of loads and stores per event;

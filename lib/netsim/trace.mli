@@ -79,22 +79,6 @@ val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool
 
-val set_buffered : t -> bool -> unit
-(** Quarantine mode for per-shard traces in parallel sharded runs.  While
-    buffered, {!record} only appends to this trace's in-memory log: no
-    per-flow index, no observers, no process-wide sinks, no attached
-    rings — so a shard's domain never touches process-global state.  The
-    barrier coordinator {!drain}s the log between windows and replays it
-    through the main trace (in deterministic merged order), which feeds
-    every consumer exactly once.  Default off. *)
-
-val buffered : t -> bool
-
-val drain : t -> record list
-(** Remove and return the buffered records, oldest first — what the
-    barrier coordinator merges into the main trace.  Leaves enabled/
-    buffered state untouched. *)
-
 val interested : t -> bool
 (** Whether anything wants trace events right now: the trace is enabled,
     or an observer, process-wide sink or fast tap is installed.  The

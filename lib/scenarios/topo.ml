@@ -45,22 +45,7 @@ type t = {
 let addr = Ipv4_addr.of_string
 let prefix = Ipv4_addr.Prefix.of_string
 
-(* Default shard count for worlds that don't pass [?shards] explicitly:
-   the CLI's [--shards] sets it, the NETSIM_SHARDS environment variable
-   seeds it (so CI can run the whole suite sharded without touching any
-   call site), and 1 means unsharded. *)
-let default_shards =
-  ref
-    (match Sys.getenv_opt "NETSIM_SHARDS" with
-    | Some s -> (
-        match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1)
-    | None -> 1)
-
-let set_default_shards n =
-  if n < 1 then invalid_arg "Topo.set_default_shards: need >= 1";
-  default_shards := n
-
-let build ?shards ?(backbone_hops = 4) ?(ch_position = Remote)
+let build ?(backbone_hops = 4) ?(ch_position = Remote)
     ?(filtering = no_filtering)
     ?(ch_capability = Mobileip.Correspondent.Conventional)
     ?(notify_correspondents = false) ?(with_dns = false)
@@ -356,20 +341,6 @@ let build ?shards ?(backbone_hops = 4) ?(ch_position = Remote)
     end
     else (None, None, None)
   in
-
-  (* Shard the world (sequential merged mode: event order stays
-     bit-for-bit identical to unsharded).  The [~same] ties pin the
-     mobile host with every router whose segment it can roam onto, so
-     the partition survives the moves. *)
-  let shard_target = match shards with Some n -> n | None -> !default_shards in
-  if shard_target > 1 then begin
-    let same =
-      (mh_node, visited_router)
-      ::
-      (match cellular_router with Some r -> [ (mh_node, r) ] | None -> [])
-    in
-    Net.set_shards ~same net shard_target
-  end;
 
   {
     net;

@@ -74,16 +74,7 @@ type t = {
   cellular_router : Netsim.Net.node option;
 }
 
-val set_default_shards : int -> unit
-(** Shard count applied to subsequently built worlds that don't pass
-    [?shards] (sequential merged mode — see {!Netsim.Net.set_shards};
-    deterministic, event order identical to unsharded).  Initialised
-    from the [NETSIM_SHARDS] environment variable (default 1); the CLI's
-    [--shards] flag sets it.
-    @raise Invalid_argument if the count is < 1. *)
-
 val build :
-  ?shards:int ->
   ?backbone_hops:int ->
   ?ch_position:ch_position ->
   ?filtering:filtering ->

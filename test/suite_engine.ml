@@ -168,6 +168,33 @@ let test_engine_step () =
   Alcotest.(check bool) "step 2" true (Engine.step e);
   Alcotest.(check bool) "empty" false (Engine.step e)
 
+(* A popped element must not stay reachable from a vacated heap slot:
+   the engine queues closures, and a retained one keeps everything it
+   captured alive past its dispatch. *)
+let test_pqueue_pop_releases () =
+  let q = Pqueue.create () in
+  let tracked = Weak.create 2 in
+  let[@inline never] add_tracked i priority =
+    let v = Bytes.make 64 'v' in
+    Weak.set tracked i (Some v);
+    Pqueue.add q ~priority v
+  in
+  let[@inline never] pop_discard () = ignore (Pqueue.pop q) in
+  (* Heap [a; b; c]; popping [a] moves [c] to the root and leaves its old
+     slot behind; popping [c] next must not leave it there. *)
+  Pqueue.add q ~priority:1.0 (Bytes.make 64 'a');
+  add_tracked 1 3.0;
+  add_tracked 0 2.0;
+  pop_discard ();
+  pop_discard ();
+  Gc.full_major ();
+  Alcotest.(check bool) "collected while entries remain" false
+    (Weak.check tracked 0);
+  pop_discard ();
+  Gc.full_major ();
+  Alcotest.(check bool) "collected once the queue is empty" false
+    (Weak.check tracked 1)
+
 let suites =
   [
     ( "engine",
@@ -175,6 +202,8 @@ let suites =
         Alcotest.test_case "pqueue orders" `Quick test_pqueue_orders;
         Alcotest.test_case "pqueue fifo ties" `Quick test_pqueue_fifo_ties;
         Alcotest.test_case "pqueue peek" `Quick test_pqueue_peek_stable;
+        Alcotest.test_case "pqueue pop releases the value" `Quick
+          test_pqueue_pop_releases;
         QCheck_alcotest.to_alcotest prop_pqueue_sorts;
         QCheck_alcotest.to_alcotest prop_pqueue_priority_seq_order;
         Alcotest.test_case "engine runs in order" `Quick

@@ -258,6 +258,48 @@ let test_l2_direct_delivery () =
   Alcotest.(check bool) "delivered to b despite foreign address" true
     (Trace.delivered (Net.trace net) ~flow ~node:"b")
 
+(* Addr_map: the flat int-keyed table behind ARP caches and protocol
+   handler lookup. *)
+
+let prop_addr_map_matches_hashtbl =
+  QCheck.Test.make ~name:"Addr_map behaves like Hashtbl" ~count:200
+    QCheck.(list (pair (int_bound 500) (option (int_bound 100))))
+    (fun ops ->
+      let m = Addr_map.create () in
+      let h = Hashtbl.create 16 in
+      List.iter
+        (fun (k, v) ->
+          match v with
+          | Some v ->
+              Addr_map.replace m k v;
+              Hashtbl.replace h k v
+          | None ->
+              Addr_map.remove m k;
+              Hashtbl.remove h k)
+        ops;
+      Addr_map.length m = Hashtbl.length h
+      && List.for_all
+           (fun k -> Addr_map.find m k = Hashtbl.find_opt h k)
+           (List.init 501 Fun.id))
+
+let test_addr_map_addr_keys () =
+  let m = Addr_map.create () in
+  let a = Ipv4_addr.of_string "131.7.0.22" in
+  Addr_map.replace m (Addr_map.of_addr a) "mh";
+  Alcotest.(check (option string))
+    "address round-trips" (Some "mh")
+    (Addr_map.find m (Addr_map.of_addr a));
+  (* colliding keys survive a backward-shift deletion in between *)
+  let cap = 16 in (* default capacity: keys differing by it probe-collide *)
+  Addr_map.replace m 3 "x";
+  Addr_map.replace m (3 + cap) "y";
+  Addr_map.replace m (3 + (2 * cap)) "z";
+  Addr_map.remove m (3 + cap);
+  Alcotest.(check (option string)) "head survives" (Some "x")
+    (Addr_map.find m 3);
+  Alcotest.(check (option string)) "tail shifted back" (Some "z")
+    (Addr_map.find m (3 + (2 * cap)))
+
 let suites =
   [
     ( "net",
@@ -281,5 +323,8 @@ let suites =
           test_same_segment_predicate;
         Alcotest.test_case "l2 direct delivery (In-DH primitive)" `Quick
           test_l2_direct_delivery;
+        QCheck_alcotest.to_alcotest prop_addr_map_matches_hashtbl;
+        Alcotest.test_case "Addr_map keys addresses" `Quick
+          test_addr_map_addr_keys;
       ] );
   ]

@@ -246,6 +246,69 @@ let prop_codec_roundtrip =
       | Ok r' -> r = r'
       | Error _ -> false)
 
+(* ---- 16-bit sequence wrap ---- *)
+
+let test_sequence_serial_order () =
+  let older a b = Mobileip.Registration.sequence_older a ~than:b in
+  Alcotest.(check bool) "1 older than 2" true (older 1 2);
+  Alcotest.(check bool) "2 not older than 1" false (older 2 1);
+  Alcotest.(check bool) "equal is not older" false (older 5 5);
+  Alcotest.(check bool) "65535 older than 0" true (older 65535 0);
+  Alcotest.(check bool) "0 not older than 65535" false (older 0 65535);
+  Alcotest.(check int) "65535 is followed by 0" 0
+    (Mobileip.Registration.next_sequence 65535)
+
+let test_home_agent_sequence_wrap () =
+  let topo = Scenarios.Topo.build () in
+  Scenarios.Topo.roam topo ();
+  let ha = topo.Scenarios.Topo.ha in
+  let register ~care_of sequence =
+    send_raw topo
+      (Mobileip.Registration.encode_request ~key:"secret"
+         {
+           Mobileip.Registration.home = topo.Scenarios.Topo.mh_home_addr;
+           home_agent = Mobileip.Home_agent.address ha;
+           care_of = a care_of;
+           lifetime = 300;
+           sequence;
+         })
+  in
+  let care_of () =
+    match Mobileip.Home_agent.bindings ha with
+    | [ b ] -> Ipv4_addr.to_string b.Mobileip.Types.care_of
+    | _ -> Alcotest.fail "expected one binding"
+  in
+  (* Walk the sequence up in steps under half the space, then across. *)
+  List.iter (fun s -> register ~care_of:"131.7.0.201" s) [ 30000; 60000; 65535 ];
+  Alcotest.(check string) "65535 accepted" "131.7.0.201" (care_of ());
+  register ~care_of:"131.7.0.202" 0;
+  Alcotest.(check string) "0 after 65535 accepted" "131.7.0.202" (care_of ());
+  let denied = Mobileip.Home_agent.registrations_denied ha in
+  register ~care_of:"131.7.0.201" 65535;
+  Alcotest.(check int) "replayed 65535 is stale" (denied + 1)
+    (Mobileip.Home_agent.registrations_denied ha);
+  Alcotest.(check string) "binding kept" "131.7.0.202" (care_of ())
+
+let test_mobile_host_sequence_wrap () =
+  (* 65 537 refreshes take the host's sequence past 65535 and back to 0;
+     every one must still be answered and accepted. *)
+  let topo = Scenarios.Topo.build ~backbone_hops:2 () in
+  Net.set_tracing topo.Scenarios.Topo.net false;
+  Scenarios.Topo.roam_static topo ();
+  let mh = topo.Scenarios.Topo.mh in
+  let failed = ref 0 in
+  for _ = 1 to 65_537 do
+    Mobileip.Mobile_host.reregister mh
+      ~on_registered:(fun ok -> if not ok then incr failed)
+      ();
+    Scenarios.Topo.run topo
+  done;
+  Alcotest.(check int) "no refresh failed" 0 !failed;
+  Alcotest.(check int) "none denied" 0
+    (Mobileip.Home_agent.registrations_denied topo.Scenarios.Topo.ha);
+  Alcotest.(check bool) "still registered" true
+    (Mobileip.Mobile_host.registered mh)
+
 let suites =
   [
     ( "registration",
@@ -271,6 +334,12 @@ let suites =
           test_retransmitted_request_idempotent;
         Alcotest.test_case "binding lazy expiry" `Quick
           test_binding_lifetime_lazy_expiry;
+        Alcotest.test_case "sequence serial order" `Quick
+          test_sequence_serial_order;
+        Alcotest.test_case "home agent sequence wrap" `Quick
+          test_home_agent_sequence_wrap;
+        Alcotest.test_case "mobile host sequence wrap" `Quick
+          test_mobile_host_sequence_wrap;
         QCheck_alcotest.to_alcotest prop_codec_roundtrip;
       ] );
   ]
