@@ -45,7 +45,12 @@ and node = {
   arp_pending : pending Addr_map.t;
   reasm : Fragment.Reassembly.t;
   mutable option_penalty : float;
+  mutable locals : local list;
+      (* Per-node services (UDP, TCP, ICMP), so each lives and dies with
+         its world. *)
 }
+
+and local = Local : 'a Type.Id.t * 'a -> local
 
 and iface = {
   ifname : string;
@@ -174,10 +179,31 @@ let add_node t name router =
       arp_pending = Addr_map.create ~size:8 ();
       reasm = Fragment.Reassembly.create ();
       option_penalty = (if router then 0.001 else 0.0);
+      locals = [];
     }
   in
   t.all_nodes <- node :: t.all_nodes;
   node
+
+type 'a key = 'a Type.Id.t
+
+let new_key () = Type.Id.make ()
+
+let local (type a) node (key : a key) =
+  let rec find : local list -> a option = function
+    | [] -> None
+    | Local (k, v) :: rest -> (
+        match Type.Id.provably_equal key k with
+        | Some Type.Equal -> Some v
+        | None -> find rest)
+  in
+  find node.locals
+
+let set_local node key v =
+  let uid = Type.Id.uid key in
+  node.locals <-
+    Local (key, v)
+    :: List.filter (fun (Local (k, _)) -> Type.Id.uid k <> uid) node.locals
 
 let add_host t name = add_node t name false
 let add_router t name = add_node t name true

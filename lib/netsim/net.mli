@@ -65,6 +65,21 @@ val node_engine : node -> Engine.t
 val node_now : node -> float
 (** The world's engine and its current time, reached from a node. *)
 
+(** {2 Per-node state}
+
+    A typed slot on each node for state that belongs to the node but is
+    defined above this module (the UDP, TCP and ICMP services).  The value
+    is reachable only through its node, so it is freed with the world. *)
+
+type 'a key
+
+val new_key : unit -> 'a key
+(** A fresh key; each key names one slot on every node. *)
+
+val local : node -> 'a key -> 'a option
+val set_local : node -> 'a key -> 'a -> unit
+(** Replaces any value already under that key on that node. *)
+
 val add_segment :
   t -> name:string -> ?latency:float -> ?bandwidth:float -> ?mtu:int ->
   ?loss:float -> ?loss_seed:int -> unit -> segment

@@ -17,7 +17,7 @@ type t = {
   mutable answered : int;
 }
 
-let registry : (Net.node * t) list ref = ref []
+let key : t Net.key = Net.new_key ()
 
 let handle_icmp t node _in_iface (pkt : Ipv4_packet.t) =
   match pkt.payload with
@@ -54,8 +54,8 @@ let handle_icmp t node _in_iface (pkt : Ipv4_packet.t) =
   | _ -> ()
 
 let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
+  match Net.local node key with
+  | Some t -> t
   | None ->
       let t =
         {
@@ -67,7 +67,7 @@ let get node =
           answered = 0;
         }
       in
-      registry := (node, t) :: !registry;
+      Net.set_local node key t;
       Net.set_protocol_handler node Ipv4_packet.P_icmp (handle_icmp t);
       t
 

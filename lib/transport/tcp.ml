@@ -49,7 +49,8 @@ type conn = {
   window : int;  (* max segments in flight (go-back-N); 1 = stop-and-wait *)
   mutable snd_nxt : int;  (* next sequence number to allocate *)
   mutable rcv_nxt : int;
-  mutable send_queue : Bytes.t list;
+  send_queue : Bytes.t Queue.t;  (* writes not yet fully sent, oldest first *)
+  mutable send_off : int;  (* bytes of the head write already sent *)
   mutable fin_pending : bool;
   mutable inflight : inflight list;  (* oldest first *)
   mutable rto : float;
@@ -63,7 +64,7 @@ type conn = {
 
 and t = {
   tcp_node : Net.node;
-  mutable conns : conn list;
+  mutable conns : conn list;  (* live connections: not Closed or Aborted *)
   listeners : (int, int * (conn -> unit)) Hashtbl.t;  (* window, accept *)
   mutable next_iss : int;
   mutable next_port : int;
@@ -73,7 +74,7 @@ and t = {
          exhausted — "gave up", as opposed to recovered or reset *)
 }
 
-let registry : (Net.node * t) list ref = ref []
+let key : t Net.key = Net.new_key ()
 
 let node t = t.tcp_node
 let set_feedback t f = t.feedback_cb <- f
@@ -93,6 +94,8 @@ let feedback t ev = match t.feedback_cb with Some f -> f ev | None -> ()
 let set_state c st =
   if c.st <> st then begin
     c.st <- st;
+    if st = Closed || st = Aborted then
+      c.stack.conns <- List.filter (fun c' -> c' != c) c.stack.conns;
     match c.state_cb with Some f -> f st | None -> ()
   end
 
@@ -179,15 +182,18 @@ let rec pump c =
     | Syn_sent | Syn_received | Closed | Aborted -> false)
     && List.length c.inflight < c.window
   then begin
-    match c.send_queue with
-    | data :: rest ->
-        let chunk, remainder =
-          if Bytes.length data <= c.mss then (data, rest)
-          else
-            ( Bytes.sub data 0 c.mss,
-              Bytes.sub data c.mss (Bytes.length data - c.mss) :: rest )
+    match Queue.peek_opt c.send_queue with
+    | Some data ->
+        (* Copy only the chunk sent; a whole write that fits goes as is. *)
+        let len = min c.mss (Bytes.length data - c.send_off) in
+        let chunk =
+          if len = Bytes.length data then data else Bytes.sub data c.send_off len
         in
-        c.send_queue <- remainder;
+        if c.send_off + len = Bytes.length data then begin
+          ignore (Queue.take c.send_queue);
+          c.send_off <- 0
+        end
+        else c.send_off <- c.send_off + len;
         let seg =
           {
             seg_seq = c.snd_nxt;
@@ -207,7 +213,7 @@ let rec pump c =
         transmit_segment c ~retransmission:false seg;
         if was_idle then arm_timer c;
         pump c
-    | [] ->
+    | None ->
         if c.fin_pending && c.inflight = [] then begin
           c.fin_pending <- false;
           let seg =
@@ -331,8 +337,7 @@ let demux t (pkt : Ipv4_packet.t) (tw : Tcp_wire.t) =
         Ipv4_addr.equal c.local_addr pkt.Ipv4_packet.dst
         && c.local_port = tw.Tcp_wire.dst_port
         && Ipv4_addr.equal c.remote_addr pkt.Ipv4_packet.src
-        && c.remote_port = tw.Tcp_wire.src_port
-        && c.st <> Closed && c.st <> Aborted)
+        && c.remote_port = tw.Tcp_wire.src_port)
       t.conns
   in
   match conn with
@@ -357,7 +362,8 @@ let demux t (pkt : Ipv4_packet.t) (tw : Tcp_wire.t) =
                 window;
                 snd_nxt = Tcp_wire.seq_add iss 1;
                 rcv_nxt = Tcp_wire.seq_add tw.Tcp_wire.seq 1;
-                send_queue = [];
+                send_queue = Queue.create ();
+                send_off = 0;
                 fin_pending = false;
                 inflight = [];
                 rto = initial_rto;
@@ -406,8 +412,8 @@ let handle_tcp t _node _in_iface (pkt : Ipv4_packet.t) =
   | _ -> ()
 
 let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
+  match Net.local node key with
+  | Some t -> t
   | None ->
       let t =
         {
@@ -420,7 +426,7 @@ let get node =
           retx_aborts = 0;
         }
       in
-      registry := (node, t) :: !registry;
+      Net.set_local node key t;
       Net.set_protocol_handler node Ipv4_packet.P_tcp (handle_tcp t);
       t
 
@@ -453,7 +459,8 @@ let connect t ?src ?src_port ?(mss = default_mss) ?(window = 1) ~dst ~dst_port (
       window;
       snd_nxt = Tcp_wire.seq_add iss 1;
       rcv_nxt = 0;
-      send_queue = [];
+      send_queue = Queue.create ();
+      send_off = 0;
       fin_pending = false;
       inflight = [];
       rto = initial_rto;
@@ -477,7 +484,7 @@ let connect t ?src ?src_port ?(mss = default_mss) ?(window = 1) ~dst ~dst_port (
 
 let send_data c data =
   if Bytes.length data > 0 then begin
-    c.send_queue <- c.send_queue @ [ data ];
+    Queue.add data c.send_queue;
     pump c
   end
 

@@ -40,6 +40,9 @@ type feedback =
   | Segment_received of { peer : Netsim.Ipv4_addr.t; retransmission : bool }
 
 val get : Netsim.Net.node -> t
+(** The node's stack, kept on the node ({!Netsim.Net.local}) and created
+    on first call. *)
+
 val node : t -> Netsim.Net.node
 
 val set_feedback : t -> (feedback -> unit) option -> unit
@@ -70,7 +73,9 @@ val connect :
     which keeps simulations minimal and every loss observable. *)
 
 val send_data : conn -> Bytes.t -> unit
-(** Queue application data (segmented to the MSS). *)
+(** Queue application data (segmented to the MSS).  The buffer is queued
+    as is, not copied, and each segment copies only its own chunk of it:
+    do not modify it until it has been sent. *)
 
 val close : conn -> unit
 (** Send FIN once queued data has been acknowledged. *)

@@ -16,8 +16,7 @@ type t = {
   mutable next_ident : int;
 }
 
-(* One service per node, keyed by physical identity. *)
-let registry : (Net.node * t) list ref = ref []
+let key : t Net.key = Net.new_key ()
 
 let handle_udp t _node in_iface (pkt : Ipv4_packet.t) =
   match pkt.payload with
@@ -37,8 +36,8 @@ let handle_udp t _node in_iface (pkt : Ipv4_packet.t) =
   | _ -> ()
 
 let get node =
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
+  match Net.local node key with
+  | Some t -> t
   | None ->
       let t =
         {
@@ -48,7 +47,7 @@ let get node =
           next_ident = 1;
         }
       in
-      registry := (node, t) :: !registry;
+      Net.set_local node key t;
       Net.set_protocol_handler node Ipv4_packet.P_udp (handle_udp t);
       t
 

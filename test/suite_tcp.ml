@@ -247,6 +247,90 @@ let test_abort_sends_rst () =
   Alcotest.(check bool) "peer saw the reset" true
     (!server_state = Transport.Tcp.Aborted)
 
+(* Byte [i] of write [k]: distinct writes, so a misplaced chunk shows. *)
+let pattern k i = Char.chr ((k * 31 + i) land 0xff)
+
+(* Send [writes] over the lossless a--r--b path and return the received
+   stream, the receiver's chunk sizes and the sender's retransmissions. *)
+let segmented_transfer ~mss ~window writes =
+  let net, ha, _r, hb = lossy_world () in
+  let got = Buffer.create 4096 in
+  let chunks = ref [] in
+  Transport.Tcp.listen (Transport.Tcp.get hb) ~port:80 (fun conn ->
+      Transport.Tcp.on_receive conn (fun d ->
+          chunks := Bytes.length d :: !chunks;
+          Buffer.add_bytes got d));
+  let conn =
+    Transport.Tcp.connect (Transport.Tcp.get ha) ~mss ~window
+      ~dst:(a "10.2.0.2") ~dst_port:80 ()
+  in
+  List.iteri
+    (fun k len -> Transport.Tcp.send_data conn (Bytes.init len (pattern k)))
+    writes;
+  Transport.Tcp.close conn;
+  Net.run net;
+  (Buffer.contents got, !chunks, Transport.Tcp.retransmissions conn)
+
+let prop_segmentation =
+  let mss_gen = QCheck.Gen.oneofl [ 100; 536; 1460 ] in
+  let gen =
+    QCheck.Gen.(
+      mss_gen >>= fun mss ->
+      let size =
+        frequency
+          [ (1, return 1); (1, return mss); (1, return (mss + 1));
+            (3, 1 -- 20480) ]
+      in
+      triple (return mss) (1 -- 8) (list_size (1 -- 6) size))
+  in
+  let print (mss, window, writes) =
+    Printf.sprintf "mss=%d window=%d writes=[%s]" mss window
+      (String.concat ";" (List.map string_of_int writes))
+  in
+  QCheck.Test.make ~name:"tcp segmentation" ~count:40
+    (QCheck.make ~print gen) (fun (mss, window, writes) ->
+      let stream, chunks, retx = segmented_transfer ~mss ~window writes in
+      let expected =
+        String.concat ""
+          (List.mapi (fun k len -> String.init len (pattern k)) writes)
+      in
+      let segments =
+        List.fold_left (fun n len -> n + ((len + mss - 1) / mss)) 0 writes
+      in
+      retx = 0
+      && String.equal stream expected
+      && List.for_all (fun len -> len <= mss) chunks
+      && List.length chunks = segments)
+
+(* One 1 MiB write: each segment copies only its own chunk, so the major
+   heap sees a small multiple of the write, not a copy of the remainder
+   per segment. *)
+let test_large_write_linear () =
+  let net, ha, _r, hb = lossy_world () in
+  let size = 1 lsl 20 in
+  let data = Bytes.init size (pattern 0) in
+  let received = ref 0 and intact = ref true in
+  Transport.Tcp.listen (Transport.Tcp.get hb) ~port:80 (fun conn ->
+      Transport.Tcp.on_receive conn (fun d ->
+          Bytes.iteri
+            (fun i ch -> if ch <> pattern 0 (!received + i) then intact := false)
+            d;
+          received := !received + Bytes.length d));
+  let conn =
+    Transport.Tcp.connect (Transport.Tcp.get ha) ~window:8 ~dst:(a "10.2.0.2")
+      ~dst_port:80 ()
+  in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  Transport.Tcp.send_data conn data;
+  Net.run net;
+  let major = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check int) "all bytes" size !received;
+  Alcotest.(check bool) "bytes intact" true !intact;
+  Alcotest.(check bool)
+    (Printf.sprintf "major words %.0f < 4 x %d" major size)
+    true
+    (major < 4.0 *. float_of_int size)
+
 let suites =
   [
     ( "tcp",
@@ -267,5 +351,8 @@ let suites =
           test_windowed_transfer_correct_under_loss;
         Alcotest.test_case "windowed interactive echo" `Quick
           test_windowed_interactive_echo;
+        QCheck_alcotest.to_alcotest prop_segmentation;
+        Alcotest.test_case "large write is linear" `Quick
+          test_large_write_linear;
       ] );
   ]
