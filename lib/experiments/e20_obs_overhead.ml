@@ -105,10 +105,11 @@ let no_teardown (_ : Net.t) () = ()
 
 let rung_off net = no_teardown net
 
-let rung_recorder ?sample_every () (_ : Net.t) =
+let rung_recorder ?sample_every () net =
   let r = Netobs.Recorder.create ?sample_every ~capacity:recorder_capacity () in
-  Netobs.Recorder.install r;
-  fun () -> Netobs.Recorder.uninstall r
+  let trace = Net.trace net in
+  Netobs.Recorder.install r trace;
+  fun () -> Netobs.Recorder.uninstall r trace
 
 let rung_to_file make_sink (_ : Net.t) =
   let path = Filename.temp_file "e20" ".out" in

@@ -128,6 +128,12 @@ let generate_plan ?(profile = gentle) ~cell ~seed () =
 let replay ?(profile = gentle) ~cell ~seed plan =
   let topo = build_world profile ~cell ~seed in
   let net = topo.Scenarios.Topo.net in
+  (* Nothing reads this world's in-memory trace log: the invariants poll
+     agent state and the recorder below is a ring on the trace.  With the
+     log off the ring is the only consumer, so every hop takes the
+     allocation-free emit path; a process-wide sink ([--pcap]) still
+     gets full records. *)
+  Netsim.Net.set_tracing net false;
   let eng = Netsim.Net.engine net in
   let mh = topo.Scenarios.Topo.mh in
   let ch = topo.Scenarios.Topo.ch in

@@ -60,38 +60,14 @@ type flow_entry = {
   mutable f_wire_bytes : int;
 }
 
-type t = {
-  mutable rev_records : record list;
-  mutable count : int;
-  by_flow : (int, flow_entry) Hashtbl.t;
-  mutable observers : (int * (record -> unit)) list;
-      (* per-trace taps (invariant oracle, flight recorder...), in
-         installation order; independent of the process-wide sinks below *)
-  mutable obs_fns : (record -> unit) array;
-      (* flattened copy of [observers] for allocation-free dispatch *)
-  mutable legacy_observer : int option;
-      (* the handle [set_observer] manages, so the optional-argument API
-         keeps its replace-in-place semantics on top of the tee *)
-  mutable enabled : bool;
-  mutable local_on : bool;
-      (* cached [enabled || observers present] — see [sink_on] *)
-  mutable time_source : floatarray;
-      (* where [emit_*] read the current time — the owning net points
-         this at its engine's clock cell, so the fast path gets the
-         timestamp with one unboxed load instead of an accessor call
-         and a boxed float per event *)
-      (* when false and no observer or sink is installed, [interested] is
-         false and the data plane skips event construction entirely *)
-}
-
 type observer = int
 type sink = int
 
 (* Process-wide taps, fed every record from every trace as it is written.
    This is how the CLI streams JSONL telemetry (or a pcap) out of code
    that builds its own worlds internally (e.g. the experiment runners).
-   Sinks compose: [--trace-json], [--pcap] and a flight recorder can all
-   be installed at once. *)
+   Sinks compose: [--trace-json] and [--pcap] can both be installed at
+   once, alongside any trace's own observers and rings. *)
 let sink_seq = ref 0
 let sinks : (int * (record -> unit)) list ref = ref []
 let sink_fns : (record -> unit) array ref = ref [||]
@@ -153,7 +129,12 @@ let set_sink f =
    Events that go through [record] (full consumers attached, or an emit
    site with no specialised [emit_*] helper) are replayed into attached
    rings by destructuring, so a ring sees every event exactly once
-   either way. *)
+   either way.
+
+   Rings attach to one trace, like observers: each [t] holds its own
+   ring array, so a recorder sees only its own world's events when a
+   process runs many worlds (a soak sweep, the E20 ladder), and nothing
+   process-wide keeps a dropped world's ring alive. *)
 
 (* Event kind tags, numbered in declaration order of [event]. *)
 let k_send = 0
@@ -486,22 +467,40 @@ let ring_store_record rg (r : record) =
       ring_store rg time k_icmp_error node no_iface no_iface reason f.id
         f.flow f.pkt 0
 
-(* Attached rings, process-wide like sinks.  Usually zero or one. *)
-let ring_list : ring list ref = ref []
+type t = {
+  mutable rev_records : record list;
+  mutable count : int;
+  by_flow : (int, flow_entry) Hashtbl.t;
+  mutable observers : (int * (record -> unit)) list;
+      (* per-trace taps (invariant oracle...), in installation order;
+         independent of the process-wide sinks above *)
+  mutable obs_fns : (record -> unit) array;
+      (* flattened copy of [observers] for allocation-free dispatch *)
+  mutable legacy_observer : int option;
+      (* the handle [set_observer] manages, so the optional-argument API
+         keeps its replace-in-place semantics on top of the tee *)
+  mutable rings : ring array;
+      (* this trace's flight-recorder rings, in attachment order — fed by
+         the [emit_*] fast path and by [record]'s replay; usually zero or
+         one *)
+  mutable enabled : bool;
+      (* when false and no observer, sink or ring is installed,
+         [interested] is false and the data plane skips event
+         construction entirely *)
+  mutable local_on : bool;
+      (* cached [enabled || observers present] — see [sink_on] *)
+  mutable time_source : floatarray;
+      (* where [emit_*] read the current time — the owning net points
+         this at its engine's clock cell, so the fast path gets the
+         timestamp with one unboxed load instead of an accessor call
+         and a boxed float per event *)
+}
 
-let ring_arr : ring array ref = ref [||]
+let attach_ring t rg =
+  if not (Array.memq rg t.rings) then t.rings <- Array.append t.rings [| rg |]
 
-let attach_ring rg =
-  if not (List.memq rg !ring_list) then begin
-    ring_list := !ring_list @ [ rg ];
-    ring_arr := Array.of_list !ring_list
-  end
-
-let detach_ring rg =
-  ring_list := List.filter (fun r -> r != rg) !ring_list;
-  ring_arr := Array.of_list !ring_list
-
-let ring_attached rg = List.memq rg !ring_list
+let detach_ring t rg =
+  t.rings <- Array.of_seq (Seq.filter (fun r -> r != rg) (Array.to_seq t.rings))
 
 let create () =
   {
@@ -511,6 +510,7 @@ let create () =
     observers = [];
     obs_fns = [||];
     legacy_observer = None;
+    rings = [||];
     enabled = true;
     local_on = true;
     time_source = Float.Array.make 1 0.0;
@@ -557,7 +557,7 @@ let enabled t = t.enabled
    in-memory logging was turned off.  Full-consumer interest is the
    cached [t.local_on || !sink_on] — this test runs for every packet
    hop. *)
-let interested t = t.local_on || !sink_on || Array.length !ring_arr > 0
+let interested t = t.local_on || !sink_on || Array.length t.rings > 0
 
 let frame_of = function
   | Send { frame; _ }
@@ -607,9 +607,9 @@ let record t ~time event =
     snk.(i) r
   done;
   (* Replay into attached rings so they see events from un-specialised
-     emit sites (drops, ICMP, mobile-IP encap/decap) and from runs where
-     full consumers forced this path. *)
-  (let rs = !ring_arr in
+     emit sites (drops, ICMP errors, source-routed forwards) and from
+     runs where full consumers forced this path. *)
+  (let rs = t.rings in
    if Array.length rs > 0 then
      for i = 0 to Array.length rs - 1 do
        ring_store_record (Array.unsafe_get rs i) r
@@ -631,7 +631,7 @@ let emit_send t ~node ~id ~flow ~pkt =
   else
     (* no Prof bracket here: the ring store is a few dozen ns and the
        [record] path keeps Trace_emit attribution for full consumers *)
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_send node
         no_iface no_iface no_reason id flow pkt 0
@@ -643,7 +643,7 @@ let emit_transmit t ~link ~id ~flow ~pkt ~bytes =
       ~time:(Float.Array.unsafe_get t.time_source 0)
       (Transmit { link; frame = { id; flow; pkt }; bytes })
   else
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_transmit link
         no_iface no_iface no_reason id flow pkt bytes
@@ -655,7 +655,7 @@ let emit_forward t ~node ~in_iface ~out_iface ~id ~flow ~pkt =
       ~time:(Float.Array.unsafe_get t.time_source 0)
       (Forward { node; in_iface; out_iface; frame = { id; flow; pkt } })
   else
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_forward node
         in_iface out_iface no_reason id flow pkt 0
@@ -667,7 +667,7 @@ let emit_deliver t ~node ~id ~flow ~pkt =
       ~time:(Float.Array.unsafe_get t.time_source 0)
       (Deliver { node; frame = { id; flow; pkt } })
   else
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_deliver node
         no_iface no_iface no_reason id flow pkt 0
@@ -683,7 +683,7 @@ let emit_encapsulate t ~node ~id ~flow ~pkt =
       ~time:(Float.Array.unsafe_get t.time_source 0)
       (Encapsulate { node; frame = { id; flow; pkt } })
   else
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_encapsulate node
         no_iface no_iface no_reason id flow pkt 0
@@ -695,7 +695,7 @@ let emit_decapsulate t ~node ~id ~flow ~pkt =
       ~time:(Float.Array.unsafe_get t.time_source 0)
       (Decapsulate { node; frame = { id; flow; pkt } })
   else
-    let rs = !ring_arr in
+    let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
       ring_store_cell (Array.unsafe_get rs i) t.time_source k_decapsulate node
         no_iface no_iface no_reason id flow pkt 0

@@ -80,9 +80,10 @@ val set_enabled : t -> bool -> unit
 val enabled : t -> bool
 
 val interested : t -> bool
-(** Whether anything wants trace events right now: the trace is enabled,
-    or an observer, process-wide sink or fast tap is installed.  The
-    data plane checks this before constructing an event. *)
+(** Whether anything wants this trace's events right now: the trace is
+    enabled, an observer or ring is attached to it, or a process-wide
+    sink is installed.  The data plane checks this before constructing
+    an event. *)
 
 (** {1 Composable taps}
 
@@ -100,8 +101,8 @@ type sink
 
 val add_observer : t -> (record -> unit) -> observer
 (** Install a tap called with every record written to {e this} trace —
-    how the {!Invariant} oracle (and a per-run flight recorder) watches a
-    run without disturbing the process-wide sinks. *)
+    how the {!Invariant} oracle's watches see a run without disturbing
+    the process-wide sinks. *)
 
 val remove_observer : t -> observer -> unit
 (** Removing twice, or removing a never-installed handle, is a no-op. *)
@@ -137,6 +138,13 @@ val set_sink : (record -> unit) option -> unit
     through {!record} (full consumers attached, or event kinds with no
     [emit_*] helper) are replayed into rings by destructuring.
 
+    Rings are per-trace, like observers: a ring attached to one trace
+    sees that world's events and no other's, however many worlds the
+    process builds, and the trace holds no ring state shared between
+    worlds.  A world with its in-memory log off ({!set_enabled}) and
+    only rings attached takes the allocation-free path for every
+    specialised event.
+
     This is the storage primitive behind [Netobs.Recorder], which adds
     the user-facing capture API (install, tail, JSONL/pcap dumps). *)
 
@@ -151,14 +159,13 @@ val make_ring : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> ring
     @raise Invalid_argument unless [capacity] and [sample_every] are
     positive. *)
 
-val attach_ring : ring -> unit
-(** Attach process-wide (idempotent); composes with observers and sinks
-    like {!add_sink} does. *)
+val attach_ring : t -> ring -> unit
+(** Feed the ring every event of {e this} trace from now on (idempotent).
+    Composes with the trace's observers and with process-wide sinks; a
+    ring attached to several traces records all of them. *)
 
-val detach_ring : ring -> unit
-(** Detaching a never-attached ring is a no-op. *)
-
-val ring_attached : ring -> bool
+val detach_ring : t -> ring -> unit
+(** Detaching a ring not attached to the trace is a no-op. *)
 
 val ring_store :
   ring ->

@@ -4,37 +4,26 @@
    The ring itself — the preallocated scalar-array store the data plane
    writes into — lives in [Trace] so the emit fast path reaches it with
    a direct known-function call (no generic dispatch, no float boxing).
-   This module owns everything cold: creation, process-wide attachment,
+   This module owns everything cold: creation, attachment to a trace,
    tailing, and the JSONL dump. *)
 
 open Netsim
 
-type t = { ring : Trace.ring; mutable installed : bool }
+type t = Trace.ring
 
 let create ?sample_every ?seed ~capacity () =
-  { ring = Trace.make_ring ?sample_every ?seed ~capacity (); installed = false }
+  Trace.make_ring ?sample_every ?seed ~capacity ()
 
-let capacity t = Trace.ring_capacity t.ring
-let seen t = Trace.ring_seen t.ring
-let kept t = Trace.ring_kept t.ring
-let length t = Trace.ring_length t.ring
-let sampled t flow = Trace.ring_sampled t.ring flow
-let note t r = Trace.ring_store_record t.ring r
-let clear t = Trace.ring_clear t.ring
-
-let install t =
-  if not t.installed then begin
-    t.installed <- true;
-    Trace.attach_ring t.ring
-  end
-
-let uninstall t =
-  if t.installed then begin
-    t.installed <- false;
-    Trace.detach_ring t.ring
-  end
-
-let records t = Trace.ring_records t.ring
+let capacity = Trace.ring_capacity
+let seen = Trace.ring_seen
+let kept = Trace.ring_kept
+let length = Trace.ring_length
+let sampled = Trace.ring_sampled
+let note = Trace.ring_store_record
+let clear = Trace.ring_clear
+let install t trace = Trace.attach_ring trace t
+let uninstall t trace = Trace.detach_ring trace t
+let records = Trace.ring_records
 
 let tail ?last t =
   let rs = records t in

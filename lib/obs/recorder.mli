@@ -14,13 +14,17 @@
     event of the selected flows and the same seed selects the same flows
     on every replay.
 
-    A recorder is fed either process-wide ({!install}, a
-    {!Netsim.Trace.attach_ring} that composes with [--trace-json] and
-    [--pcap] sinks) or per-trace (pass {!note} to
-    {!Netsim.Trace.add_observer}).  An attached ring receives event
-    fields as plain arguments from the data plane's emit sites, so with
-    only a recorder attached the hot path allocates nothing per
-    event. *)
+    A recorder watches one world: {!install} attaches it to that world's
+    trace ({!Netsim.Trace.attach_ring}), and it sees none of the events
+    of other worlds built in the same process.  An installed recorder
+    receives event fields as plain arguments from the data plane's emit
+    sites, so in a world with its in-memory log off and only recorders
+    installed the hot path allocates nothing per event.  It composes
+    with the trace's observers and with the process-wide [--trace-json]
+    and [--pcap] sinks; with one of those attached, the world builds its
+    records as usual and the recorder gets each one replayed.  {!note}
+    feeds a recorder by hand, e.g. from a {!Netsim.Trace.add_observer}
+    tap, which forces that full path. *)
 
 type t
 
@@ -34,11 +38,12 @@ val create : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> t
 val note : t -> Netsim.Trace.record -> unit
 (** Offer one record: the sampling decision, then the ring store. *)
 
-val install : t -> unit
-(** Attach the recorder's ring process-wide (idempotent). *)
+val install : t -> Netsim.Trace.t -> unit
+(** Record every event of this trace from now on (idempotent).  Only
+    this trace: other worlds' events do not reach the recorder. *)
 
-val uninstall : t -> unit
-(** Detach {!install}'s ring (no-op when not installed). *)
+val uninstall : t -> Netsim.Trace.t -> unit
+(** Stop recording this trace (no-op when not installed on it). *)
 
 val records : t -> Netsim.Trace.record list
 (** The ring's contents, oldest first — at most [capacity] records. *)

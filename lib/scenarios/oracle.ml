@@ -4,7 +4,6 @@ type t = {
   world : Topo.t;
   inv : Invariant.t;
   mutable recorder : Netobs.Recorder.t option;
-  mutable recorder_handle : Trace.observer option;
   mutable tail : Trace.record list;
       (* snapshot of the recorder at the first violation: the last-K
          events leading up to the failure, frozen before the run moves
@@ -16,7 +15,6 @@ let create world =
     world;
     inv = Invariant.create world.Topo.net;
     recorder = None;
-    recorder_handle = None;
     tail = [];
   }
 
@@ -27,10 +25,7 @@ let attach_recorder ?(capacity = 512) ?sample_every ?seed ?last t =
   if t.recorder = None then begin
     let r = Netobs.Recorder.create ?sample_every ?seed ~capacity () in
     t.recorder <- Some r;
-    t.recorder_handle <-
-      Some
-        (Trace.add_observer (Net.trace t.world.Topo.net)
-           (Netobs.Recorder.note r));
+    Netobs.Recorder.install r (Net.trace t.world.Topo.net);
     Invariant.set_on_violation t.inv
       (Some (fun _ -> if t.tail = [] then t.tail <- Netobs.Recorder.tail ?last r))
   end
@@ -38,11 +33,9 @@ let attach_recorder ?(capacity = 512) ?sample_every ?seed ?last t =
 let recorder_tail t = t.tail
 
 let detach_recorder t =
-  (match t.recorder_handle with
-  | Some h ->
-      t.recorder_handle <- None;
-      Trace.remove_observer (Net.trace t.world.Topo.net) h
-  | None -> ());
+  Option.iter
+    (fun r -> Netobs.Recorder.uninstall r (Net.trace t.world.Topo.net))
+    t.recorder;
   Invariant.set_on_violation t.inv None
 
 let add_binding_lifetime ?(grace = 45.0) t =

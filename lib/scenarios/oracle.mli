@@ -90,11 +90,13 @@ val install_standard : ?recovery_after:float -> t -> unit
 
 val attach_recorder :
   ?capacity:int -> ?sample_every:int -> ?seed:int -> ?last:int -> t -> unit
-(** Attach a {!Netobs.Recorder} (default capacity 512, no sampling) as an
-    observer on the world's trace.  At the {e first} invariant violation
-    the recorder's newest [last] events (default: the whole ring) are
-    snapshotted — the events leading up to the failure, frozen before the
-    ring wraps past them — and exposed through {!recorder_tail}.
+(** Install a {!Netobs.Recorder} (default capacity 512, no sampling) on
+    the world's trace, as a ring: it sees every event of this world and
+    no other's, and a world with its in-memory log off keeps the
+    allocation-free path.  At the {e first} invariant violation the
+    recorder's newest [last] events (default: the whole ring) are
+    snapshotted — the events leading up to the failure, frozen before
+    the ring wraps past them — and exposed through {!recorder_tail}.
     Idempotent; {!finish} detaches the recorder (and, if the run ended
     violated before the snapshot fired, grabs the final ring contents
     instead). *)

@@ -140,18 +140,110 @@ let test_tee_with_legacy_slot () =
 
 let test_recorder_as_sink () =
   let r = Netobs.Recorder.create ~capacity:8 () in
-  Netobs.Recorder.install r;
-  Fun.protect
-    ~finally:(fun () -> Netobs.Recorder.uninstall r)
-    (fun () ->
-      Netobs.Recorder.install r;
-      (* idempotent *)
-      let t = Trace.create () in
-      Trace.record t ~time:1.0 (transmit 3).Trace.event;
-      Alcotest.(check (list int)) "ring captured via the tee" [ 3 ] (ids r));
   let t = Trace.create () in
+  Netobs.Recorder.install r t;
+  Netobs.Recorder.install r t;
+  (* idempotent: one attachment, one store per record *)
+  Trace.record t ~time:1.0 (transmit 3).Trace.event;
+  Alcotest.(check (list int)) "ring captured via the tee" [ 3 ] (ids r);
+  Netobs.Recorder.uninstall r t;
   Trace.record t ~time:2.0 (transmit 4).Trace.event;
   Alcotest.(check (list int)) "uninstall detaches" [ 3 ] (ids r)
+
+(* ---------- per-trace rings on a live world ---------- *)
+
+(* A roamed world with ICMP error signaling.  The CH, on the home
+   segment, sends a datagram to the MH's home address: the home agent
+   tunnels it (send, transmit, forward, encapsulate, decapsulate,
+   deliver).  The MH answers with Out-DH pinned: the home boundary's
+   ingress filter drops it and sends an ICMP error, which the home agent
+   tunnels back to the MH. *)
+let live_world () =
+  let open Scenarios in
+  let w =
+    Topo.build ~ch_position:Topo.Inside_home ~filtering:Topo.ingress_only ()
+  in
+  Net.enable_error_signaling w.Topo.net;
+  w
+
+let drive w =
+  let open Scenarios in
+  Topo.roam_static w ();
+  Mobileip.Mobile_host.pin_method w.Topo.mh ~dst:w.Topo.ch_addr
+    (Some Mobileip.Grid.Out_DH);
+  let ch_udp = Transport.Udp_service.get w.Topo.ch_node in
+  let mh_udp = Transport.Udp_service.get w.Topo.mh_node in
+  Transport.Udp_service.listen mh_udp ~port:7 (fun svc d ->
+      ignore
+        (Transport.Udp_service.send svc ~src:d.Transport.Udp_service.dst
+           ~dst:d.Transport.Udp_service.src ~src_port:7
+           ~dst_port:d.Transport.Udp_service.src_port (Bytes.make 8 'z')));
+  ignore
+    (Transport.Udp_service.send ch_udp ~dst:w.Topo.mh_home_addr
+       ~src_port:7000 ~dst_port:7 (Bytes.make 64 'u'));
+  Topo.run w
+
+let kind_name (r : Trace.record) =
+  match r.Trace.event with
+  | Trace.Send _ -> "send"
+  | Transmit _ -> "transmit"
+  | Forward _ -> "forward"
+  | Drop _ -> "drop"
+  | Deliver _ -> "deliver"
+  | Encapsulate _ -> "encapsulate"
+  | Decapsulate _ -> "decapsulate"
+  | Icmp_error _ -> "icmp-error"
+
+(* The same world and traffic twice: once with the recorder installed on
+   a trace whose log is off (the [emit_*] ring fast path, plus [record]'s
+   replay for the other kinds), once fed by an observer on a logging
+   trace (every event through [Trace.record]).  Both must capture the
+   same events. *)
+let test_ring_path_matches_record_path () =
+  let ring_only = live_world () in
+  let ring_trace = Net.trace ring_only.Scenarios.Topo.net in
+  Net.set_tracing ring_only.Scenarios.Topo.net false;
+  let a = Netobs.Recorder.create ~capacity:4096 () in
+  Netobs.Recorder.install a ring_trace;
+  drive ring_only;
+  let logged = live_world () in
+  let logged_trace = Net.trace logged.Scenarios.Topo.net in
+  let b = Netobs.Recorder.create ~capacity:4096 () in
+  ignore (Trace.add_observer logged_trace (Netobs.Recorder.note b));
+  drive logged;
+  Alcotest.(check int) "ring-only world logs nothing" 0
+    (Trace.length ring_trace);
+  Alcotest.(check bool) "observed world logs" true
+    (Trace.length logged_trace > 0);
+  Alcotest.(check (list string))
+    "every event kind occurs"
+    [
+      "decapsulate"; "deliver"; "drop"; "encapsulate"; "forward";
+      "icmp-error"; "send"; "transmit";
+    ]
+    (List.sort_uniq String.compare
+       (List.map kind_name (Netobs.Recorder.records a)));
+  Alcotest.(check bool) "nothing wrapped" true
+    (Netobs.Recorder.seen a < Netobs.Recorder.capacity a);
+  Alcotest.(check int) "same events seen" (Netobs.Recorder.seen b)
+    (Netobs.Recorder.seen a);
+  Alcotest.(check bool) "identical records" true
+    (Netobs.Recorder.records a = Netobs.Recorder.records b)
+
+(* Two worlds in one process: a recorder installed on the first world's
+   trace sees nothing of the second world's run. *)
+let test_ring_is_per_trace () =
+  let mine = live_world () in
+  let r = Netobs.Recorder.create ~capacity:64 () in
+  Netobs.Recorder.install r (Net.trace mine.Scenarios.Topo.net);
+  let other = live_world () in
+  Net.set_tracing other.Scenarios.Topo.net false;
+  drive other;
+  Alcotest.(check int) "no events from the other world" 0
+    (Netobs.Recorder.seen r);
+  drive mine;
+  Alcotest.(check bool) "its own world's events arrive" true
+    (Netobs.Recorder.seen r > 0)
 
 (* ---------- pcap ---------- *)
 
@@ -365,6 +457,10 @@ let suites =
         Alcotest.test_case "tee identity" `Quick test_tee_identity;
         Alcotest.test_case "tee vs legacy slot" `Quick test_tee_with_legacy_slot;
         Alcotest.test_case "recorder as tee sink" `Quick test_recorder_as_sink;
+        Alcotest.test_case "ring path matches record path" `Quick
+          test_ring_path_matches_record_path;
+        Alcotest.test_case "ring sees only its own trace" `Quick
+          test_ring_is_per_trace;
         Alcotest.test_case "pcap golden bytes" `Quick test_pcap_golden_bytes;
         Alcotest.test_case "pcap round trip" `Quick test_pcap_roundtrip;
         Alcotest.test_case "pcap reader rejects junk" `Quick
