@@ -42,16 +42,18 @@ let routing_table_10 = make_routing_table 10
 let routing_table_1k = make_routing_table 1000
 
 (* Destinations cycled per call so these cases measure the trie walk, not
-   the one-entry destination cache (which the constant-address
-   100-route case above deliberately hits). *)
+   the destination cache (which the constant-address 100-route case above
+   deliberately hits).  The cache is direct-mapped on an address's low
+   bits, 16 slots; these 64 addresses put four on each slot, and cycling
+   them replaces every entry before it is asked for again, so each
+   lookup misses. *)
 let probe_addrs =
-  Array.init 16 (fun i ->
-      Netsim.Ipv4_addr.of_octets 10 (17 * i mod 256) 3 9)
+  Array.init 64 (fun i -> Netsim.Ipv4_addr.of_octets 10 (17 * i mod 256) 3 i)
 
 let cycled_lookup table =
   let i = ref 0 in
   fun () ->
-    i := (!i + 1) land 15;
+    i := (!i + 1) land 63;
     Netsim.Routing.lookup table (Array.unsafe_get probe_addrs !i)
 
 (* One A --(r)-- B world reused across runs: each run pushes a packet

@@ -17,11 +17,12 @@
    capture within measurement noise of tracing-off, full every-flow
    capture at roughly a tenth of throughput.
 
-   Rates on a loaded host wobble; wall time is host *CPU* seconds inside
-   [Engine.run] (immune to CPU steal), attempts are interleaved across
-   rungs (a slow patch on a shared host degrades one attempt of every
-   rung rather than one rung's whole budget), each run starts from a
-   freshly collected heap, and each rung reports its fastest attempt. *)
+   Rates on a loaded host wobble; wall time is host *CPU* seconds of the
+   workload's [Net.run], read with [Sys.time] around it (immune to CPU
+   steal), attempts are interleaved across rungs (a slow patch on a
+   shared host degrades one attempt of every rung rather than one rung's
+   whole budget), each run starts from a freshly collected heap, and each
+   rung reports its fastest attempt. *)
 
 open Netsim
 
@@ -84,14 +85,13 @@ let run_once ?record_rtt ~install () =
         end);
     Engine.after eng (float_of_int i *. 0.003) (fun () -> request i)
   done;
-  let before = Engine.stats eng in
+  (* Host CPU seconds of the workload's [Net.run] — immune to CPU steal,
+     unlike wall-clock time. *)
+  let c0 = Sys.time () in
   Net.run net;
-  let after = Engine.stats eng in
+  let wall = Sys.time () -. c0 in
   teardown ();
   let delivered = !ch_received + !mh_received in
-  (* Host CPU seconds inside [Engine.run] — immune to CPU steal, unlike
-     the wall seconds [Engine.stats] also reports since the split. *)
-  let wall = after.Engine.cpu_time -. before.Engine.cpu_time in
   {
     delivered;
     expected = 2 * flows * exchanges;
@@ -261,8 +261,8 @@ let run () =
            file is deleted"
           recorder_capacity sample_every;
         Printf.sprintf
-          "wall is host CPU seconds inside the engine; %d interleaved \
-           passes, heap compacted before each run; 'vs off' is the \
+          "wall is host CPU seconds of the workload's Net.run; %d \
+           interleaved passes, heap compacted before each run; 'vs off' is the \
            median of within-pass ratios (back-to-back runs, immune to \
            host load drift), wall/rate columns are the median run"
           attempts;

@@ -4,8 +4,6 @@ type stats = {
   max_pending : int;
   truncated : int;
   sim_time : float;
-  wall_time : float;
-  cpu_time : float;
 }
 
 type t = {
@@ -18,8 +16,6 @@ type t = {
   mutable executed : int;
   mutable max_pending : int;
   mutable truncated : int;
-  mutable wall_time : float;
-  mutable cpu_time : float;
   mutable observer : (stats -> unit) option;
 }
 
@@ -30,8 +26,6 @@ let create () =
     executed = 0;
     max_pending = 0;
     truncated = 0;
-    wall_time = 0.0;
-    cpu_time = 0.0;
     observer = None;
   }
 
@@ -45,23 +39,27 @@ let stats t =
     max_pending = t.max_pending;
     truncated = t.truncated;
     sim_time = Float.Array.get t.clock 0;
-    wall_time = t.wall_time;
-    cpu_time = t.cpu_time;
   }
 
 let set_observer t f = t.observer <- f
 
 let schedule t ~at f =
   let clk = Float.Array.get t.clock 0 in
-  if at < clk then
+  (* Rejects NaN too, which keeps the queue's order total. *)
+  if not (at >= clk) then
     invalid_arg
-      (Printf.sprintf "Engine.schedule: time %g is before now (%g)" at clk);
+      (if Float.is_nan at then "Engine.schedule: time is NaN"
+       else
+         Printf.sprintf "Engine.schedule: time %g is before now (%g)" at clk);
   Pqueue.add t.queue ~priority:at f;
   let depth = Pqueue.length t.queue in
   if depth > t.max_pending then t.max_pending <- depth
 
 let after t delay f =
-  if delay < 0.0 then invalid_arg "Engine.after: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (if Float.is_nan delay then "Engine.after: NaN delay"
+       else "Engine.after: negative delay");
   schedule t ~at:(Float.Array.get t.clock 0 +. delay) f
 
 let cancellable_after t delay f =
@@ -69,45 +67,53 @@ let cancellable_after t delay f =
   after t delay (fun () -> if not !cancelled then f ());
   fun () -> cancelled := true
 
+(* Run the earliest event.  The queue must not be empty.  Its time is
+   read in place from the queue's priority array (an unboxed load, where
+   a call returning the float would box it) and the pop returns no
+   option, so a dispatch allocates nothing. *)
+let dispatch t =
+  Float.Array.unsafe_set t.clock 0
+    (Float.Array.unsafe_get (Pqueue.priorities t.queue) 0);
+  let f = Pqueue.pop_min t.queue in
+  t.executed <- t.executed + 1;
+  Prof.enter Prof.Dispatch;
+  f ();
+  Prof.leave Prof.Dispatch
+
 let step t =
-  match Pqueue.pop t.queue with
-  | None -> false
-  | Some (at, f) ->
-      Float.Array.set t.clock 0 at;
-      t.executed <- t.executed + 1;
-      Prof.enter Prof.Dispatch;
-      f ();
-      Prof.leave Prof.Dispatch;
-      true
+  if Pqueue.is_empty t.queue then false
+  else begin
+    dispatch t;
+    true
+  end
 
 let run ?until ?(max_events = 10_000_000) t =
-  let wall_start = Unix.gettimeofday () in
-  let cpu_start = Sys.time () in
+  let limit = match until with Some l -> l | None -> infinity in
+  let q = t.queue in
   let events = ref 0 in
-  let continue = ref true in
-  while !continue && !events < max_events do
-    match Pqueue.peek t.queue with
-    | None -> continue := false
-    | Some (at, _) -> (
-        match until with
-        | Some limit when at > limit ->
-            Float.Array.set t.clock 0 limit;
-            continue := false
-        | _ ->
-            ignore (step t);
-            incr events)
+  let stopped = ref false in
+  while (not !stopped) && !events < max_events do
+    if Pqueue.is_empty q then stopped := true
+    else if Float.Array.unsafe_get (Pqueue.priorities q) 0 > limit then begin
+      (* The next event lies beyond [until]: advance the clock to
+         [until], but never move it back. *)
+      if limit > Float.Array.get t.clock 0 then
+        Float.Array.set t.clock 0 limit;
+      stopped := true
+    end
+    else begin
+      dispatch t;
+      incr events
+    end
   done;
-  if !continue && !events >= max_events && not (Pqueue.is_empty t.queue)
-  then begin
+  if (not !stopped) && not (Pqueue.is_empty q) then begin
     (* The runaway guard fired: the run stopped with work still queued.
        Record it so callers (and the metrics layer) can see it. *)
     t.truncated <- t.truncated + 1;
     Logs.warn (fun m ->
         m "Engine.run: stopped after %d events with %d still pending"
-          max_events (Pqueue.length t.queue))
+          max_events (Pqueue.length q))
   end;
-  t.wall_time <- t.wall_time +. (Unix.gettimeofday () -. wall_start);
-  t.cpu_time <- t.cpu_time +. (Sys.time () -. cpu_start);
   match t.observer with Some f -> f (stats t) | None -> ()
 
 let pending t = Pqueue.length t.queue

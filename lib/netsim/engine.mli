@@ -23,11 +23,11 @@ val clock_cell : t -> floatarray
 
 val schedule : t -> at:float -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs [f] at absolute time [at].
-    @raise Invalid_argument if [at] is in the past. *)
+    @raise Invalid_argument if [at] is in the past or NaN. *)
 
 val after : t -> float -> (unit -> unit) -> unit
 (** [after t delay f] runs [f] at [now t +. delay].
-    @raise Invalid_argument if [delay] is negative. *)
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val cancellable_after : t -> float -> (unit -> unit) -> unit -> unit
 (** [cancellable_after t delay f] schedules [f] and returns a cancel
@@ -36,8 +36,14 @@ val cancellable_after : t -> float -> (unit -> unit) -> unit -> unit
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when empty, when simulated time would
     exceed [until], or after [max_events] events (default 10 million, a
-    runaway guard).  A run stopped by the guard is no longer silent: it
-    logs a warning and increments [truncated] in {!stats}. *)
+    runaway guard).  A run stopped by [until] advances the clock to
+    [until] unless the clock is already past it: the clock never moves
+    back.  A run stopped by the guard is no longer silent: it logs a
+    warning and increments [truncated] in {!stats}.
+
+    [run] reads no host clock, and its dispatch loop allocates nothing
+    (the events themselves may); time a run from outside when its host
+    cost matters, as E18 and E20 do. *)
 
 (** {1 Statistics}
 
@@ -50,11 +56,9 @@ type stats = {
   max_pending : int;  (** high-water mark of the queue depth *)
   truncated : int;  (** runs stopped by the [max_events] guard *)
   sim_time : float;  (** current simulated time, seconds *)
-  wall_time : float;  (** wall-clock seconds spent inside [run] *)
-  cpu_time : float;
-      (** host CPU seconds spent inside [run] ([Sys.time]-based, process
-          wide) — the overhead ladders (E20) ratio against this *)
 }
+(** Simulated quantities only: host wall or CPU time is for the caller to
+    measure around [run]. *)
 
 val stats : t -> stats
 

@@ -25,27 +25,40 @@ type node = {
 
 let new_node () = { here = []; zero = None; one = None }
 
+(* Destination cache: [cache_slots] direct-mapped entries keyed by the
+   low bits of the address's int image, which tell apart the handful of
+   addresses a router forwards to at once (in the standard world the home
+   agent, correspondent, home and care-of addresses all differ there).
+   Entry [i] is live when [tags.(i)] equals the address stamped with the
+   table's current generation, so a mutation invalidates every entry at
+   once by bumping [gen].  The arrays are allocated at the table's first
+   cache miss: building a world allocates no caches. *)
+let cache_slots = 16
+let slot_mask = cache_slots - 1
+
 type table = {
   mutable root : node;
   mutable seq : int;
-  (* One-entry destination cache: forwarding typically sends runs of
-     packets to the same destination, so remember the last answer until
-     the table is mutated. *)
-  mutable cache_addr : Ipv4_addr.t;
-  mutable cache_route : route option;
-  mutable cache_valid : bool;
+  mutable gen : int;
+  mutable tags : int array;  (* [gen lsl 32 lor address], or -1 if unused *)
+  mutable answers : route option array;
 }
 
 let create () =
-  {
-    root = new_node ();
-    seq = 0;
-    cache_addr = Ipv4_addr.any;
-    cache_route = None;
-    cache_valid = false;
-  }
+  { root = new_node (); seq = 0; gen = 0; tags = [||]; answers = [||] }
 
-let invalidate t = t.cache_valid <- false
+(* The stamp of [addr] in generation [gen]: never negative, so it never
+   matches an unused tag. *)
+let tag gen addr =
+  (gen lsl 32) lor (Int32.to_int addr land 0xffff_ffff)
+
+(* Generations stay below 2^30, so stamps fit in 62 bits. *)
+let invalidate t =
+  if t.gen < (1 lsl 30) - 1 then t.gen <- t.gen + 1
+  else begin
+    t.gen <- 0;
+    Array.fill t.tags 0 (Array.length t.tags) (-1)
+  end
 
 let bit (addr : int32) d =
   Int32.to_int (Int32.shift_right_logical addr (31 - d)) land 1
@@ -115,25 +128,34 @@ let remove_iface t ~iface =
 
 let lookup_uncached t addr =
   let a = Ipv4_addr.to_int32 addr in
+  (* [best] is the deepest non-empty route list seen so far: its head is
+     the answer, wrapped once at the end. *)
   let rec walk node depth best =
-    let best = match node.here with (_, r) :: _ -> Some r | [] -> best in
+    let best = match node.here with [] -> best | here -> here in
     if depth = 32 then best
     else
       match (if bit a depth = 0 then node.zero else node.one) with
       | None -> best
       | Some child -> walk child (depth + 1) best
   in
-  walk t.root 0 None
+  match walk t.root 0 [] with (_, r) :: _ -> Some r | [] -> None
 
 let lookup t addr =
   Prof.enter Prof.Routing;
+  let a = Ipv4_addr.to_int32 addr in
+  let i = Int32.to_int a land slot_mask in
+  let k = tag t.gen a in
   let r =
-    if t.cache_valid && Ipv4_addr.equal addr t.cache_addr then t.cache_route
+    if Array.length t.tags > 0 && Array.unsafe_get t.tags i = k then
+      Array.unsafe_get t.answers i
     else begin
       let r = lookup_uncached t addr in
-      t.cache_addr <- addr;
-      t.cache_route <- r;
-      t.cache_valid <- true;
+      if Array.length t.tags = 0 then begin
+        t.tags <- Array.make cache_slots (-1);
+        t.answers <- Array.make cache_slots None
+      end;
+      Array.unsafe_set t.tags i k;
+      Array.unsafe_set t.answers i r;
       r
     end
   in

@@ -5,10 +5,14 @@
     Lookup prefers the longest matching prefix, then the lowest metric,
     then the most recently added route.
 
-    Internally the table is a binary trie on address bits with a one-entry
-    destination cache, so [lookup] is O(prefix length) — O(1) for repeated
-    destinations — rather than a scan of the whole table.  Any mutation
-    invalidates the cache. *)
+    Internally the table is a binary trie on address bits, so [lookup] is
+    O(prefix length) rather than a scan of the whole table.  In front of
+    the trie sits a 16-slot direct-mapped destination cache, keyed by the
+    low four bits of the address: a router that forwards to a handful of
+    addresses in turn (a tunnel's home-agent, correspondent, home and
+    care-of addresses) answers each of them from the cache, in O(1) and
+    without allocating.  Any mutation invalidates every entry at once by
+    bumping a generation stamp, so invalidation is O(1) too. *)
 
 type route = {
   prefix : Ipv4_addr.Prefix.t;

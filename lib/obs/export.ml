@@ -4,13 +4,17 @@ let ( let* ) = Result.bind
 
 (* ---------- hex ---------- *)
 
+let hex_digits = "0123456789abcdef"
+
 let hex_of_bytes b =
   let n = Bytes.length b in
-  let out = Buffer.create (2 * n) in
+  let out = Bytes.create (2 * n) in
   for i = 0 to n - 1 do
-    Buffer.add_string out (Printf.sprintf "%02x" (Char.code (Bytes.get b i)))
+    let c = Char.code (Bytes.unsafe_get b i) in
+    Bytes.unsafe_set out (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set out ((2 * i) + 1) hex_digits.[c land 15]
   done;
-  Buffer.contents out
+  Bytes.unsafe_to_string out
 
 let bytes_of_hex s =
   let n = String.length s in
@@ -278,6 +282,4 @@ let json_of_engine_stats (s : Engine.stats) =
       ("max_pending", Json.Int s.Engine.max_pending);
       ("truncated", Json.Int s.Engine.truncated);
       ("sim_time", Json.Float s.Engine.sim_time);
-      ("wall_time", Json.Float s.Engine.wall_time);
-      ("cpu_time", Json.Float s.Engine.cpu_time);
     ]

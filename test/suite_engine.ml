@@ -102,6 +102,66 @@ let prop_pqueue_priority_seq_order =
       let ok2 = run second_batch in
       ok1 && ok_cleared && ok2)
 
+(* Interleaved adds, pops and clears against a model: the pending
+   elements in insertion order, of which a pop must return the first
+   after a stable sort by priority.  Coarse priorities force ties; long
+   runs of adds grow the arrays, and pops between adds recycle slots. *)
+type pq_op = Push of int | Pop_one | Clear_all
+
+let pq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun p -> Push p) (int_bound 7));
+        (4, return Pop_one);
+        (1, map (fun n -> if n = 0 then Clear_all else Pop_one) (int_bound 30));
+      ])
+
+let print_pq_op = function
+  | Push p -> Printf.sprintf "push %d" p
+  | Pop_one -> "pop"
+  | Clear_all -> "clear"
+
+let prop_pqueue_interleaved =
+  QCheck.Test.make
+    ~name:"pqueue interleaved add/pop/clear = stable sort by priority"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_pq_op ops))
+       QCheck.Gen.(list_size (0 -- 400) pq_op_gen))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let pending = ref [] (* insertion order *) and next = ref 0 in
+      let model_pop () =
+        match
+          List.stable_sort (fun (p1, _) (p2, _) -> compare p1 p2) !pending
+        with
+        | [] -> None
+        | ((p, _) as top) :: _ ->
+            pending := List.filter (fun e -> e <> top) !pending;
+            Some (float_of_int p, top)
+      in
+      let step = function
+        | Push p ->
+            Pqueue.add q ~priority:(float_of_int p) (p, !next);
+            pending := !pending @ [ (p, !next) ];
+            incr next;
+            Pqueue.length q = List.length !pending
+        | Pop_one ->
+            let expected = model_pop () in
+            Pqueue.pop q = expected
+        | Clear_all ->
+            Pqueue.clear q;
+            pending := [];
+            Pqueue.is_empty q && Pqueue.pop q = None
+      in
+      let rec drain () =
+        match model_pop () with
+        | None -> Pqueue.pop q = None
+        | expected -> Pqueue.pop q = expected && drain ()
+      in
+      List.for_all step ops && drain ())
+
 let test_engine_runs_in_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -134,6 +194,54 @@ let test_engine_until () =
   Alcotest.(check int) "rest still queued" 2 (Engine.pending e);
   Engine.run e;
   Alcotest.(check int) "all fired eventually" 4 (List.length !fired)
+
+(* [until] behind the clock must not move it back: otherwise an event
+   could be scheduled, and run, before one that has already run. *)
+let test_engine_until_never_rewinds () =
+  let e = Engine.create () in
+  Engine.schedule e ~at:10.0 (fun () -> ());
+  Engine.schedule e ~at:20.0 (fun () -> ());
+  Engine.run ~until:10.0 e;
+  Alcotest.(check (float 0.0)) "ran to t=10" 10.0 (Engine.now e);
+  Engine.run ~until:5.0 e;
+  Alcotest.(check (float 0.0)) "clock stays at 10" 10.0 (Engine.now e);
+  Alcotest.check_raises "t=6 is in the past"
+    (Invalid_argument "Engine.schedule: time 6 is before now (10)") (fun () ->
+      Engine.schedule e ~at:6.0 (fun () -> ()));
+  Engine.run e;
+  Alcotest.(check (float 0.0)) "then runs on" 20.0 (Engine.now e)
+
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  let fired = ref false in
+  Alcotest.check_raises "schedule at NaN"
+    (Invalid_argument "Engine.schedule: time is NaN") (fun () ->
+      Engine.schedule e ~at:Float.nan (fun () -> fired := true));
+  Alcotest.check_raises "after NaN" (Invalid_argument "Engine.after: NaN delay")
+    (fun () -> Engine.after e Float.nan (fun () -> fired := true));
+  Engine.run e;
+  Alcotest.(check bool) "nothing ran" false !fired;
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e);
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Engine.now e)
+
+(* The dispatch loop itself allocates nothing: 10 000 queued events that
+   share one closure run without a minor-heap word per event.  (A small
+   constant covers the boxed floats [Gc.minor_words] itself returns.) *)
+let test_engine_run_allocation_free () =
+  let e = Engine.create () in
+  let count = ref 0 in
+  let f () = incr count in
+  let n = 10_000 in
+  for i = 1 to n do
+    Engine.schedule e ~at:(float_of_int (i mod 97)) f
+  done;
+  let before = Gc.minor_words () in
+  Engine.run e;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all ran" n !count;
+  Alcotest.(check bool)
+    (Printf.sprintf "no words per event (%.0f words for %d events)" words n)
+    true (words < 64.0)
 
 let test_engine_cancellation () =
   let e = Engine.create () in
@@ -206,10 +314,16 @@ let suites =
           test_pqueue_pop_releases;
         QCheck_alcotest.to_alcotest prop_pqueue_sorts;
         QCheck_alcotest.to_alcotest prop_pqueue_priority_seq_order;
+        QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
         Alcotest.test_case "engine runs in order" `Quick
           test_engine_runs_in_order;
         Alcotest.test_case "engine rejects past" `Quick test_engine_rejects_past;
         Alcotest.test_case "engine until" `Quick test_engine_until;
+        Alcotest.test_case "engine until never rewinds" `Quick
+          test_engine_until_never_rewinds;
+        Alcotest.test_case "engine rejects NaN" `Quick test_engine_rejects_nan;
+        Alcotest.test_case "engine run allocates nothing" `Quick
+          test_engine_run_allocation_free;
         Alcotest.test_case "engine cancellation" `Quick test_engine_cancellation;
         Alcotest.test_case "engine cascading events" `Quick
           test_engine_cascading_events;

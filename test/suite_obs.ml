@@ -231,6 +231,20 @@ let test_span () =
   Alcotest.(check int) "one span per flow" 1
     (List.length (Netobs.Span.all t))
 
+(* Every byte value encodes as two lower-case hex digits, as
+   [Printf "%02x"] would, and decodes back. *)
+let test_hex_codec () =
+  let all = Bytes.init 256 Char.chr in
+  let expected =
+    String.concat "" (List.init 256 (fun c -> Printf.sprintf "%02x" c))
+  in
+  let hex = Netobs.Export.hex_of_bytes all in
+  Alcotest.(check string) "every byte" expected hex;
+  Alcotest.(check string) "empty" "" (Netobs.Export.hex_of_bytes Bytes.empty);
+  match Netobs.Export.bytes_of_hex hex with
+  | Ok b -> Alcotest.(check bool) "round trip" true (Bytes.equal b all)
+  | Error e -> Alcotest.fail e
+
 (* ---------- engine stats ---------- *)
 
 let test_engine_stats () =
@@ -306,6 +320,7 @@ let suites =
         Alcotest.test_case "per-flow index" `Quick test_flow_index;
         Alcotest.test_case "trace sink" `Quick test_trace_sink;
         Alcotest.test_case "flow span" `Quick test_span;
+        Alcotest.test_case "hex codec" `Quick test_hex_codec;
         Alcotest.test_case "engine stats" `Quick test_engine_stats;
         Alcotest.test_case "trace jsonl integration" `Quick
           test_trace_jsonl_integration;

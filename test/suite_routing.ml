@@ -197,7 +197,7 @@ let prop_matches_reference_after_removes =
       let doomed = List.filter_map (fun i -> List.nth_opt tagged i) removals in
       List.iter
         (fun (prefix, _, iface) ->
-          (* Churn the one-entry cache between mutations. *)
+          (* Churn the destination cache between mutations. *)
           ignore (Routing.lookup t dst);
           Routing.remove t ~iface ~prefix ())
         doomed;
@@ -213,6 +213,89 @@ let prop_matches_reference_after_removes =
           && r.Routing.metric = bm
           && Ipv4_addr.Prefix.mem dst r.Routing.prefix
       | _ -> false)
+
+(* Random sequences of mutations and lookups against an uncached answer:
+   the first route in [Routing.routes] (most specific, cheapest, newest
+   first) whose prefix holds the destination.  The destinations outnumber
+   the cache's slots and share low bits, so entries are evicted and
+   reused; every mutation must invalidate all of them. *)
+type route_op =
+  | Add of int * int * int  (* prefix, iface, metric *)
+  | Remove of int * int option * int option
+  | Remove_iface of int
+  | Lookup of int
+
+let op_prefixes =
+  Array.map p
+    [|
+      "0.0.0.0/0"; "10.0.0.0/8"; "10.0.0.0/16"; "10.1.0.0/16"; "10.2.0.0/15";
+      "10.0.1.0/24"; "10.0.2.0/24"; "10.1.2.0/24"; "10.3.0.0/16";
+      "10.1.2.0/28"; "10.0.1.16/28"; "10.2.0.14/32"; "10.1.2.7/32";
+    |]
+
+let op_ifaces = [| "a"; "b"; "c" |]
+
+(* 48 destinations over 10.0-3.0-2.0-31: three to each cache slot, and
+   16 pairs that share their last octet but not their route. *)
+let op_dsts =
+  Array.init 48 (fun k ->
+      Ipv4_addr.of_octets 10 (k mod 4) (k / 4 mod 3) (k * 7 mod 32))
+
+let route_op_gen =
+  let open QCheck.Gen in
+  let prefix = int_bound (Array.length op_prefixes - 1) in
+  let iface = int_bound (Array.length op_ifaces - 1) in
+  let metric = int_bound 2 in
+  frequency
+    [
+      (8, map (fun d -> Lookup d) (int_bound (Array.length op_dsts - 1)));
+      (3, map3 (fun x i m -> Add (x, i, m)) prefix iface metric);
+      (1, map3 (fun x i m -> Remove (x, i, m)) prefix (opt iface) (opt metric));
+      (1, map (fun i -> Remove_iface i) iface);
+    ]
+
+let print_route_op = function
+  | Add (x, i, m) -> Printf.sprintf "add %d %d %d" x i m
+  | Remove (x, i, m) ->
+      let o = function Some n -> string_of_int n | None -> "_" in
+      Printf.sprintf "remove %d %s %s" x (o i) (o m)
+  | Remove_iface i -> Printf.sprintf "remove_iface %d" i
+  | Lookup d -> Printf.sprintf "lookup %d" d
+
+let prop_cache_matches_uncached =
+  QCheck.Test.make ~name:"cached lookup = uncached LPM over op sequences"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_route_op ops))
+       QCheck.Gen.(list_size (0 -- 300) route_op_gen))
+    (fun ops ->
+      let t = Routing.create () in
+      let uncached dst =
+        List.find_opt
+          (fun r -> Ipv4_addr.Prefix.mem dst r.Routing.prefix)
+          (Routing.routes t)
+      in
+      let agrees d =
+        let dst = op_dsts.(d) in
+        Routing.lookup t dst = uncached dst
+      in
+      let step = function
+        | Add (x, i, metric) ->
+            Routing.add t ~metric ~prefix:op_prefixes.(x) ~iface:op_ifaces.(i)
+              ();
+            true
+        | Remove (x, i, metric) ->
+            Routing.remove t
+              ?iface:(Option.map (fun i -> op_ifaces.(i)) i)
+              ?metric ~prefix:op_prefixes.(x) ();
+            true
+        | Remove_iface i ->
+            Routing.remove_iface t ~iface:op_ifaces.(i);
+            true
+        | Lookup d -> agrees d
+      in
+      List.for_all step ops
+      && List.for_all agrees (List.init (Array.length op_dsts) Fun.id))
 
 let suites =
   [
@@ -232,5 +315,6 @@ let suites =
           test_lookup_cache_invalidation;
         QCheck_alcotest.to_alcotest prop_matches_reference;
         QCheck_alcotest.to_alcotest prop_matches_reference_after_removes;
+        QCheck_alcotest.to_alcotest prop_cache_matches_uncached;
       ] );
   ]
