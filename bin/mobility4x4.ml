@@ -627,7 +627,14 @@ let soak_cmd =
                 float_field (fun x -> { p with Experiments.Soak.max_window = x })
             | "outages" ->
                 let parts = String.split_on_char ':' v in
-                let ds = List.filter_map float_of_string_opt parts in
+                let ds =
+                  List.filter_map
+                    (fun s ->
+                      match float_of_string_opt s with
+                      | Some d when Float.is_finite d && d >= 0.0 -> Some d
+                      | _ -> None)
+                    parts
+                in
                 if List.length ds = List.length parts && ds <> [] then
                   Some { p with Experiments.Soak.outages = ds }
                 else None

@@ -107,12 +107,14 @@ let build_world profile ~cell ~seed =
     ~with_standby_ha:profile.with_standby ~standby_detect_interval:0.5
     ~standby_detect_timeout:1.0 ()
 
-let budget_for profile topo =
+(* The plan's vocabulary names the seed's world without building it. *)
+let budget_for profile ~seed =
+  let backbone_hops = hops_for seed in
   {
     Netsim.Chaos.events = profile.events;
     horizon = profile.horizon;
-    links = Scenarios.Topo.chaos_links topo;
-    cuts = Scenarios.Topo.chaos_cuts topo;
+    links = Scenarios.Topo.chaos_links ~backbone_hops;
+    cuts = Scenarios.Topo.chaos_cuts ~backbone_hops;
     actions =
       [
         ("ha_outage", List.map (Printf.sprintf "%.1f") profile.outages);
@@ -122,17 +124,53 @@ let budget_for profile topo =
     max_extra_latency = 0.4;
   }
 
-let generate_plan ?(profile = gentle) ~cell ~seed () =
-  Netsim.Chaos.generate ~seed (budget_for profile (build_world profile ~cell ~seed))
+let generate_plan ?(profile = gentle) ~cell:_ ~seed () =
+  Netsim.Chaos.generate ~seed (budget_for profile ~seed)
 
-let replay ?(profile = gentle) ~cell ~seed plan =
+(* The action vocabulary the generator draws from: an outage lasts a
+   finite, non-negative number of seconds, and a move goes to visited
+   address a or b. *)
+type action = Ha_outage of float | Mh_move of Netsim.Ipv4_addr.t
+
+let action_of ~at ~kind ~arg =
+  let bad expected =
+    Error
+      (Printf.sprintf "soak plan: action %s %S at %g s: %s" kind arg at
+         expected)
+  in
+  match kind with
+  | "ha_outage" -> (
+      match float_of_string_opt arg with
+      | Some d when Float.is_finite d && d >= 0.0 -> Ok (Ha_outage d)
+      | _ -> bad "expected a finite outage of 0 s or more")
+  | "mh_move" -> (
+      match arg with
+      | "a" -> Ok (Mh_move addr_a)
+      | "b" -> Ok (Mh_move addr_b)
+      | _ -> bad "expected a or b")
+  | _ -> bad "unknown kind (expected ha_outage or mh_move)"
+
+(* [Ok plan] when every action of the plan is in the vocabulary. *)
+let check_actions plan =
+  List.fold_left
+    (fun acc ev ->
+      match (acc, ev) with
+      | Ok _, Netsim.Fault.Action { at_; kind; arg } ->
+          Result.map (fun _ -> plan) (action_of ~at:at_ ~kind ~arg)
+      | _ -> acc)
+    (Ok plan) plan.Netsim.Fault.events
+
+(* One flight of a (seed, cell, plan) run.  [recorder] says whether it
+   carries the flight recorder: [`Never], [`Always], or [`If_sink] — only
+   when a process-wide sink already makes the world build every record.
+   Returns the outcome and whether the recorder flew. *)
+let fly ~recorder profile ~cell ~seed plan =
   let topo = build_world profile ~cell ~seed in
   let net = topo.Scenarios.Topo.net in
   (* Nothing reads this world's in-memory trace log: the invariants poll
-     agent state and the recorder below is a ring on the trace.  With the
-     log off the ring is the only consumer, so every hop takes the
-     allocation-free emit path; a process-wide sink ([--pcap]) still
-     gets full records. *)
+     agent state and the recorder, when it flies, is a ring on the trace.
+     With the log off and no recorder, nothing builds events at all; a
+     process-wide sink ([--pcap]) still gets full records. *)
   Netsim.Net.set_tracing net false;
   let eng = Netsim.Net.engine net in
   let mh = topo.Scenarios.Topo.mh in
@@ -154,9 +192,16 @@ let replay ?(profile = gentle) ~cell ~seed plan =
   Scenarios.Oracle.install_standard
     ~recovery_after:(Netsim.Fault.plan_end plan)
     oracle;
-  (* Every soak run flies with the recorder attached: when an invariant
-     trips, the finding carries the last events before the violation. *)
-  Scenarios.Oracle.attach_recorder ~capacity:recorder_capacity oracle;
+  (* With the recorder attached, a violating run's outcome carries the
+     last events before the violation. *)
+  let recorded =
+    match recorder with
+    | `Never -> false
+    | `Always -> true
+    | `If_sink -> Netsim.Trace.interested (Netsim.Net.trace net)
+  in
+  if recorded then
+    Scenarios.Oracle.attach_recorder ~capacity:recorder_capacity oracle;
   let ch_tcp = Transport.Tcp.get topo.Scenarios.Topo.ch_node in
   Transport.Tcp.listen ch_tcp ~port:stream_port (fun conn ->
       Scenarios.Oracle.add_tcp_stream ~expected:pat oracle conn);
@@ -183,33 +228,51 @@ let replay ?(profile = gentle) ~cell ~seed plan =
     ~ticks:(int_of_float profile.horizon + 60)
     oracle;
 
-  (* The action vocabulary the generator draws from. *)
-  let action ~at:_ ~kind ~arg =
-    match kind with
-    | "ha_outage" ->
-        let d = try float_of_string arg with _ -> 2.0 in
+  let action ~at ~kind ~arg =
+    match action_of ~at ~kind ~arg with
+    | Ok (Ha_outage d) ->
         Home_agent.crash topo.Scenarios.Topo.ha;
         Netsim.Engine.schedule eng
           ~at:(Netsim.Engine.now eng +. d)
           (fun () -> Home_agent.restart topo.Scenarios.Topo.ha)
-    | "mh_move" ->
-        let target = if arg = "b" then addr_b else addr_a in
+    | Ok (Mh_move target) ->
         Mobile_host.move_to_static mh topo.Scenarios.Topo.visited_segment
           ~addr:target ~prefix:topo.Scenarios.Topo.visited_prefix ~gateway ()
-    | _ -> ()
+    | Error e -> invalid_arg e
   in
   let fault = Netsim.Fault.apply ~action net plan in
   Netsim.Net.run net;
   Scenarios.Oracle.finish oracle;
   Conversation.deconfigure ~mh ~ch ~ch_addr;
-  {
-    violations = Scenarios.Oracle.violations oracle;
-    checks_run = Netsim.Invariant.checks_run (Scenarios.Oracle.inv oracle);
-    tcp_retx_aborts =
-      Transport.Tcp.retx_aborts mh_tcp + Transport.Tcp.retx_aborts ch_tcp;
-    fault = Netsim.Fault.stats fault;
-    recorder_tail = Scenarios.Oracle.recorder_tail oracle;
-  }
+  ( {
+      violations = Scenarios.Oracle.violations oracle;
+      checks_run = Netsim.Invariant.checks_run (Scenarios.Oracle.inv oracle);
+      tcp_retx_aborts =
+        Transport.Tcp.retx_aborts mh_tcp + Transport.Tcp.retx_aborts ch_tcp;
+      fault = Netsim.Fault.stats fault;
+      recorder_tail = Scenarios.Oracle.recorder_tail oracle;
+    },
+    recorded )
+
+(* Only a violating run reads the recorder's tail, so a run flies without
+   it and only a violation is flown again, recorder attached: replay is
+   bit-for-bit deterministic, so the second flight is the first one
+   recorded.  A run a sink listens to records in flight instead, so that
+   the sink sees it once. *)
+let replay ?(profile = gentle) ~cell ~seed plan =
+  (match check_actions plan with Ok _ -> () | Error e -> invalid_arg e);
+  let first, recorded = fly ~recorder:`If_sink profile ~cell ~seed plan in
+  if first.violations = [] || recorded then first
+  else begin
+    let again, _ = fly ~recorder:`Always profile ~cell ~seed plan in
+    if again.violations <> first.violations then
+      failwith
+        (Printf.sprintf
+           "Soak.replay: seed %d, cell %s: the recorded re-flight did not \
+            reproduce the first flight's violations"
+           seed (Grid.cell_to_string cell));
+    again
+  end
 
 let violated_names outcome =
   List.sort_uniq String.compare
@@ -218,7 +281,7 @@ let violated_names outcome =
 let shrink_plan ?(profile = gentle) ~cell ~seed plan outcome =
   let orig = violated_names outcome in
   let still_failing p =
-    let o = replay ~profile ~cell ~seed p in
+    let o, _ = fly ~recorder:`Never profile ~cell ~seed p in
     List.for_all (fun n -> List.mem n (violated_names o)) orig
   in
   Netsim.Chaos.shrink ~still_failing plan
@@ -301,7 +364,7 @@ let repro_of_string s =
   match Netsim.Json.of_string s with
   | Error e -> Error e
   | Ok j -> (
-      match Netsim.Fault.plan_of_json j with
+      match Result.bind (Netsim.Fault.plan_of_json j) check_actions with
       | Error e -> Error e
       | Ok plan ->
           let seed =

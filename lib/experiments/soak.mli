@@ -79,7 +79,10 @@ val generate_plan :
   seed:int ->
   unit ->
   Netsim.Fault.plan
-(** The plan a soak run with this (seed, cell) would execute. *)
+(** The plan a soak run with this (seed, cell) would execute.  It depends
+    on the seed and the profile only — the seed's backbone depth names
+    the links and cuts ({!Scenarios.Topo.chaos_links}), so no world is
+    built; [cell] does not change the plan. *)
 
 val replay :
   ?profile:profile ->
@@ -88,7 +91,16 @@ val replay :
   Netsim.Fault.plan ->
   outcome
 (** Build the (seed, cell) world, apply the plan and run to completion
-    under the oracle.  Deterministic. *)
+    under the oracle.  Deterministic.
+
+    The run flies without the flight recorder.  Only a run that violates
+    is flown again, with the recorder attached, to fill
+    [recorder_tail]; the outcome returned is the re-flight's.  While a
+    process-wide sink listens ([--pcap], [--trace-json]) the run records
+    in flight instead and is not re-flown, so the sink sees it once.
+    @raise Invalid_argument on an action {!repro_of_string} rejects.
+    @raise Failure if the re-flight does not reproduce the first
+    flight's violations. *)
 
 val shrink_plan :
   ?profile:profile ->
@@ -99,7 +111,7 @@ val shrink_plan :
   Netsim.Fault.plan * int
 (** Delta-debug a failing plan: the reduced plan still violates every
     invariant the given outcome violated.  Returns the plan and the
-    number of replays spent. *)
+    number of replays spent.  No replay carries the flight recorder. *)
 
 val run :
   ?profile:profile ->
@@ -126,7 +138,10 @@ val repro_of_string :
   string ->
   (Netsim.Fault.plan * int option * Mobileip.Grid.cell option, string) result
 (** Parse a repro (or any plain plan JSON): the plan plus the soak seed
-    and cell annotations when present. *)
+    and cell annotations when present.  Its actions must be the soak's
+    vocabulary: [ha_outage] with a finite number of seconds >= 0, or
+    [mh_move] with [a] or [b]; anything else is an error naming the
+    action's kind, argument and time. *)
 
 val cell_of_string : string -> Mobileip.Grid.cell option
 (** Parse ["In-IE/Out-IE"]-style names (as {!Mobileip.Grid.cell_to_string}

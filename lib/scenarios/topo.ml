@@ -374,19 +374,18 @@ let arm_standby ?ticks t =
   | None -> ()
   | Some s -> Mobileip.Home_agent.watch s ?ticks ()
 
-(* Chaos targets: the names the fault layer knows this world by.  Segment
-   names and point-to-point link names as {!Netsim.Net} reports them to
-   the fault hook. *)
-let chaos_links t =
-  let n = List.length t.backbone in
+(* Chaos targets: the names the fault layer knows a [build
+   ~backbone_hops:n] world by, without building it.  Segment names and
+   point-to-point link names as {!Netsim.Net} reports them to the fault
+   hook. *)
+let chaos_links ~backbone_hops:n =
   let backbone_links =
     List.init (n - 1) (fun i -> Printf.sprintf "b%d<->b%d" i (i + 1))
   in
   [ "home-lan"; "visited-lan"; "hr<->b0"; Printf.sprintf "vr<->b%d" (n - 1) ]
   @ backbone_links
 
-let chaos_cuts t =
-  let n = List.length t.backbone in
+let chaos_cuts ~backbone_hops:n =
   let names first count =
     List.init count (fun i -> Printf.sprintf "b%d" (first + i))
   in

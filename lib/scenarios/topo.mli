@@ -147,16 +147,18 @@ val run : t -> unit
 
 (** {1 Chaos targets}
 
-    The world described in the vocabulary of {!Netsim.Chaos.budget}: which
-    names the fault layer can aim at.  Both lists are deterministic
-    functions of the build parameters, so a budget built from them is as
-    replayable as the world itself. *)
+    A world described in the vocabulary of {!Netsim.Chaos.budget}: which
+    names the fault layer can aim at.  The names depend on the backbone
+    depth alone, so both lists are computed from [~backbone_hops] without
+    building the world; a budget built from them is as replayable as the
+    world itself. *)
 
-val chaos_links : t -> string list
-(** Every interesting link by the name the fault hook sees it under: the
-    home and visited segments, the two access links, and the backbone
-    chain links. *)
+val chaos_links : backbone_hops:int -> string list
+(** Every interesting link of a [build ~backbone_hops] world by the name
+    the fault hook sees it under: the home and visited segments, the two
+    access links, and the backbone chain links. *)
 
-val chaos_cuts : t -> (string list * string list) list
-(** Candidate partition cuts (node-name sets): isolate the home domain,
-    isolate the visited domain, split the backbone down the middle. *)
+val chaos_cuts : backbone_hops:int -> (string list * string list) list
+(** Candidate partition cuts (node-name sets) of a [build ~backbone_hops]
+    world: isolate the home domain, isolate the visited domain, split the
+    backbone down the middle. *)

@@ -363,6 +363,206 @@ let test_gentle_ci_range_clean () =
     "checks ran" true
     (r.Experiments.Soak.total_checks > 0)
 
+(* ---- plans without a world ---- *)
+
+(* The reference: a budget named from a world built as a soak run builds
+   it, its links and cuts read off the world's backbone. *)
+let plan_from_built_world (profile : Experiments.Soak.profile) ~cell ~seed =
+  let topo =
+    Scenarios.Topo.build
+      ~backbone_hops:(4 + (seed land 1))
+      ~ch_position:
+        (if cell.Mobileip.Grid.incoming = Mobileip.Grid.In_DH then
+           Scenarios.Topo.On_visited_segment
+         else Scenarios.Topo.Remote)
+      ~ch_capability:Mobileip.Correspondent.Mobile_aware
+      ~mh_lifetime:profile.mh_lifetime ~mh_retry_base:0.5 ~mh_retry_cap:2.0
+      ~mh_retry_limit:profile.retry_limit
+      ~with_standby_ha:profile.with_standby ~standby_detect_interval:0.5
+      ~standby_detect_timeout:1.0 ()
+  in
+  let n = List.length topo.Scenarios.Topo.backbone in
+  let names first count =
+    List.init count (fun i -> Printf.sprintf "b%d" (first + i))
+  in
+  let mid = n / 2 in
+  Chaos.generate ~seed
+    {
+      Chaos.events = profile.events;
+      horizon = profile.horizon;
+      links =
+        [
+          "home-lan";
+          "visited-lan";
+          "hr<->b0";
+          Printf.sprintf "vr<->b%d" (n - 1);
+        ]
+        @ List.init (n - 1) (fun i -> Printf.sprintf "b%d<->b%d" i (i + 1));
+      cuts =
+        [
+          ([ "hr" ], [ "b0" ]);
+          ([ "vr" ], [ Printf.sprintf "b%d" (n - 1) ]);
+          (names 0 mid, names mid (n - mid));
+        ];
+      actions =
+        [
+          ("ha_outage", List.map (Printf.sprintf "%.1f") profile.outages);
+          ("mh_move", [ "a"; "b" ]);
+        ];
+      max_window = profile.max_window;
+      max_extra_latency = 0.4;
+    }
+
+let test_plans_without_world () =
+  List.iter
+    (fun profile ->
+      for seed = 0 to 99 do
+        List.iter
+          (fun cell ->
+            if
+              Experiments.Soak.generate_plan ~profile ~cell ~seed ()
+              <> plan_from_built_world profile ~cell ~seed
+            then
+              Alcotest.failf "seed %d, cell %s: plan differs" seed
+                (Mobileip.Grid.cell_to_string cell))
+          Experiments.Soak.default_cells
+      done)
+    [ Experiments.Soak.gentle; harsh ]
+
+(* Every chaos target names a link or node of the world it describes: a
+   registration across the backbone crosses every link, and the fault
+   hook reports each by the name {!Net} gives it. *)
+let test_chaos_targets_name_the_world () =
+  for n = 2 to 8 do
+    let topo = Scenarios.Topo.build ~backbone_hops:n () in
+    let net = topo.Scenarios.Topo.net in
+    let seen = Hashtbl.create 16 in
+    Net.set_fault_hook net
+      (Some
+         (fun ~link ~src:_ ~dst:_ ->
+           Hashtbl.replace seen link ();
+           Net.Fault_pass));
+    Scenarios.Topo.roam topo ();
+    List.iter
+      (fun link ->
+        if not (Hashtbl.mem seen link) then
+          Alcotest.failf "backbone_hops %d: no link named %s" n link)
+      (Scenarios.Topo.chaos_links ~backbone_hops:n);
+    List.iter
+      (fun (a, b) ->
+        List.iter
+          (fun node ->
+            if Net.find_node net node = None then
+              Alcotest.failf "backbone_hops %d: no node named %s" n node)
+          (a @ b))
+      (Scenarios.Topo.chaos_cuts ~backbone_hops:n)
+  done
+
+(* ---- the flight recorder flies on a re-flight ---- *)
+
+let cell_de =
+  { Mobileip.Grid.incoming = Mobileip.Grid.In_DE;
+    outgoing = Mobileip.Grid.Out_DE }
+
+let cell_dh =
+  { Mobileip.Grid.incoming = Mobileip.Grid.In_DH;
+    outgoing = Mobileip.Grid.Out_DH }
+
+let tail_lines o =
+  List.map Netobs.Export.line_of_record o.Experiments.Soak.recorder_tail
+
+(* Gentle seed 7 violates on In-DE/Out-DE and In-DH/Out-DH.  With no sink
+   the tail comes from a second, recorded flight; a sink makes the run
+   record in flight.  Both must carry the same outcome and tail. *)
+let test_reflown_tail_is_in_flight_tail () =
+  List.iter
+    (fun cell ->
+      let plan = Experiments.Soak.generate_plan ~cell ~seed:7 () in
+      let reflown = Experiments.Soak.replay ~cell ~seed:7 plan in
+      let sink = Trace.add_sink (fun _ -> ()) in
+      let in_flight =
+        Fun.protect
+          ~finally:(fun () -> Trace.remove_sink sink)
+          (fun () -> Experiments.Soak.replay ~cell ~seed:7 plan)
+      in
+      let name = Mobileip.Grid.cell_to_string cell in
+      Alcotest.(check bool)
+        (name ^ " violates") true
+        (reflown.Experiments.Soak.violations <> []);
+      Alcotest.(check bool)
+        (name ^ " same violations") true
+        (reflown.Experiments.Soak.violations
+        = in_flight.Experiments.Soak.violations);
+      Alcotest.(check int)
+        (name ^ " same checks") in_flight.Experiments.Soak.checks_run
+        reflown.Experiments.Soak.checks_run;
+      Alcotest.(check bool)
+        (name ^ " same fault stats") true
+        (reflown.Experiments.Soak.fault = in_flight.Experiments.Soak.fault);
+      Alcotest.(check bool)
+        (name ^ " tail recorded") true
+        (in_flight.Experiments.Soak.recorder_tail <> []);
+      Alcotest.(check (list string))
+        (name ^ " same tail") (tail_lines in_flight) (tail_lines reflown))
+    [ cell_de; cell_dh ];
+  let passing =
+    Experiments.Soak.replay ~cell:cell_ie ~seed:7
+      (Experiments.Soak.generate_plan ~cell:cell_ie ~seed:7 ())
+  in
+  Alcotest.(check bool)
+    "In-IE/Out-IE passes" true
+    (passing.Experiments.Soak.violations = []);
+  Alcotest.(check (list string)) "no tail" [] (tail_lines passing)
+
+(* ---- malformed soak actions ---- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let action_plan ~kind ~arg =
+  { Fault.seed = 1; events = [ Fault.Action { at_ = 12.5; kind; arg } ] }
+
+(* A repro with a malformed action fails to load with an error naming the
+   action, and [replay] refuses the same plan with the same message. *)
+let test_rejects_action ~kind ~arg () =
+  let plan = action_plan ~kind ~arg in
+  match
+    Experiments.Soak.repro_of_string
+      (Experiments.Soak.repro_to_string ~seed:7 ~cell:cell_ie plan)
+  with
+  | Ok _ -> Alcotest.failf "action %s %S accepted" kind arg
+  | Error e -> (
+      List.iter
+        (fun part ->
+          if not (contains e part) then
+            Alcotest.failf "error %S does not name %S" e part)
+        [ kind; Printf.sprintf "%S" arg; "12.5" ];
+      match Experiments.Soak.replay ~cell:cell_ie ~seed:7 plan with
+      | _ -> Alcotest.failf "replay ran action %s %S" kind arg
+      | exception Invalid_argument e' ->
+          Alcotest.(check string) "replay's error" e e')
+
+let test_accepts_actions () =
+  List.iter
+    (fun (kind, arg) ->
+      match
+        Experiments.Soak.repro_of_string
+          (Experiments.Soak.repro_to_string ~seed:7 ~cell:cell_ie
+             (action_plan ~kind ~arg))
+      with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [
+      ("ha_outage", "0");
+      ("ha_outage", "2.0");
+      ("mh_move", "a");
+      ("mh_move", "b");
+    ]
+
 (* ---- the TCP gave-up counter ---- *)
 
 let test_tcp_retx_abort_counter () =
@@ -434,6 +634,24 @@ let suites =
           test_repro_roundtrip_with_annotations;
         Alcotest.test_case "soak: gentle CI range is clean" `Quick
           test_gentle_ci_range_clean;
+        Alcotest.test_case "soak: plans need no world" `Quick
+          test_plans_without_world;
+        Alcotest.test_case "soak: chaos targets name the world" `Quick
+          test_chaos_targets_name_the_world;
+        Alcotest.test_case "soak: re-flown tail is the in-flight tail"
+          `Quick test_reflown_tail_is_in_flight_tail;
+        Alcotest.test_case "soak: rejects a negative outage" `Quick
+          (test_rejects_action ~kind:"ha_outage" ~arg:"-5");
+        Alcotest.test_case "soak: rejects a nan outage" `Quick
+          (test_rejects_action ~kind:"ha_outage" ~arg:"nan");
+        Alcotest.test_case "soak: rejects a non-numeric outage" `Quick
+          (test_rejects_action ~kind:"ha_outage" ~arg:"abc");
+        Alcotest.test_case "soak: rejects an unknown action" `Quick
+          (test_rejects_action ~kind:"reboot" ~arg:"");
+        Alcotest.test_case "soak: rejects a move to neither address" `Quick
+          (test_rejects_action ~kind:"mh_move" ~arg:"c");
+        Alcotest.test_case "soak: accepts well-formed actions" `Quick
+          test_accepts_actions;
         Alcotest.test_case "tcp: retx-abort counter" `Quick
           test_tcp_retx_abort_counter;
       ] );
