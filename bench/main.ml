@@ -313,6 +313,10 @@ let micro_tests =
       Test.make ~name:"sim-pingpong-unsharded"
         (Staged.stage pingpong);
       Test.make ~name:"sim-tunnel-ping-full-world" (Staged.stage tunnel_ping);
+      (* The default world alone: every experiment, soak run and perfbench
+         pass pays this before its first packet. *)
+      Test.make ~name:"topo-build-default-world"
+        (Staged.stage (fun () -> Scenarios.Topo.build ()));
       Test.make ~name:"sim-tcp-8KB-stop-and-wait"
         (Staged.stage (tcp_transfer ~window:1));
       Test.make ~name:"sim-tcp-8KB-window-8"

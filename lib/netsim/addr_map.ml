@@ -11,7 +11,12 @@
    Empty slots hold [empty_key] = min_int, which no 32-bit address or
    protocol number maps to.  Deletion uses the standard backward-shift
    compaction for linear probing, so there are no tombstones and probe
-   chains stay short. *)
+   chains stay short.
+
+   A new map owns no arrays: it probes the shared one-slot [unused] key
+   array, whose only slot is empty, and gets arrays of its own at its
+   first insert.  A node that never learns an ARP entry or binds a
+   protocol pays only for the map's record. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -22,17 +27,8 @@ type 'a t = {
 
 let empty_key = min_int
 
-let create ?(size = 16) () =
-  let cap = ref 8 in
-  while !cap < size do
-    cap := !cap * 2
-  done;
-  {
-    keys = Array.make !cap empty_key;
-    vals = Array.make !cap None;
-    mask = !cap - 1;
-    size = 0;
-  }
+let unused = [| empty_key |]
+let create () = { keys = unused; vals = [||]; mask = 0; size = 0 }
 
 let length t = t.size
 
@@ -71,6 +67,11 @@ let grow t =
     old_keys
 
 let replace t key v =
+  if t.keys == unused then begin
+    t.keys <- Array.make 8 empty_key;
+    t.vals <- Array.make 8 None;
+    t.mask <- 7
+  end;
   let i = probe t key (slot t key) in
   if t.keys.(i) = key then t.vals.(i) <- Some v
   else begin
@@ -114,9 +115,11 @@ let remove t key =
   end
 
 let reset t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  Array.fill t.vals 0 (Array.length t.vals) None;
-  t.size <- 0
+  if t.size > 0 then begin
+    Array.fill t.keys 0 (Array.length t.keys) empty_key;
+    Array.fill t.vals 0 (Array.length t.vals) None;
+    t.size <- 0
+  end
 
 let iter f t =
   Array.iteri

@@ -11,8 +11,10 @@
 
 type 'a t
 
-val create : ?size:int -> unit -> 'a t
-(** [size] is a capacity hint (rounded up to a power of two, minimum 8). *)
+val create : unit -> 'a t
+(** An empty map.  It allocates its arrays (8 slots, doubled as it fills)
+    at its first insert, so a map that is never written costs only its
+    record. *)
 
 val of_addr : Ipv4_addr.t -> int
 (** The key an address maps to: its 32-bit unsigned int image. *)

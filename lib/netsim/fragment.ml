@@ -66,9 +66,21 @@ module Reassembly = struct
     mutable template : Ipv4_packet.t;  (* header fields from offset 0 *)
   }
 
-  type t = (key, datagram) Hashtbl.t
+  (* The table is allocated at the first fragment: most nodes never
+     reassemble anything.  [oldest] is at most the [first_seen] of every
+     buffered datagram ([infinity] when none is), so a fragment checks for
+     stale datagrams with one comparison and scans only when one may have
+     timed out. *)
+  type t = {
+    mutable table : (key, datagram) Hashtbl.t option;
+    mutable oldest : float;
+  }
 
-  let create () : t = Hashtbl.create 16
+  (* RFC 1122 §3.3.2: a fixed reassembly timeout, recommended between 60
+     and 120 seconds. *)
+  let timeout = 60.0
+
+  let create () = { table = None; oldest = infinity }
 
   let key_of (p : Ipv4_packet.t) =
     {
@@ -100,6 +112,20 @@ module Reassembly = struct
         in
         if covered = total then Some buf else None
 
+  let expire t ~older_than =
+    match t.table with
+    | None -> 0
+    | Some table ->
+        let stale =
+          Hashtbl.fold
+            (fun k d acc -> if d.first_seen < older_than then k :: acc else acc)
+            table []
+        in
+        List.iter (Hashtbl.remove table) stale;
+        t.oldest <-
+          Hashtbl.fold (fun _ d m -> Float.min d.first_seen m) table infinity;
+        List.length stale
+
   let add t ~now (p : Ipv4_packet.t) =
     if not (Ipv4_packet.is_fragment p) then Some p
     else begin
@@ -111,15 +137,26 @@ module Reassembly = struct
             let hlen = Ipv4_packet.header_length p in
             Bytes.sub whole hlen (Bytes.length whole - hlen)
       in
+      let table =
+        match t.table with
+        | Some table -> table
+        | None ->
+            let table = Hashtbl.create 16 in
+            t.table <- Some table;
+            table
+      in
+      if t.oldest < now -. timeout then
+        ignore (expire t ~older_than:(now -. timeout));
       let k = key_of p in
       let d =
-        match Hashtbl.find_opt t k with
+        match Hashtbl.find_opt table k with
         | Some d -> d
         | None ->
             let d =
               { pieces = []; total = None; first_seen = now; template = p }
             in
-            Hashtbl.add t k d;
+            if Hashtbl.length table = 0 then t.oldest <- now;
+            Hashtbl.add table k d;
             d
       in
       let off = p.frag_offset * 8 in
@@ -129,7 +166,8 @@ module Reassembly = struct
       match complete d with
       | None -> None
       | Some buf ->
-          Hashtbl.remove t k;
+          Hashtbl.remove table k;
+          if Hashtbl.length table = 0 then t.oldest <- infinity;
           let whole =
             {
               d.template with
@@ -141,14 +179,6 @@ module Reassembly = struct
           Some (Ipv4_packet.reparse_payload whole)
     end
 
-  let expire t ~older_than =
-    let stale =
-      Hashtbl.fold
-        (fun k d acc -> if d.first_seen < older_than then k :: acc else acc)
-        t []
-    in
-    List.iter (Hashtbl.remove t) stale;
-    List.length stale
-
-  let pending t = Hashtbl.length t
+  let pending t =
+    match t.table with None -> 0 | Some table -> Hashtbl.length table
 end

@@ -23,11 +23,20 @@ module Reassembly : sig
   type t
 
   val create : unit -> t
+  (** An empty buffer.  It allocates its table at the first fragment. *)
+
+  val timeout : float
+  (** How long, in seconds, a partial datagram may wait for its missing
+      fragments: 60, the low end of the range RFC 1122 §3.3.2
+      recommends.  Older partials are dropped when the next fragment
+      reaches the buffer. *)
 
   val add : t -> now:float -> Ipv4_packet.t -> Ipv4_packet.t option
   (** Feed a packet in.  A non-fragment is returned immediately.  A fragment
-      is buffered; when it completes a datagram, the reassembled packet
-      (with its structured payload re-parsed) is returned. *)
+      first drops every partial datagram whose first fragment arrived more
+      than {!timeout} seconds before [now], then is buffered; when it
+      completes a datagram, the reassembled packet (with its structured
+      payload re-parsed) is returned. *)
 
   val expire : t -> older_than:float -> int
   (** Drop incomplete datagrams whose first fragment arrived before the

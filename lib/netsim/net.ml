@@ -6,7 +6,8 @@ type fault_verdict =
 type t = {
   engine : Engine.t;
   trace : Trace.t;
-  mutable all_nodes : node list;
+  mutable all_nodes : node list;  (* newest first *)
+  names : (string, node) Hashtbl.t;
   mutable next_frame : int;
   mutable next_flow : int;
   mutable fault_hook :
@@ -124,6 +125,7 @@ let create () =
     engine;
     trace;
     all_nodes = [];
+    names = Hashtbl.create 16;
     next_frame = 0;
     next_flow = 0;
     fault_hook = None;
@@ -160,7 +162,7 @@ let trace t = t.trace
 let now t = Engine.now t.engine
 
 let add_node t name router =
-  if List.exists (fun n -> n.name = name) t.all_nodes then
+  if Hashtbl.mem t.names name then
     invalid_arg (Printf.sprintf "Net: node %S already exists" name);
   let node =
     {
@@ -172,17 +174,18 @@ let add_node t name router =
       policy = Filter.accept_all;
       claimed = [];
       override = None;
-      handlers = Addr_map.create ~size:8 ();
+      handlers = Addr_map.create ();
       observer = None;
       intercept = None;
-      arp_cache = Addr_map.create ~size:16 ();
-      arp_pending = Addr_map.create ~size:8 ();
+      arp_cache = Addr_map.create ();
+      arp_pending = Addr_map.create ();
       reasm = Fragment.Reassembly.create ();
       option_penalty = (if router then 0.001 else 0.0);
       locals = [];
     }
   in
   t.all_nodes <- node :: t.all_nodes;
+  Hashtbl.add t.names name node;
   node
 
 type 'a key = 'a Type.Id.t
@@ -207,7 +210,7 @@ let set_local node key v =
 
 let add_host t name = add_node t name false
 let add_router t name = add_node t name true
-let find_node t name = List.find_opt (fun n -> n.name = name) t.all_nodes
+let find_node t name = Hashtbl.find_opt t.names name
 let node_name n = n.name
 let is_router n = n.router
 let nodes t = List.rev t.all_nodes
@@ -278,7 +281,7 @@ let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
   check_fresh_iface node_b name_b;
   let link =
     {
-      ptp_name = Printf.sprintf "%s<->%s" node_a.name node_b.name;
+      ptp_name = node_a.name ^ "<->" ^ node_b.name;
       ptp_latency = latency;
       ptp_bandwidth = bandwidth;
       ptp_loss = make_loss_gen ?loss ?loss_seed ();
@@ -745,34 +748,43 @@ and ip_input iface frame pkt =
           (Trace.Drop
              { node = node.name; reason = Trace.Not_for_me; frame = frame_info frame pkt })
 
+(* Only a fragment goes through reassembly, so a whole packet is delivered
+   without boxing it or the clock. *)
 and deliver node in_iface frame pkt =
-  match Fragment.Reassembly.add node.reasm ~now:(Engine.now node.net.engine) pkt with
-  | None -> (* incomplete datagram; wait for more fragments *) ()
-  | Some whole -> (
-      (* Loose source routing: a packet addressed to us whose route is not
-         exhausted is rewritten toward its next listed hop (RFC 791). *)
-      match Ipv4_options.lsr_next_hop whole.Ipv4_packet.options with
-      | Some next -> (
-          match
-            Ipv4_options.advance_lsr whole.Ipv4_packet.options
-              ~here:whole.Ipv4_packet.dst
-          with
-          | Some options ->
-              let rerouted =
-                { whole with Ipv4_packet.dst = next; options }
-              in
-              if tracing node then
-                record node
-                (Trace.Forward
-                   {
-                     node = node.name;
-                     in_iface = "lsr";
-                     out_iface = "lsr";
-                     frame = frame_info frame rerouted;
-                   });
-              originate node ~flow:frame.flow rerouted
-          | None -> ())
-      | None -> deliver_local node in_iface frame whole)
+  if not (Ipv4_packet.is_fragment pkt) then
+    deliver_whole node in_iface frame pkt
+  else
+    match
+      Fragment.Reassembly.add node.reasm ~now:(Engine.now node.net.engine) pkt
+    with
+    | None -> (* incomplete datagram; wait for more fragments *) ()
+    | Some whole -> deliver_whole node in_iface frame whole
+
+and deliver_whole node in_iface frame whole =
+  (* Loose source routing: a packet addressed to us whose route is not
+     exhausted is rewritten toward its next listed hop (RFC 791). *)
+  match Ipv4_options.lsr_next_hop whole.Ipv4_packet.options with
+  | Some next -> (
+      match
+        Ipv4_options.advance_lsr whole.Ipv4_packet.options
+          ~here:whole.Ipv4_packet.dst
+      with
+      | Some options ->
+          let rerouted =
+            { whole with Ipv4_packet.dst = next; options }
+          in
+          if tracing node then
+            record node
+            (Trace.Forward
+               {
+                 node = node.name;
+                 in_iface = "lsr";
+                 out_iface = "lsr";
+                 frame = frame_info frame rerouted;
+               });
+          originate node ~flow:frame.flow rerouted
+      | None -> ())
+  | None -> deliver_local node in_iface frame whole
 
 and deliver_local node in_iface frame whole =
       let consumed =

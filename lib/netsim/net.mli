@@ -57,9 +57,14 @@ val add_router : t -> string -> node
 (** @raise Invalid_argument if the name is already taken. *)
 
 val find_node : t -> string -> node option
+(** Constant time: the net indexes its nodes by name. *)
+
 val node_name : node -> string
 val is_router : node -> bool
+
 val nodes : t -> node list
+(** Every node, in the order it was added. *)
+
 val node_net : node -> t
 val node_engine : node -> Engine.t
 val node_now : node -> float

@@ -10,20 +10,25 @@ let pp_route fmt r =
     (match r.gateway with Some g -> Ipv4_addr.to_string g | None -> "direct")
     r.iface r.metric
 
-(* Binary trie on destination-address bits.  The node reached by following
-   the first [bits] bits of a network holds every route for exactly that
-   prefix, kept sorted by metric (ascending) then insertion sequence
-   (newest first), so the head of a node's list is that prefix's winner and
-   the deepest non-empty node on a lookup walk is the longest match —
-   exactly the longest-prefix / lowest-metric / newest-route preference of
-   the old sorted-list table. *)
+(* Path-compressed binary trie on destination-address bits.  A node stands
+   for the prefix [key/len] ([key] is the network's unsigned 32-bit image)
+   and exists only where routes live or where two subtrees branch, so a
+   route costs at most two nodes.  A child's prefix extends its parent's,
+   and bit [len] of the child's key says which side it hangs on.  [here]
+   holds every route for exactly this prefix, sorted by metric (ascending)
+   then insertion sequence (newest first), so its head is the prefix's
+   winner and the deepest non-empty node on a lookup walk is the longest
+   match: longest prefix, then lowest metric, then newest route.  Missing
+   children are the shared [empty] sentinel. *)
 type node = {
+  key : int;
+  len : int;
   mutable here : (int * route) list;  (* (insertion seq, route) *)
-  mutable zero : node option;
-  mutable one : node option;
+  mutable zero : node;
+  mutable one : node;
 }
 
-let new_node () = { here = []; zero = None; one = None }
+let rec empty = { key = 0; len = 0; here = []; zero = empty; one = empty }
 
 (* Destination cache: [cache_slots] direct-mapped entries keyed by the
    low bits of the address's int image, which tell apart the handful of
@@ -44,8 +49,9 @@ type table = {
   mutable answers : route option array;
 }
 
-let create () =
-  { root = new_node (); seq = 0; gen = 0; tags = [||]; answers = [||] }
+let create () = { root = empty; seq = 0; gen = 0; tags = [||]; answers = [||] }
+
+let key_of addr = Int32.to_int (Ipv4_addr.to_int32 addr) land 0xffff_ffff
 
 (* The stamp of [addr] in generation [gen]: never negative, so it never
    matches an unused tag. *)
@@ -60,85 +66,120 @@ let invalidate t =
     Array.fill t.tags 0 (Array.length t.tags) (-1)
   end
 
-let bit (addr : int32) d =
-  Int32.to_int (Int32.shift_right_logical addr (31 - d)) land 1
+(* Bit [i] of a 32-bit key, counting from the most significant. *)
+let bit key i = (key lsr (31 - i)) land 1
 
-let rec find_node node net depth bits ~make =
-  if depth = bits then Some node
+(* Does [node]'s prefix hold [key]? *)
+let covers node key = (key lxor node.key) lsr (32 - node.len) = 0
+
+let node key len here = { key; len; here; zero = empty; one = empty }
+
+let hang parent child =
+  if bit child.key parent.len = 0 then parent.zero <- child
+  else parent.one <- child
+
+(* The length of the run of leading bits [a] and [b] share from bit [i],
+   at most [limit]. *)
+let rec common a b limit i =
+  if i < limit && bit a i = bit b i then common a b limit (i + 1) else i
+
+(* [e] before the first entry of equal-or-greater metric: lower metric
+   wins, and among equal metrics the newest route comes first. *)
+let rec file ((_, r) as e) = function
+  | ((_, r') as e') :: rest when r'.metric < r.metric -> e' :: file e rest
+  | rest -> e :: rest
+
+(* [insert n key len e] is [n]'s subtree with route entry [e] filed under
+   [key/len], adding at most a node for the prefix and a branch node. *)
+let rec insert n key len e =
+  if n == empty then node key len [ e ]
   else
-    let b = bit net depth in
-    match (if b = 0 then node.zero else node.one) with
-    | Some child -> find_node child net (depth + 1) bits ~make
-    | None ->
-        if not make then None
-        else begin
-          let child = new_node () in
-          if b = 0 then node.zero <- Some child else node.one <- Some child;
-          find_node child net (depth + 1) bits ~make
-        end
+    let c = common key n.key (min len n.len) 0 in
+    if c = n.len && c = len then begin
+      n.here <- file e n.here;
+      n
+    end
+    else if c = n.len then begin
+      if bit key c = 0 then n.zero <- insert n.zero key len e
+      else n.one <- insert n.one key len e;
+      n
+    end
+    else begin
+      let fresh = node key len [ e ] in
+      if c = len then (hang fresh n; fresh)
+      else begin
+        let branch = node (key land lnot (0xffff_ffff lsr c)) c [] in
+        hang branch n;
+        hang branch fresh;
+        branch
+      end
+    end
+
+(* A node left with no routes and at most one child is spliced out. *)
+let compact n =
+  match n.here with
+  | _ :: _ -> n
+  | [] ->
+      if n.zero == empty then n.one
+      else if n.one == empty then n.zero
+      else n
 
 let add t ?(metric = 0) ?gateway ~prefix ~iface () =
-  let r = { prefix; gateway; iface; metric } in
-  let node =
-    Option.get
-      (find_node t.root
-         (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network prefix))
-         0
-         (Ipv4_addr.Prefix.bits prefix)
-         ~make:true)
-  in
   t.seq <- t.seq + 1;
-  (* Insert before the first entry of equal-or-greater metric: lower metric
-     wins, and among equal metrics the newest route comes first. *)
-  let rec ins = function
-    | (s', r') :: rest when r'.metric < metric -> (s', r') :: ins rest
-    | rest -> (t.seq, r) :: rest
-  in
-  node.here <- ins node.here;
+  t.root <-
+    insert t.root
+      (key_of (Ipv4_addr.Prefix.network prefix))
+      (Ipv4_addr.Prefix.bits prefix)
+      (t.seq, { prefix; gateway; iface; metric });
   invalidate t
 
 let add_default t ~gateway ~iface =
   add t ~gateway ~prefix:Ipv4_addr.Prefix.global ~iface ()
 
 let remove t ?iface ?metric ~prefix () =
-  (match
-     find_node t.root
-       (Ipv4_addr.to_int32 (Ipv4_addr.Prefix.network prefix))
-       0
-       (Ipv4_addr.Prefix.bits prefix)
-       ~make:false
-   with
-  | None -> ()
-  | Some node ->
-      let matches (_, r) =
-        (match iface with None -> true | Some i -> r.iface = i)
-        && match metric with None -> true | Some m -> r.metric = m
-      in
-      node.here <- List.filter (fun e -> not (matches e)) node.here);
+  let key = key_of (Ipv4_addr.Prefix.network prefix)
+  and len = Ipv4_addr.Prefix.bits prefix in
+  let matches (_, r) =
+    (match iface with None -> true | Some i -> r.iface = i)
+    && match metric with None -> true | Some m -> r.metric = m
+  in
+  let rec strip n =
+    if n == empty || n.len > len || not (covers n key) then n
+    else begin
+      if n.len = len then
+        n.here <- List.filter (fun e -> not (matches e)) n.here
+      else if bit key n.len = 0 then n.zero <- strip n.zero
+      else n.one <- strip n.one;
+      compact n
+    end
+  in
+  t.root <- strip t.root;
   invalidate t
 
 let remove_iface t ~iface =
-  let rec strip node =
-    node.here <- List.filter (fun (_, r) -> r.iface <> iface) node.here;
-    Option.iter strip node.zero;
-    Option.iter strip node.one
+  let rec strip n =
+    if n == empty then n
+    else begin
+      n.here <- List.filter (fun (_, r) -> r.iface <> iface) n.here;
+      n.zero <- strip n.zero;
+      n.one <- strip n.one;
+      compact n
+    end
   in
-  strip t.root;
+  t.root <- strip t.root;
   invalidate t
 
+(* [best] is the deepest non-empty route list seen so far: its head is
+   the answer, wrapped once at the end. *)
+let rec walk key n best =
+  if n == empty || not (covers n key) then best
+  else
+    let best = match n.here with [] -> best | here -> here in
+    if n.len = 32 then best
+    else walk key (if bit key n.len = 0 then n.zero else n.one) best
+
 let lookup_uncached t addr =
-  let a = Ipv4_addr.to_int32 addr in
-  (* [best] is the deepest non-empty route list seen so far: its head is
-     the answer, wrapped once at the end. *)
-  let rec walk node depth best =
-    let best = match node.here with [] -> best | here -> here in
-    if depth = 32 then best
-    else
-      match (if bit a depth = 0 then node.zero else node.one) with
-      | None -> best
-      | Some child -> walk child (depth + 1) best
-  in
-  match walk t.root 0 [] with (_, r) :: _ -> Some r | [] -> None
+  match walk (key_of addr) t.root [] with (_, r) :: _ -> Some r | [] -> None
 
 let lookup t addr =
   Prof.enter Prof.Routing;
@@ -164,10 +205,12 @@ let lookup t addr =
 
 let routes t =
   let acc = ref [] in
-  let rec collect node =
-    List.iter (fun e -> acc := e :: !acc) node.here;
-    Option.iter collect node.zero;
-    Option.iter collect node.one
+  let rec collect n =
+    if n != empty then begin
+      List.iter (fun e -> acc := e :: !acc) n.here;
+      collect n.zero;
+      collect n.one
+    end
   in
   collect t.root;
   List.stable_sort
@@ -186,7 +229,7 @@ let routes t =
   |> List.map snd
 
 let clear t =
-  t.root <- new_node ();
+  t.root <- empty;
   invalidate t
 
 let pp fmt t =

@@ -5,10 +5,12 @@
     Lookup prefers the longest matching prefix, then the lowest metric,
     then the most recently added route.
 
-    Internally the table is a binary trie on address bits, so [lookup] is
-    O(prefix length) rather than a scan of the whole table.  In front of
-    the trie sits a 16-slot direct-mapped destination cache, keyed by the
-    low four bits of the address: a router that forwards to a handful of
+    Internally the table is a path-compressed binary trie on address bits:
+    a node exists only where routes live or where two subtrees branch, so
+    a route costs at most two nodes, and [lookup] walks only the nodes on
+    its address's path, at most one per prefix length.  In front of the
+    trie sits a 16-slot direct-mapped destination cache, keyed by the low
+    four bits of the address: a router that forwards to a handful of
     addresses in turn (a tunnel's home-agent, correspondent, home and
     care-of addresses) answers each of them from the cache, in O(1) and
     without allocating.  Any mutation invalidates every entry at once by

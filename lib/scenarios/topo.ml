@@ -42,8 +42,35 @@ type t = {
   cellular_router : Net.node option;
 }
 
+(* The world's fixed addresses and prefixes, parsed once. *)
 let addr = Ipv4_addr.of_string
 let prefix = Ipv4_addr.Prefix.of_string
+let home_prefix = prefix "36.1.0.0/16"
+let visited_prefix = prefix "131.7.0.0/16"
+let ch_prefix = prefix "44.2.0.0/16"
+let cellular_prefix = prefix "166.4.0.0/16"
+
+(* Access links to the backbone: the stub router is .1, the backbone .2. *)
+let hr_wan = prefix "10.1.0.0/30"
+let vr_wan = prefix "10.2.0.0/30"
+let cr_wan = prefix "10.3.0.0/30"
+let cell_wan = prefix "10.4.0.0/30"
+let stub_side p = Ipv4_addr.Prefix.host p 1
+let backbone_side p = Ipv4_addr.Prefix.host p 2
+let home_gw = addr "36.1.0.1"
+let visited_gw = addr "131.7.0.1"
+let ch_gw = addr "44.2.0.1"
+let cellular_gw = addr "166.4.0.1"
+let ha_addr = addr "36.1.0.2"
+let dns_server_addr = addr "36.1.0.3"
+let ha2_addr = addr "36.1.0.4"
+let mh_home_addr = addr "36.1.0.5"
+let home_ch_addr = addr "36.1.0.10"
+let dhcp_addr = addr "131.7.0.2"
+let visited_ch_addr = addr "131.7.0.10"
+let static_care_of = addr "131.7.0.200"
+let remote_ch_addr = addr "44.2.0.10"
+let cellular_dhcp_addr = addr "166.4.0.2"
 
 let build ?(backbone_hops = 4) ?(ch_position = Remote)
     ?(filtering = no_filtering)
@@ -55,50 +82,50 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     ?(standby_detect_interval = 2.0) ?(standby_detect_timeout = 5.0) () =
   if backbone_hops < 2 then invalid_arg "Topo.build: need >= 2 backbone hops";
   let net = Net.create () in
-  let home_prefix = prefix "36.1.0.0/16" in
-  let visited_prefix = prefix "131.7.0.0/16" in
-  let ch_prefix = prefix "44.2.0.0/16" in
 
   (* Backbone chain b0 .. b(n-1). *)
-  let backbone =
-    List.init backbone_hops (fun i -> Net.add_router net (Printf.sprintf "b%d" i))
-  in
-  let backbone_arr = Array.of_list backbone in
   let n = backbone_hops in
+  let backbone_arr =
+    Array.init n (fun i -> Net.add_router net ("b" ^ string_of_int i))
+  in
+  let backbone = Array.to_list backbone_arr in
+  (* b_i's interfaces toward b_{i-1} and b_{i+1}. *)
+  let lname = Array.init n (fun i -> "l" ^ string_of_int i) in
+  let rname = Array.init n (fun i -> "r" ^ string_of_int i) in
   (* Link b_i <-> b_{i+1}: prefix 10.0.i.0/30, left .1, right .2. *)
+  let links =
+    Array.init (n - 1) (fun i ->
+        Ipv4_addr.Prefix.make (Ipv4_addr.of_octets 10 0 i 0) 30)
+  in
+  let left_end = Array.map (fun p -> Ipv4_addr.Prefix.host p 1) links in
+  let right_end = Array.map (fun p -> Ipv4_addr.Prefix.host p 2) links in
   for i = 0 to n - 2 do
-    let p = prefix (Printf.sprintf "10.0.%d.0/30" i) in
-    let left = Ipv4_addr.Prefix.host p 1 and right = Ipv4_addr.Prefix.host p 2 in
     ignore
-      (Net.p2p net ~latency:link_latency ~prefix:p
-         (backbone_arr.(i), Printf.sprintf "r%d" i, left)
-         (backbone_arr.(i + 1), Printf.sprintf "l%d" (i + 1), right))
+      (Net.p2p net ~latency:link_latency ~prefix:links.(i)
+         (backbone_arr.(i), rname.(i), left_end.(i))
+         (backbone_arr.(i + 1), lname.(i + 1), right_end.(i)))
   done;
-  let left_neighbour_addr i = addr (Printf.sprintf "10.0.%d.1" (i - 1)) in
-  let right_neighbour_addr i = addr (Printf.sprintf "10.0.%d.2" i) in
 
   (* Home domain off b0. *)
   let home_router = Net.add_router net "hr" in
-  let hr_wan = prefix "10.1.0.0/30" in
   ignore
     (Net.p2p net ~latency:link_latency ~prefix:hr_wan
-       (home_router, "wan", Ipv4_addr.Prefix.host hr_wan 1)
-       (backbone_arr.(0), "home", Ipv4_addr.Prefix.host hr_wan 2));
+       (home_router, "wan", stub_side hr_wan)
+       (backbone_arr.(0), "home", backbone_side hr_wan));
   let home_segment = Net.add_segment net ~name:"home-lan" () in
   let _hr_lan =
-    Net.attach home_router home_segment ~ifname:"lan" ~addr:(addr "36.1.0.1")
+    Net.attach home_router home_segment ~ifname:"lan" ~addr:home_gw
       ~prefix:home_prefix
   in
   Routing.add_default (Net.routing home_router)
-    ~gateway:(Ipv4_addr.Prefix.host hr_wan 2) ~iface:"wan";
+    ~gateway:(backbone_side hr_wan) ~iface:"wan";
 
   let ha_node = Net.add_host net "ha" in
   let ha_iface =
-    Net.attach ha_node home_segment ~ifname:"eth0" ~addr:(addr "36.1.0.2")
+    Net.attach ha_node home_segment ~ifname:"eth0" ~addr:ha_addr
       ~prefix:home_prefix
   in
-  Routing.add_default (Net.routing ha_node) ~gateway:(addr "36.1.0.1")
-    ~iface:"eth0";
+  Routing.add_default (Net.routing ha_node) ~gateway:home_gw ~iface:"eth0";
   let ha =
     Mobileip.Home_agent.create ha_node ~home_iface:ha_iface ~encap
       ~notify_correspondents ()
@@ -110,10 +137,10 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     else begin
       let ha2_node = Net.add_host net "ha2" in
       let ha2_iface =
-        Net.attach ha2_node home_segment ~ifname:"eth0" ~addr:(addr "36.1.0.4")
+        Net.attach ha2_node home_segment ~ifname:"eth0" ~addr:ha2_addr
           ~prefix:home_prefix
       in
-      Routing.add_default (Net.routing ha2_node) ~gateway:(addr "36.1.0.1")
+      Routing.add_default (Net.routing ha2_node) ~gateway:home_gw
         ~iface:"eth0";
       let ha2 =
         Mobileip.Home_agent.create ha2_node ~home_iface:ha2_iface ~encap
@@ -132,26 +159,25 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
 
   (* Visited domain off b(n-1). *)
   let visited_router = Net.add_router net "vr" in
-  let vr_wan = prefix "10.2.0.0/30" in
   ignore
     (Net.p2p net ~latency:link_latency ~prefix:vr_wan
-       (visited_router, "wan", Ipv4_addr.Prefix.host vr_wan 1)
-       (backbone_arr.(n - 1), "visited", Ipv4_addr.Prefix.host vr_wan 2));
+       (visited_router, "wan", stub_side vr_wan)
+       (backbone_arr.(n - 1), "visited", backbone_side vr_wan));
   let visited_segment = Net.add_segment net ~name:"visited-lan" () in
   let _vr_lan =
-    Net.attach visited_router visited_segment ~ifname:"lan"
-      ~addr:(addr "131.7.0.1") ~prefix:visited_prefix
+    Net.attach visited_router visited_segment ~ifname:"lan" ~addr:visited_gw
+      ~prefix:visited_prefix
   in
   Routing.add_default (Net.routing visited_router)
-    ~gateway:(Ipv4_addr.Prefix.host vr_wan 2) ~iface:"wan";
+    ~gateway:(backbone_side vr_wan) ~iface:"wan";
 
   let dhcp_node = Net.add_host net "dhcpd" in
   ignore
-    (Net.attach dhcp_node visited_segment ~ifname:"eth0"
-       ~addr:(addr "131.7.0.2") ~prefix:visited_prefix);
+    (Net.attach dhcp_node visited_segment ~ifname:"eth0" ~addr:dhcp_addr
+       ~prefix:visited_prefix);
   let dhcp =
     Transport.Dhcp.Server.create dhcp_node ~pool:visited_prefix
-      ~first_host:100 ~last_host:199 ~gateway:(addr "131.7.0.1") ()
+      ~first_host:100 ~last_host:199 ~gateway:visited_gw ()
   in
 
   (* Correspondent. *)
@@ -166,76 +192,64 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     match ch_position with
     | Inside_home ->
         ignore
-          (Net.attach ch_node home_segment ~ifname:"eth0"
-             ~addr:(addr "36.1.0.10") ~prefix:home_prefix);
-        Routing.add_default (Net.routing ch_node) ~gateway:(addr "36.1.0.1")
+          (Net.attach ch_node home_segment ~ifname:"eth0" ~addr:home_ch_addr
+             ~prefix:home_prefix);
+        Routing.add_default (Net.routing ch_node) ~gateway:home_gw
           ~iface:"eth0";
-        addr "36.1.0.10"
+        home_ch_addr
     | On_visited_segment ->
         ignore
           (Net.attach ch_node visited_segment ~ifname:"eth0"
-             ~addr:(addr "131.7.0.10") ~prefix:visited_prefix);
-        Routing.add_default (Net.routing ch_node) ~gateway:(addr "131.7.0.1")
+             ~addr:visited_ch_addr ~prefix:visited_prefix);
+        Routing.add_default (Net.routing ch_node) ~gateway:visited_gw
           ~iface:"eth0";
-        addr "131.7.0.10"
+        visited_ch_addr
     | Remote | Near_visited ->
         let cr = Net.add_router net "cr" in
-        let cr_wan = prefix "10.3.0.0/30" in
         ignore
           (Net.p2p net ~latency:link_latency ~prefix:cr_wan
-             (cr, "wan", Ipv4_addr.Prefix.host cr_wan 1)
-             (backbone_arr.(ch_attach_index), "corr", Ipv4_addr.Prefix.host cr_wan 2));
+             (cr, "wan", stub_side cr_wan)
+             (backbone_arr.(ch_attach_index), "corr", backbone_side cr_wan));
         let ch_segment = Net.add_segment net ~name:"ch-lan" () in
         ignore
-          (Net.attach cr ch_segment ~ifname:"lan" ~addr:(addr "44.2.0.1")
+          (Net.attach cr ch_segment ~ifname:"lan" ~addr:ch_gw
              ~prefix:ch_prefix);
         Routing.add_default (Net.routing cr)
-          ~gateway:(Ipv4_addr.Prefix.host cr_wan 2) ~iface:"wan";
+          ~gateway:(backbone_side cr_wan) ~iface:"wan";
         ignore
-          (Net.attach ch_node ch_segment ~ifname:"eth0" ~addr:(addr "44.2.0.10")
+          (Net.attach ch_node ch_segment ~ifname:"eth0" ~addr:remote_ch_addr
              ~prefix:ch_prefix);
-        Routing.add_default (Net.routing ch_node) ~gateway:(addr "44.2.0.1")
+        Routing.add_default (Net.routing ch_node) ~gateway:ch_gw
           ~iface:"eth0";
-        addr "44.2.0.10"
+        remote_ch_addr
   in
   let ch = Mobileip.Correspondent.create ch_node ~capability:ch_capability ~encap () in
 
-  (* Backbone routing: stub prefixes plus the access links. *)
-  let route_towards i target_index via_home via_visited via_ch p =
+  (* Backbone routing: stub prefixes plus the access links.  [target] is
+     the backbone router the stub hangs off, through [stub_iface] to the
+     stub router at [stub_gw]. *)
+  let route_towards i target (stub_iface, stub_gw) p =
     let table = Net.routing backbone_arr.(i) in
-    if target_index < i then
-      Routing.add table ~gateway:(left_neighbour_addr i)
-        ~prefix:p ~iface:(Printf.sprintf "l%d" i) ()
-    else if target_index > i then
-      Routing.add table ~gateway:(right_neighbour_addr i)
-        ~prefix:p ~iface:(Printf.sprintf "r%d" i) ()
-    else begin
-      (* directly attached stub *)
-      match (via_home, via_visited, via_ch) with
-      | Some gw, _, _ -> Routing.add table ~gateway:gw ~prefix:p ~iface:"home" ()
-      | _, Some gw, _ -> Routing.add table ~gateway:gw ~prefix:p ~iface:"visited" ()
-      | _, _, Some gw -> Routing.add table ~gateway:gw ~prefix:p ~iface:"corr" ()
-      | None, None, None -> ()
-    end
+    if target < i then
+      Routing.add table ~gateway:left_end.(i - 1) ~prefix:p ~iface:lname.(i) ()
+    else if target > i then
+      Routing.add table ~gateway:right_end.(i) ~prefix:p ~iface:rname.(i) ()
+    else Routing.add table ~gateway:stub_gw ~prefix:p ~iface:stub_iface ()
   in
+  let home_stub = ("home", stub_side hr_wan)
+  and visited_stub = ("visited", stub_side vr_wan)
+  and ch_stub = ("corr", stub_side cr_wan) in
   for i = 0 to n - 1 do
     (* Home prefix and the home access link live at index 0. *)
-    route_towards i 0 (Some (Ipv4_addr.Prefix.host hr_wan 1)) None None home_prefix;
-    route_towards i 0 (Some (Ipv4_addr.Prefix.host hr_wan 1)) None None hr_wan;
+    route_towards i 0 home_stub home_prefix;
+    route_towards i 0 home_stub hr_wan;
     (* Visited prefix at index n-1. *)
-    route_towards i (n - 1) None (Some (Ipv4_addr.Prefix.host vr_wan 1)) None
-      visited_prefix;
-    route_towards i (n - 1) None (Some (Ipv4_addr.Prefix.host vr_wan 1)) None
-      vr_wan;
+    route_towards i (n - 1) visited_stub visited_prefix;
+    route_towards i (n - 1) visited_stub vr_wan;
     (* Correspondent prefix, when it has its own domain. *)
     if ch_attach_index >= 0 then begin
-      let cr_wan = prefix "10.3.0.0/30" in
-      route_towards i ch_attach_index None None
-        (Some (Ipv4_addr.Prefix.host cr_wan 1))
-        ch_prefix;
-      route_towards i ch_attach_index None None
-        (Some (Ipv4_addr.Prefix.host cr_wan 1))
-        cr_wan
+      route_towards i ch_attach_index ch_stub ch_prefix;
+      route_towards i ch_attach_index ch_stub cr_wan
     end
   done;
 
@@ -265,14 +279,12 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
          [ Filter.no_transit ~internal_iface:"lan" ~inside:[ visited_prefix ] ]);
 
   (* The mobile host, initially at home. *)
-  let mh_home_addr = addr "36.1.0.5" in
   let mh_node = Net.add_host net "mh" in
   let mh_iface =
     Net.attach mh_node home_segment ~ifname:"eth0" ~addr:mh_home_addr
       ~prefix:home_prefix
   in
-  Routing.add_default (Net.routing mh_node) ~gateway:(addr "36.1.0.1")
-    ~iface:"eth0";
+  Routing.add_default (Net.routing mh_node) ~gateway:home_gw ~iface:"eth0";
   let mh =
     Mobileip.Mobile_host.create mh_node ~iface:mh_iface ~home:mh_home_addr
       ~home_prefix ~home_agent:(Mobileip.Home_agent.address ha) ~encap
@@ -283,8 +295,6 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
   (* Optional cellular attachment near the visited domain (§1): a slow,
      high-latency, slightly lossy access link with its own address space
      and DHCP. *)
-  let cellular_prefix = prefix "166.4.0.0/16" in
-  let cell_wan = prefix "10.4.0.0/30" in
   let cellular_segment, cellular_router =
     if not with_cellular then (None, None)
     else begin
@@ -292,35 +302,27 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
       ignore
         (Net.p2p net ~latency:0.150 ~bandwidth:9600.0 ~loss:0.02
            ~loss_seed:0x1996 ~prefix:cell_wan
-           (cr_cell, "wan", Ipv4_addr.Prefix.host cell_wan 1)
-           (backbone_arr.(n - 1), "cell", Ipv4_addr.Prefix.host cell_wan 2));
+           (cr_cell, "wan", stub_side cell_wan)
+           (backbone_arr.(n - 1), "cell", backbone_side cell_wan));
       let seg = Net.add_segment net ~name:"cellular-lan" ~latency:0.002 () in
       ignore
-        (Net.attach cr_cell seg ~ifname:"lan" ~addr:(addr "166.4.0.1")
+        (Net.attach cr_cell seg ~ifname:"lan" ~addr:cellular_gw
            ~prefix:cellular_prefix);
       Routing.add_default (Net.routing cr_cell)
-        ~gateway:(Ipv4_addr.Prefix.host cell_wan 2) ~iface:"wan";
+        ~gateway:(backbone_side cell_wan) ~iface:"wan";
       let dhcp_cell = Net.add_host net "dhcpd-cell" in
       ignore
-        (Net.attach dhcp_cell seg ~ifname:"eth0" ~addr:(addr "166.4.0.2")
+        (Net.attach dhcp_cell seg ~ifname:"eth0" ~addr:cellular_dhcp_addr
            ~prefix:cellular_prefix);
       let (_ : Transport.Dhcp.Server.t) =
         Transport.Dhcp.Server.create dhcp_cell ~pool:cellular_prefix
-          ~first_host:100 ~last_host:199 ~gateway:(addr "166.4.0.1") ()
+          ~first_host:100 ~last_host:199 ~gateway:cellular_gw ()
       in
       (* Backbone routes toward the cellular stub. *)
+      let cell_stub = ("cell", stub_side cell_wan) in
       for i = 0 to n - 1 do
-        let table = Net.routing backbone_arr.(i) in
-        List.iter
-          (fun p ->
-            if i < n - 1 then
-              Routing.add table ~gateway:(right_neighbour_addr i) ~prefix:p
-                ~iface:(Printf.sprintf "r%d" i) ()
-            else
-              Routing.add table
-                ~gateway:(Ipv4_addr.Prefix.host cell_wan 1)
-                ~prefix:p ~iface:"cell" ())
-          [ cellular_prefix; cell_wan ]
+        route_towards i (n - 1) cell_stub cellular_prefix;
+        route_towards i (n - 1) cell_stub cell_wan
       done;
       (Some seg, Some cr_cell)
     end
@@ -331,13 +333,12 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     if with_dns then begin
       let node = Net.add_host net "dns" in
       ignore
-        (Net.attach node home_segment ~ifname:"eth0" ~addr:(addr "36.1.0.3")
+        (Net.attach node home_segment ~ifname:"eth0" ~addr:dns_server_addr
            ~prefix:home_prefix);
-      Routing.add_default (Net.routing node) ~gateway:(addr "36.1.0.1")
-        ~iface:"eth0";
+      Routing.add_default (Net.routing node) ~gateway:home_gw ~iface:"eth0";
       let server = Mobileip.Dns_ext.Server.create node () in
       Mobileip.Dns_ext.Server.add_host server ~name:"mh.home" ~addr:mh_home_addr;
-      (Some node, Some server, Some (addr "36.1.0.3"))
+      (Some node, Some server, Some dns_server_addr)
     end
     else (None, None, None)
   in
@@ -405,8 +406,8 @@ let roam t ?(on_registered = fun _ -> ()) () =
 
 let roam_static t ?(on_registered = fun _ -> ()) () =
   Mobileip.Mobile_host.move_to_static t.mh t.visited_segment
-    ~addr:(addr "131.7.0.200") ~prefix:t.visited_prefix
-    ~gateway:(addr "131.7.0.1") ~on_registered ();
+    ~addr:static_care_of ~prefix:t.visited_prefix ~gateway:visited_gw
+    ~on_registered ();
   run t
 
 let roam_cellular t ?(on_registered = fun _ -> ()) () =

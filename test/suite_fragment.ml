@@ -189,6 +189,26 @@ let test_expiry () =
   Alcotest.(check int) "expired" 1 (Fragment.Reassembly.expire r ~older_than:5.0);
   Alcotest.(check int) "none pending" 0 (Fragment.Reassembly.pending r)
 
+(* A fragment arriving more than [Reassembly.timeout] after its datagram's
+   first one finds that partial dropped, and starts a new one. *)
+let test_timeout_on_arrival () =
+  let frags = fragment_exn ~mtu:576 (udp_pkt 1000) in
+  let feed ~late =
+    let r = Fragment.Reassembly.create () in
+    let results =
+      List.mapi
+        (fun i f ->
+          let now = if i = 0 then 1.0 else 1.0 +. late in
+          Fragment.Reassembly.add r ~now f)
+        frags
+    in
+    (List.exists Option.is_some results, Fragment.Reassembly.pending r)
+  in
+  Alcotest.(check (pair bool int)) "within the timeout" (true, 0)
+    (feed ~late:(Fragment.Reassembly.timeout -. 1.0));
+  Alcotest.(check (pair bool int)) "past the timeout" (false, 1)
+    (feed ~late:(Fragment.Reassembly.timeout +. 1.0))
+
 let test_non_fragment_passthrough () =
   let r = Fragment.Reassembly.create () in
   let pkt = udp_pkt 100 in
@@ -245,6 +265,7 @@ let suites =
         Alcotest.test_case "interleaved datagrams" `Quick
           test_interleaved_datagrams;
         Alcotest.test_case "expiry" `Quick test_expiry;
+        Alcotest.test_case "timeout on arrival" `Quick test_timeout_on_arrival;
         Alcotest.test_case "non-fragment passthrough" `Quick
           test_non_fragment_passthrough;
         QCheck_alcotest.to_alcotest prop_fragment_reassemble_identity;

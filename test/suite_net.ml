@@ -233,6 +233,64 @@ let test_fragmentation_on_path () =
   Net.run net;
   Alcotest.(check (list int)) "reassembled exactly once" [ 1400 ] !sizes
 
+(* A fragment that arrives after the reassembly timeout must not complete
+   its datagram: the partial it belonged to has been dropped.  A 3 000-byte
+   datagram leaves [a] as three fragments; the fault hook holds back the
+   second by [delay] seconds. *)
+let late_fragment_delivery ~delay =
+  let net = Net.create () in
+  let a = Net.add_host net "a" in
+  let b = Net.add_host net "b" in
+  let _ =
+    Net.p2p net ~prefix:(prefix "10.9.0.0/30")
+      (a, "if0", addr "10.9.0.1")
+      (b, "if0", addr "10.9.0.2")
+  in
+  let frames = ref 0 in
+  Net.set_fault_hook net
+    (Some
+       (fun ~link:_ ~src:_ ~dst:_ ->
+         incr frames;
+         if !frames = 2 then
+           Net.Fault_deliver { extra_delay = delay; duplicate = false }
+         else Net.Fault_pass));
+  let ub = Transport.Udp_service.get b in
+  let sizes = ref [] in
+  Transport.Udp_service.listen ub ~port:9 (fun _svc dgram ->
+      sizes := Bytes.length dgram.Transport.Udp_service.payload :: !sizes);
+  ignore
+    (Transport.Udp_service.send (Transport.Udp_service.get a)
+       ~dst:(addr "10.9.0.2") ~src_port:5001 ~dst_port:9 (Bytes.make 3000 'z'));
+  Net.run net;
+  Alcotest.(check int) "three fragments" 3 !frames;
+  !sizes
+
+let test_late_fragment_expires () =
+  Alcotest.(check (list int)) "150 s late: dropped" []
+    (late_fragment_delivery ~delay:150.0);
+  Alcotest.(check (list int)) "1 s late: reassembled" [ 3000 ]
+    (late_fragment_delivery ~delay:1.0)
+
+(* Names are indexed, so adding a host scans no list; the index must agree
+   with the insertion-ordered node list. *)
+let test_node_index () =
+  let net = Net.create () in
+  let n = 4096 in
+  let hosts = List.init n (fun i -> Net.add_host net ("h" ^ string_of_int i)) in
+  Alcotest.check_raises "duplicate name"
+    (Invalid_argument "Net: node \"h17\" already exists") (fun () ->
+      ignore (Net.add_router net "h17"));
+  let finds name node =
+    match Net.find_node net name with Some n -> n == node | None -> false
+  in
+  Alcotest.(check bool) "first" true (finds "h0" (List.hd hosts));
+  Alcotest.(check bool) "last" true
+    (finds "h4095" (List.nth hosts (n - 1)));
+  Alcotest.(check bool) "missing" true (Net.find_node net "h4096" = None);
+  Alcotest.(check (list string)) "insertion order"
+    (List.map Net.node_name hosts)
+    (List.map Net.node_name (Net.nodes net))
+
 let test_same_segment_predicate () =
   let _net, a, b, _, _ = two_host_segment () in
   Alcotest.(check bool) "same segment" true (Net.same_segment a b)
@@ -290,7 +348,7 @@ let test_addr_map_addr_keys () =
     "address round-trips" (Some "mh")
     (Addr_map.find m (Addr_map.of_addr a));
   (* colliding keys survive a backward-shift deletion in between *)
-  let cap = 16 in (* default capacity: keys differing by it probe-collide *)
+  let cap = 16 in (* capacity at four keys: keys differing by it collide *)
   Addr_map.replace m 3 "x";
   Addr_map.replace m (3 + cap) "y";
   Addr_map.replace m (3 + (2 * cap)) "z";
@@ -319,6 +377,9 @@ let suites =
         Alcotest.test_case "dhcp lease" `Quick test_dhcp_lease;
         Alcotest.test_case "fragmentation + reassembly" `Quick
           test_fragmentation_on_path;
+        Alcotest.test_case "late fragment expires" `Quick
+          test_late_fragment_expires;
+        Alcotest.test_case "node index at 4096 hosts" `Quick test_node_index;
         Alcotest.test_case "same segment predicate" `Quick
           test_same_segment_predicate;
         Alcotest.test_case "l2 direct delivery (In-DH primitive)" `Quick

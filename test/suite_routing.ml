@@ -214,15 +214,22 @@ let prop_matches_reference_after_removes =
           && Ipv4_addr.Prefix.mem dst r.Routing.prefix
       | _ -> false)
 
-(* Random sequences of mutations and lookups against an uncached answer:
-   the first route in [Routing.routes] (most specific, cheapest, newest
-   first) whose prefix holds the destination.  The destinations outnumber
-   the cache's slots and share low bits, so entries are evicted and
-   reused; every mutation must invalidate all of them. *)
+(* Random sequences of mutations and lookups against a model the test
+   keeps itself: a list of (sequence, route) entries, where a lookup's
+   answer is the matching entry with the longest prefix, then the lowest
+   metric, then the newest, and [routes] lists every entry in that order.
+   Each added route carries a distinct gateway, so the model can tell
+   which of two otherwise equal routes the table returned.  The prefixes
+   nest and share long runs of leading bits (down to /31 and /32 pairs),
+   so adds split trie edges and make branch nodes, and removals and
+   [clear] take them away again.  The destinations outnumber the cache's
+   slots and share low bits, so entries are evicted and reused; every
+   mutation must invalidate all of them. *)
 type route_op =
   | Add of int * int * int  (* prefix, iface, metric *)
   | Remove of int * int option * int option
   | Remove_iface of int
+  | Clear
   | Lookup of int
 
 let op_prefixes =
@@ -231,15 +238,25 @@ let op_prefixes =
       "0.0.0.0/0"; "10.0.0.0/8"; "10.0.0.0/16"; "10.1.0.0/16"; "10.2.0.0/15";
       "10.0.1.0/24"; "10.0.2.0/24"; "10.1.2.0/24"; "10.3.0.0/16";
       "10.1.2.0/28"; "10.0.1.16/28"; "10.2.0.14/32"; "10.1.2.7/32";
+      "10.1.2.6/31"; "10.1.2.4/30"; "10.1.2.6/32"; "10.1.2.0/25";
+      "10.1.2.128/25"; "10.1.0.0/17"; "10.1.128.0/17"; "10.0.1.17/32";
+      "10.3.0.0/32"; "255.255.255.255/32"; "0.0.0.0/32";
     |]
 
 let op_ifaces = [| "a"; "b"; "c" |]
 
 (* 48 destinations over 10.0-3.0-2.0-31: three to each cache slot, and
-   16 pairs that share their last octet but not their route. *)
+   16 pairs that share their last octet but not their route; then the
+   network and last address of every prefix above. *)
 let op_dsts =
-  Array.init 48 (fun k ->
-      Ipv4_addr.of_octets 10 (k mod 4) (k / 4 mod 3) (k * 7 mod 32))
+  Array.append
+    (Array.init 48 (fun k ->
+         Ipv4_addr.of_octets 10 (k mod 4) (k / 4 mod 3) (k * 7 mod 32)))
+    (Array.concat
+       (List.map
+          (fun x ->
+            [| Ipv4_addr.Prefix.network x; Ipv4_addr.Prefix.broadcast_addr x |])
+          (Array.to_list op_prefixes)))
 
 let route_op_gen =
   let open QCheck.Gen in
@@ -249,9 +266,10 @@ let route_op_gen =
   frequency
     [
       (8, map (fun d -> Lookup d) (int_bound (Array.length op_dsts - 1)));
-      (3, map3 (fun x i m -> Add (x, i, m)) prefix iface metric);
+      (4, map3 (fun x i m -> Add (x, i, m)) prefix iface metric);
       (1, map3 (fun x i m -> Remove (x, i, m)) prefix (opt iface) (opt metric));
       (1, map (fun i -> Remove_iface i) iface);
+      (1, return Clear);
     ]
 
 let print_route_op = function
@@ -260,7 +278,21 @@ let print_route_op = function
       let o = function Some n -> string_of_int n | None -> "_" in
       Printf.sprintf "remove %d %s %s" x (o i) (o m)
   | Remove_iface i -> Printf.sprintf "remove_iface %d" i
+  | Clear -> "clear"
   | Lookup d -> Printf.sprintf "lookup %d" d
+
+(* Most specific first, then cheapest, then newest. *)
+let model_order (sa, (ra : Routing.route)) (sb, (rb : Routing.route)) =
+  match
+    Int.compare
+      (Ipv4_addr.Prefix.bits rb.Routing.prefix)
+      (Ipv4_addr.Prefix.bits ra.Routing.prefix)
+  with
+  | 0 -> (
+      match Int.compare ra.Routing.metric rb.Routing.metric with
+      | 0 -> Int.compare sb sa
+      | c -> c)
+  | c -> c
 
 let prop_cache_matches_uncached =
   QCheck.Test.make ~name:"cached lookup = uncached LPM over op sequences"
@@ -270,28 +302,63 @@ let prop_cache_matches_uncached =
        QCheck.Gen.(list_size (0 -- 300) route_op_gen))
     (fun ops ->
       let t = Routing.create () in
-      let uncached dst =
-        List.find_opt
-          (fun r -> Ipv4_addr.Prefix.mem dst r.Routing.prefix)
-          (Routing.routes t)
-      in
+      let model = ref [] and seq = ref 0 in
+      let sorted () = List.stable_sort model_order !model in
       let agrees d =
         let dst = op_dsts.(d) in
-        Routing.lookup t dst = uncached dst
+        let expected =
+          List.find_map
+            (fun (_, r) ->
+              if Ipv4_addr.Prefix.mem dst r.Routing.prefix then Some r
+              else None)
+            (sorted ())
+        in
+        Routing.lookup t dst = expected
       in
+      let listed () = Routing.routes t = List.map snd (sorted ()) in
       let step = function
         | Add (x, i, metric) ->
-            Routing.add t ~metric ~prefix:op_prefixes.(x) ~iface:op_ifaces.(i)
-              ();
-            true
+            incr seq;
+            let gateway =
+              Ipv4_addr.of_octets 192 168 (!seq / 256) (!seq mod 256)
+            in
+            Routing.add t ~metric ~gateway ~prefix:op_prefixes.(x)
+              ~iface:op_ifaces.(i) ();
+            model :=
+              ( !seq,
+                {
+                  Routing.prefix = op_prefixes.(x);
+                  gateway = Some gateway;
+                  iface = op_ifaces.(i);
+                  metric;
+                } )
+              :: !model;
+            listed ()
         | Remove (x, i, metric) ->
-            Routing.remove t
-              ?iface:(Option.map (fun i -> op_ifaces.(i)) i)
-              ?metric ~prefix:op_prefixes.(x) ();
-            true
+            let iface = Option.map (fun i -> op_ifaces.(i)) i in
+            Routing.remove t ?iface ?metric ~prefix:op_prefixes.(x) ();
+            model :=
+              List.filter
+                (fun (_, r) ->
+                  not
+                    (Ipv4_addr.Prefix.equal r.Routing.prefix op_prefixes.(x)
+                    && Option.fold ~none:true
+                         ~some:(String.equal r.Routing.iface) iface
+                    && Option.fold ~none:true
+                         ~some:(Int.equal r.Routing.metric) metric))
+                !model;
+            listed ()
         | Remove_iface i ->
             Routing.remove_iface t ~iface:op_ifaces.(i);
-            true
+            model :=
+              List.filter
+                (fun (_, r) -> r.Routing.iface <> op_ifaces.(i))
+                !model;
+            listed ()
+        | Clear ->
+            Routing.clear t;
+            model := [];
+            listed ()
         | Lookup d -> agrees d
       in
       List.for_all step ops

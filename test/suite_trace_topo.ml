@@ -228,6 +228,18 @@ let test_gating_sink_sees_identical_events () =
   Alcotest.(check (list string)) "sink sees the enabled-run events" reference
     (List.rev_map render !seen)
 
+(* A default world costs at most 5 000 minor-heap words to build: routes
+   take at most two trie nodes, per-node tables wait for their first
+   entry, and the topology's constants are parsed once. *)
+let test_build_allocation () =
+  ignore (Scenarios.Topo.build ());
+  let before = Gc.minor_words () in
+  let topo = Scenarios.Topo.build () in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity topo);
+  if words > 5000.0 then
+    Alcotest.failf "Topo.build () allocated %.0f minor words (bound 5000)" words
+
 let suites =
   [
     ( "trace+topo",
@@ -253,5 +265,7 @@ let suites =
           test_gating_observer_sees_identical_events;
         Alcotest.test_case "gating: sink sees identical events" `Quick
           test_gating_sink_sees_identical_events;
+        Alcotest.test_case "build allocates under 5000 words" `Quick
+          test_build_allocation;
       ] );
   ]
