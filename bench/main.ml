@@ -171,6 +171,25 @@ let tunnel_ping () =
   Scenarios.Topo.run topo;
   assert !got
 
+(* A retransmission timer re-armed against 1 000 pending events, as TCP
+   re-arms it on every ACK.  A cancel takes its event out of the queue in
+   O(log n).  The run fails if cancelled events stay queued (the queue
+   must hold 1 001 events after each re-arm), and the gate times the
+   cancel, which would pay for all 1 000 if it scanned the queue. *)
+let rearm_world =
+  lazy
+    (let e = Netsim.Engine.create () in
+     for i = 1 to 1000 do
+       Netsim.Engine.schedule e ~at:(1e9 +. float_of_int i) ignore
+     done;
+     (e, ref (Netsim.Engine.cancellable_after e 1.0 ignore)))
+
+let timer_rearm () =
+  let e, cancel = Lazy.force rearm_world in
+  !cancel ();
+  cancel := Netsim.Engine.cancellable_after e 1.0 ignore;
+  assert (Netsim.Engine.pending e = 1001)
+
 let tcp_payload = Bytes.make 8192 'b'
 
 let tcp_transfer ~window () =
@@ -317,6 +336,11 @@ let micro_tests =
          pass pays this before its first packet. *)
       Test.make ~name:"topo-build-default-world"
         (Staged.stage (fun () -> Scenarios.Topo.build ()));
+      Test.make ~name:"engine-timer-rearm-1k-pending-x64"
+        (Staged.stage (fun () ->
+             for _ = 1 to 64 do
+               timer_rearm ()
+             done));
       Test.make ~name:"sim-tcp-8KB-stop-and-wait"
         (Staged.stage (tcp_transfer ~window:1));
       Test.make ~name:"sim-tcp-8KB-window-8"

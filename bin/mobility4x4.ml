@@ -424,6 +424,8 @@ let stats_cmd =
       (float_of_int st.Netsim.Engine.pending);
     gauge "engine_queue_depth_max" "high-water mark of the event queue"
       (float_of_int st.Netsim.Engine.max_pending);
+    gauge "engine_timers_cancelled" "events cancelled before they ran"
+      (float_of_int st.Netsim.Engine.cancelled);
     gauge "engine_runs_truncated" "runs stopped by the max_events guard"
       (float_of_int st.Netsim.Engine.truncated);
     gauge "engine_sim_time_s" "simulated seconds" st.Netsim.Engine.sim_time;

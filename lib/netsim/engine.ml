@@ -2,6 +2,7 @@ type stats = {
   executed : int;
   pending : int;
   max_pending : int;
+  cancelled : int;
   truncated : int;
   sim_time : float;
 }
@@ -15,6 +16,7 @@ type t = {
   clock : floatarray;
   mutable executed : int;
   mutable max_pending : int;
+  mutable cancelled : int;
   mutable truncated : int;
   mutable observer : (stats -> unit) option;
 }
@@ -25,6 +27,7 @@ let create () =
     clock = Float.Array.make 1 0.0;
     executed = 0;
     max_pending = 0;
+    cancelled = 0;
     truncated = 0;
     observer = None;
   }
@@ -37,11 +40,16 @@ let stats t =
     executed = t.executed;
     pending = Pqueue.length t.queue;
     max_pending = t.max_pending;
+    cancelled = t.cancelled;
     truncated = t.truncated;
     sim_time = Float.Array.get t.clock 0;
   }
 
 let set_observer t f = t.observer <- f
+
+let note_depth t =
+  let depth = Pqueue.length t.queue in
+  if depth > t.max_pending then t.max_pending <- depth
 
 let schedule t ~at f =
   let clk = Float.Array.get t.clock 0 in
@@ -52,20 +60,27 @@ let schedule t ~at f =
        else
          Printf.sprintf "Engine.schedule: time %g is before now (%g)" at clk);
   Pqueue.add t.queue ~priority:at f;
-  let depth = Pqueue.length t.queue in
-  if depth > t.max_pending then t.max_pending <- depth
+  note_depth t
 
-let after t delay f =
+let check_delay delay =
   if not (delay >= 0.0) then
     invalid_arg
       (if Float.is_nan delay then "Engine.after: NaN delay"
-       else "Engine.after: negative delay");
+       else "Engine.after: negative delay")
+
+let after t delay f =
+  check_delay delay;
   schedule t ~at:(Float.Array.get t.clock 0 +. delay) f
 
+(* The event itself is the cancellation's target: [cancel] takes it out of
+   the queue, so it never runs, never moves the clock and is not counted
+   in [executed] or [pending]. *)
 let cancellable_after t delay f =
-  let cancelled = ref false in
-  after t delay (fun () -> if not !cancelled then f ());
-  fun () -> cancelled := true
+  check_delay delay;
+  let at = Float.Array.get t.clock 0 +. delay in
+  let h = Pqueue.add_removable t.queue ~priority:at f in
+  note_depth t;
+  fun () -> if Pqueue.remove t.queue h then t.cancelled <- t.cancelled + 1
 
 (* Run the earliest event.  The queue must not be empty.  Its time is
    read in place from the queue's priority array (an unboxed load, where

@@ -30,8 +30,14 @@ val after : t -> float -> (unit -> unit) -> unit
     @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val cancellable_after : t -> float -> (unit -> unit) -> unit -> unit
-(** [cancellable_after t delay f] schedules [f] and returns a cancel
-    function.  Cancelling after the event fired is a no-op. *)
+(** [cancellable_after t delay f] schedules [f] like {!after} and returns
+    a cancel function.  Cancelling takes the event out of the queue
+    (O(log n), {!Pqueue.remove}): it never runs, the clock never visits
+    its time, and it leaves [executed], [pending] and [max_pending]
+    alone, so those count live events only.  Each event so removed
+    counts once in [cancelled].  Cancelling again, or after the event
+    ran, or after {!clear}, is a no-op.
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when empty, when simulated time would
@@ -54,6 +60,9 @@ type stats = {
   executed : int;  (** events executed since [create] *)
   pending : int;  (** current queue depth *)
   max_pending : int;  (** high-water mark of the queue depth *)
+  cancelled : int;
+      (** events taken out of the queue by a {!cancellable_after} cancel
+          before they ran *)
   truncated : int;  (** runs stopped by the [max_events] guard *)
   sim_time : float;  (** current simulated time, seconds *)
 }

@@ -86,12 +86,16 @@ let accept_all = { rules = []; default = Pass }
 let of_rules rules = { rules; default = Pass }
 let of_rules_default_deny ~reason rules = { rules; default = Reject reason }
 
+(* Direct recursion: a closure over [in_iface] and [pkt] would cost every
+   packet an allocation, rules or not. *)
+let rec first_verdict ~in_iface pkt default = function
+  | [] -> default
+  | r :: rest ->
+      if matches r.matcher ~in_iface pkt then r.verdict
+      else first_verdict ~in_iface pkt default rest
+
 let evaluate policy ~in_iface pkt =
-  match
-    List.find_opt (fun r -> matches r.matcher ~in_iface pkt) policy.rules
-  with
-  | Some r -> r.verdict
-  | None -> policy.default
+  first_verdict ~in_iface pkt policy.default policy.rules
 
 let rules p = p.rules
 

@@ -86,6 +86,10 @@ module Prefix : sig
   val broadcast_addr : t -> addr
   (** Directed broadcast address of the prefix. *)
 
+  val is_broadcast : addr -> t -> bool
+  (** [is_broadcast a p] is [equal a (broadcast_addr p)], without
+      allocating: the per-packet test. *)
+
   val compare : t -> t -> int
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit

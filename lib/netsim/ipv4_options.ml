@@ -81,8 +81,15 @@ let advance_lsr buf ~here =
         Some buf'
       end
 
-let has_options buf =
-  Bytes.exists (fun c -> Char.code c <> nop && Char.code c <> 0) buf
+(* Every router hop asks, so the scan recurses directly: [Bytes.exists]
+   would allocate its loop closure on each call. *)
+let rec option_from buf i =
+  i < Bytes.length buf
+  &&
+  let c = Char.code (Bytes.unsafe_get buf i) in
+  (c <> nop && c <> 0) || option_from buf (i + 1)
+
+let has_options buf = option_from buf 0
 
 (* RFC 791 copy bit: top bit of the option type byte.  Options with it set
    (LSR among them) must be replicated into every fragment; the rest

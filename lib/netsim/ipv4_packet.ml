@@ -327,7 +327,10 @@ let reparse_payload t =
       | Error _ -> t)
   | Raw _ | Udp _ | Tcp _ | Icmp _ | Encap _ | Gre_encap _ | Min_encap _ -> t
 
-let decrement_ttl t = if t.ttl <= 1 then None else Some { t with ttl = t.ttl - 1 }
+exception Ttl_expired
+
+let decrement_ttl t =
+  if t.ttl <= 1 then raise Ttl_expired else { t with ttl = t.ttl - 1 }
 
 let rec equal a b =
   a.tos = b.tos && a.ident = b.ident

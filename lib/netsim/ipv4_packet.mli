@@ -103,8 +103,13 @@ val reparse_payload : t -> t
     parse it into a structured payload according to [protocol] (used after
     fragment reassembly).  Returns the packet unchanged on failure. *)
 
-val decrement_ttl : t -> t option
-(** [None] when the TTL reaches zero. *)
+exception Ttl_expired
+
+val decrement_ttl : t -> t
+(** The packet one hop on, its TTL one lower.  No result is boxed, so a
+    forwarding hop pays for the new packet alone.
+    @raise Ttl_expired if the TTL would reach zero: the packet may not be
+    forwarded. *)
 
 val header_checksum : t -> int
 (** The header checksum [encode] would emit for this packet, computed

@@ -352,21 +352,36 @@ let reattach i segment =
   install_connected_route i
 
 let ifaces node = node.node_ifaces
-let find_iface node name = List.find_opt (fun i -> i.ifname = name) node.node_ifaces
+
+let rec find_iface_in name = function
+  | [] -> None
+  | i :: rest ->
+      if String.equal i.ifname name then Some i else find_iface_in name rest
+
+let find_iface node name = find_iface_in name node.node_ifaces
 let routing node = node.table
 let set_filter node p = node.policy <- p
 let filter node = node.policy
 
+(* Closure-free membership tests: [owns_address] runs on every packet a
+   node receives. *)
+let rec mem_addr addr = function
+  | [] -> false
+  | a :: rest -> Ipv4_addr.equal a addr || mem_addr addr rest
+
 let claim_address node addr =
-  if not (List.exists (Ipv4_addr.equal addr) node.claimed) then
+  if not (mem_addr addr node.claimed) then
     node.claimed <- addr :: node.claimed
 
 let unclaim_address node addr =
   node.claimed <- List.filter (fun a -> not (Ipv4_addr.equal a addr)) node.claimed
 
+let rec up_iface_has addr = function
+  | [] -> false
+  | i :: rest -> (i.up && Ipv4_addr.equal i.addr addr) || up_iface_has addr rest
+
 let owns_address node addr =
-  List.exists (fun i -> i.up && Ipv4_addr.equal i.addr addr) node.node_ifaces
-  || List.exists (Ipv4_addr.equal addr) node.claimed
+  up_iface_has addr node.node_ifaces || mem_addr addr node.claimed
 
 let set_route_override node f = node.override <- f
 
@@ -382,7 +397,7 @@ let set_option_processing_delay node d = node.option_penalty <- d
 let option_processing_delay node = node.option_penalty
 
 let add_proxy_arp _node iface addr =
-  if not (List.exists (Ipv4_addr.equal addr) iface.proxy) then
+  if not (mem_addr addr iface.proxy) then
     iface.proxy <- addr :: iface.proxy
 
 let remove_proxy_arp _node iface addr =
@@ -416,7 +431,7 @@ let join_group _node iface group =
     invalid_arg
       (Printf.sprintf "Net.join_group: %s is not multicast"
          (Ipv4_addr.to_string group));
-  if not (List.exists (Ipv4_addr.equal group) iface.groups) then
+  if not (mem_addr group iface.groups) then
     iface.groups <- group :: iface.groups
 
 let leave_group _node iface group =
@@ -446,9 +461,8 @@ let tracing node = Trace.interested node.net.trace
    frame_info/event/record graph that [record] builds.  [emit_*] are
    self-gated and stamp the time from the engine's clock cell, so the
    call sites below use them unguarded. *)
-let trace_send node (f : frame) pkt =
-  Trace.emit_send node.net.trace ~node:node.name ~id:f.fid ~flow:f.flow
-    ~pkt
+let trace_send node ~id ~flow pkt =
+  Trace.emit_send node.net.trace ~node:node.name ~id ~flow ~pkt
 
 let trace_transmit node ~link (f : frame) pkt ~bytes =
   Trace.emit_transmit node.net.trace ~link ~id:f.fid ~flow:f.flow ~pkt
@@ -461,6 +475,17 @@ let trace_forward node ~in_iface ~out_iface (f : frame) pkt =
 let trace_deliver node (f : frame) pkt =
   Trace.emit_deliver node.net.trace ~node:node.name ~id:f.fid
     ~flow:f.flow ~pkt
+
+let ip_frame node ~out ~flow l2_dst pkt =
+  { fid = new_frame_id node; flow; content = Ip pkt; l2_src = out.mac; l2_dst }
+
+(* A packet that dies before it reaches a wire still takes a frame id, so
+   the numbering does not depend on whether anything traces it. *)
+let drop_unsent node ~flow reason pkt =
+  let id = new_frame_id node in
+  if tracing node then
+    record node
+      (Trace.Drop { node = node.name; reason; frame = { Trace.id; flow; pkt } })
 
 let same_segment a b =
   List.exists
@@ -520,48 +545,54 @@ and emit out frame =
       | Arp_msg _ -> ())
   | Ptp l ->
       if loss_roll l.ptp_loss then record_link_loss node frame
-      else begin
+      else
         let delay =
           link_delay ~latency:l.ptp_latency ~bandwidth:l.ptp_bandwidth bytes
         in
-        let peers = List.filter (fun e -> e != out) l.ends in
-        List.iter
-          (fun peer -> fault_deliver node ~link:l.ptp_name ~delay peer frame)
-          peers
-      end
+        deliver_to_others node ~link:l.ptp_name ~delay out frame l.ends
   | Seg s ->
       if loss_roll s.seg_loss then record_link_loss node frame
-      else begin
+      else
         let delay =
           link_delay ~latency:s.seg_latency ~bandwidth:s.seg_bandwidth bytes
         in
-        let targets =
-          if Mac_addr.is_broadcast frame.l2_dst then
-            List.filter (fun m -> m != out) s.members
-          else
-            List.filter (fun m -> Mac_addr.equal m.mac frame.l2_dst) s.members
-        in
-        List.iter
-          (fun target -> fault_deliver node ~link:s.seg_name ~delay target frame)
-          targets
-      end
+        if Mac_addr.is_broadcast frame.l2_dst then
+          deliver_to_others node ~link:s.seg_name ~delay out frame s.members
+        else deliver_to_mac node ~link:s.seg_name ~delay frame s.members
+
+(* Fan-out over a link's attachments in list order, with no closure and no
+   filtered copy of the list: to every attachment but the sender's, or to
+   every one that owns the frame's destination MAC. *)
+and deliver_to_others node ~link ~delay out frame = function
+  | [] -> ()
+  | m :: rest ->
+      if m != out then fault_deliver node ~link ~delay m frame;
+      deliver_to_others node ~link ~delay out frame rest
+
+and deliver_to_mac node ~link ~delay frame = function
+  | [] -> ()
+  | m :: rest ->
+      if Mac_addr.equal m.mac frame.l2_dst then
+        fault_deliver node ~link ~delay m frame;
+      deliver_to_mac node ~link ~delay frame rest
 
 (* Per-target delivery, filtered through the network's fault plan (if any).
    The hook sees the link name and both node names; it can drop the copy
    (with a trace reason), delay it, or duplicate it. *)
 and fault_deliver node ~link ~delay target frame =
-  let schedule d =
-    Engine.after node.net.engine d (fun () -> deliver_frame_to target frame)
-  in
   match node.net.fault_hook with
-  | None -> schedule delay
+  | None -> schedule_delivery node delay target frame
   | Some hook -> (
       match hook ~link ~src:node.name ~dst:target.owner.name with
-      | Fault_pass -> schedule delay
+      | Fault_pass -> schedule_delivery node delay target frame
       | Fault_drop reason -> record_fault_drop node reason frame
       | Fault_deliver { extra_delay; duplicate } ->
-          schedule (delay +. extra_delay);
-          if duplicate then schedule (delay +. extra_delay))
+          schedule_delivery node (delay +. extra_delay) target frame;
+          if duplicate then
+            schedule_delivery node (delay +. extra_delay) target frame)
+
+and schedule_delivery node delay target frame =
+  Engine.after node.net.engine delay (fun () -> deliver_frame_to target frame)
 
 and record_fault_drop node reason frame =
   match frame.content with
@@ -618,18 +649,17 @@ and arp_request_retry out next_hop =
       Engine.after node.net.engine 0.5 (fun () ->
           arp_request_retry out next_hop)
 
-and arp_resolve out next_hop frame =
+(* Park a frame until [next_hop]'s MAC is known, asking for it if no
+   request is out yet. *)
+and arp_queue out next_hop frame =
   let node = out.owner in
-  match Addr_map.find node.arp_cache (Addr_map.of_addr next_hop) with
-  | Some mac -> emit out { frame with l2_dst = mac }
-  | None -> (
-      match Addr_map.find node.arp_pending (Addr_map.of_addr next_hop) with
-      | Some pending -> pending.queued <- pending.queued @ [ (out, frame) ]
-      | None ->
-          Addr_map.replace node.arp_pending
-            (Addr_map.of_addr next_hop)
-            { queued = [ (out, frame) ]; tries = 0 };
-          arp_request_retry out next_hop)
+  match Addr_map.find node.arp_pending (Addr_map.of_addr next_hop) with
+  | Some pending -> pending.queued <- pending.queued @ [ (out, frame) ]
+  | None ->
+      Addr_map.replace node.arp_pending
+        (Addr_map.of_addr next_hop)
+        { queued = [ (out, frame) ]; tries = 0 };
+      arp_request_retry out next_hop
 
 and arp_input iface frame arp =
   let node = iface.owner in
@@ -649,34 +679,20 @@ and arp_input iface frame arp =
   | `Request ->
       let answers =
         (iface.up && Ipv4_addr.equal iface.addr arp.tpa)
-        || List.exists (Ipv4_addr.equal arp.tpa) iface.proxy
+        || mem_addr arp.tpa iface.proxy
       in
       if answers then
         send_arp iface ~l2_dst:frame.l2_src
           { op = `Reply; spa = arp.tpa; sha = iface.mac; tpa = arp.spa }
 
 and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
-  if not out.up then begin
-    let f =
-      { fid = new_frame_id node; flow; content = Ip pkt;
-        l2_src = out.mac; l2_dst = Mac_addr.broadcast }
-    in
-    if tracing node then
-      record node
-      (Trace.Drop
-         { node = node.name; reason = Trace.Link_down; frame = frame_info f pkt })
-  end
+  if not out.up then drop_unsent node ~flow Trace.Link_down pkt
+  else if not (Fragment.needs_fragmentation ~mtu:out.mtu pkt) then
+    transmit node ~out ~next_hop ~l2_dst ~flow pkt
   else
     match Fragment.fragment ~mtu:out.mtu pkt with
     | Error _ ->
-        let f =
-          { fid = new_frame_id node; flow; content = Ip pkt;
-            l2_src = out.mac; l2_dst = Mac_addr.broadcast }
-        in
-        if tracing node then
-          record node
-          (Trace.Drop
-             { node = node.name; reason = Trace.Mtu_exceeded; frame = frame_info f pkt });
+        drop_unsent node ~flow Trace.Mtu_exceeded pkt;
         (* RFC 1191-style feedback so senders can adapt. *)
         if pkt.Ipv4_packet.protocol <> Ipv4_packet.P_icmp then begin
           let context = Bytes.create 0 in
@@ -692,30 +708,36 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
         end
     | Ok pieces ->
         List.iter
-          (fun piece ->
-            let frame =
-              {
-                fid = new_frame_id node;
-                flow;
-                content = Ip piece;
-                l2_src = out.mac;
-                l2_dst = Mac_addr.broadcast;
-              }
-            in
-            match out.attachment with
-            | Ptp _ | Detached -> emit out frame
-            | Seg _ -> (
-                match l2_dst with
-                | Some mac -> emit out { frame with l2_dst = mac }
-                | None ->
-                    let dst = piece.Ipv4_packet.dst in
-                    if
-                      Ipv4_addr.equal dst Ipv4_addr.broadcast
-                      || Ipv4_addr.is_multicast dst
-                      || Ipv4_addr.equal dst (Ipv4_addr.Prefix.broadcast_addr out.prefix)
-                    then emit out frame
-                    else arp_resolve out next_hop frame))
+          (fun piece -> transmit node ~out ~next_hop ~l2_dst ~flow piece)
           pieces
+
+(* One frame onto [out]'s link.  The link-layer destination is settled
+   before the frame is built, so the frame is built once: broadcast on a
+   point-to-point link and for broadcast or multicast destinations, else
+   the forced MAC or the next hop's cached one.  An unresolved next hop
+   parks the frame on ARP. *)
+and transmit node ~out ~next_hop ~l2_dst ~flow pkt =
+  match out.attachment with
+  | Ptp _ | Detached ->
+      emit out (ip_frame node ~out ~flow Mac_addr.broadcast pkt)
+  | Seg _ -> (
+      match l2_dst with
+      | Some mac -> emit out (ip_frame node ~out ~flow mac pkt)
+      | None ->
+          let dst = pkt.Ipv4_packet.dst in
+          if
+            Ipv4_addr.equal dst Ipv4_addr.broadcast
+            || Ipv4_addr.is_multicast dst
+            || Ipv4_addr.Prefix.is_broadcast dst out.prefix
+          then emit out (ip_frame node ~out ~flow Mac_addr.broadcast pkt)
+          else
+            match
+              Addr_map.find out.owner.arp_cache (Addr_map.of_addr next_hop)
+            with
+            | Some mac -> emit out (ip_frame node ~out ~flow mac pkt)
+            | None ->
+                arp_queue out next_hop
+                  (ip_frame node ~out ~flow Mac_addr.broadcast pkt))
 
 and ip_input iface frame pkt =
   let node = iface.owner in
@@ -734,9 +756,9 @@ and ip_input iface frame pkt =
       let local =
         owns_address node dst
         || Ipv4_addr.equal dst Ipv4_addr.broadcast
-        || Ipv4_addr.equal dst (Ipv4_addr.Prefix.broadcast_addr iface.prefix)
+        || Ipv4_addr.Prefix.is_broadcast dst iface.prefix
         || (Ipv4_addr.is_multicast dst
-           && List.exists (Ipv4_addr.equal dst) iface.groups)
+           && mem_addr dst iface.groups)
       in
       if local then deliver node (Some iface) frame pkt
       else if Ipv4_addr.is_multicast dst || Ipv4_addr.equal dst Ipv4_addr.broadcast
@@ -807,12 +829,12 @@ and deliver_local node in_iface frame whole =
 
 and forward node in_iface frame pkt =
   match Ipv4_packet.decrement_ttl pkt with
-  | None ->
+  | exception Ipv4_packet.Ttl_expired ->
       if tracing node then
         record node
         (Trace.Drop
            { node = node.name; reason = Trace.Ttl_expired; frame = frame_info frame pkt })
-  | Some pkt -> (
+  | pkt -> (
       match Routing.lookup node.table pkt.Ipv4_packet.dst with
       | None ->
           (if tracing node then
@@ -907,98 +929,67 @@ and send_icmp_error node ~reason ~code ~src pkt =
 and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
   if depth > 8 then
     invalid_arg "Net.send: route-override resubmit loop (depth > 8)"
-  else begin
-    (* Fill an unspecified source from the outgoing interface only after
-       the route-override hook has seen the packet: an unbound source is
-       itself a signal the mobility policy keys on (§7.1.1). *)
-    let fill_src out pkt =
+  else if owns_address node pkt.Ipv4_packet.dst then begin
+    (* Loopback delivery: never touches a wire. *)
+    let pkt =
       if Ipv4_addr.equal pkt.Ipv4_packet.src Ipv4_addr.any then
-        { pkt with Ipv4_packet.src = out.addr }
+        { pkt with Ipv4_packet.src = pkt.Ipv4_packet.dst }
       else pkt
     in
-    let fake_frame pkt =
+    let f =
       { fid = new_frame_id node; flow; content = Ip pkt;
         l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
     in
-    let emit_via out ~next_hop ?l2_dst pkt =
-      let pkt = fill_src out pkt in
-      let f = fake_frame pkt in
-      trace_send node f pkt;
-      ip_output node ~out ~next_hop ?l2_dst ~flow pkt
-    in
-    if owns_address node pkt.Ipv4_packet.dst then begin
-      (* Loopback delivery: never touches a wire. *)
-      let pkt =
-        if Ipv4_addr.equal pkt.Ipv4_packet.src Ipv4_addr.any then
-          { pkt with Ipv4_packet.src = pkt.Ipv4_packet.dst }
-        else pkt
-      in
-      let f = fake_frame pkt in
-      trace_send node f pkt;
-      deliver node None f pkt
-    end
-    else begin
-      let decision =
-        match node.override with
-        | Some hook ->
-            Prof.enter Prof.Agent;
-            let d = hook pkt in
-            Prof.leave Prof.Agent;
-            d
-        | None -> None
-      in
-      match decision with
-      | Some (Resubmit pkt') ->
-          originate ~depth:(depth + 1) node ~flow ?via ?l2_dst pkt'
-      | Some (Discard reason) ->
-          let f = fake_frame pkt in
-          if tracing node then
-            record node
-            (Trace.Drop
-               {
-                 node = node.name;
-                 reason = Trace.Custom reason;
-                 frame = frame_info f pkt;
-               })
-      | Some (Via { out; next_hop; l2_dst = forced_l2 }) ->
-          let next_hop = Option.value next_hop ~default:pkt.Ipv4_packet.dst in
-          emit_via out ~next_hop ?l2_dst:forced_l2 pkt
-      | None -> (
-          match via with
-          | Some out -> emit_via out ~next_hop:pkt.Ipv4_packet.dst ?l2_dst pkt
-          | None -> (
-              match Routing.lookup node.table pkt.Ipv4_packet.dst with
-              | None ->
-                  let f = fake_frame pkt in
-                  if tracing node then
-                    record node
-                    (Trace.Drop
-                       {
-                         node = node.name;
-                         reason = Trace.No_route;
-                         frame = frame_info f pkt;
-                       })
-              | Some route -> (
-                  match find_iface node route.Routing.iface with
-                  | None ->
-                      let f = fake_frame pkt in
-                      if tracing node then
-                        record node
-                        (Trace.Drop
-                           {
-                             node = node.name;
-                             reason = Trace.No_route;
-                             frame = frame_info f pkt;
-                           })
-                  | Some out ->
-                      let next_hop =
-                        match route.Routing.gateway with
-                        | Some g -> g
-                        | None -> pkt.Ipv4_packet.dst
-                      in
-                      emit_via out ~next_hop ?l2_dst pkt)))
-    end
+    trace_send node ~id:f.fid ~flow pkt;
+    deliver node None f pkt
   end
+  else begin
+    let decision =
+      match node.override with
+      | Some hook ->
+          Prof.enter Prof.Agent;
+          let d = hook pkt in
+          Prof.leave Prof.Agent;
+          d
+      | None -> None
+    in
+    match decision with
+    | Some (Resubmit pkt') ->
+        originate ~depth:(depth + 1) node ~flow ?via ?l2_dst pkt'
+    | Some (Discard reason) -> drop_unsent node ~flow (Trace.Custom reason) pkt
+    | Some (Via { out; next_hop; l2_dst = forced_l2 }) ->
+        let next_hop = Option.value next_hop ~default:pkt.Ipv4_packet.dst in
+        send_via node ~flow out ~next_hop ~l2_dst:forced_l2 pkt
+    | None -> (
+        match via with
+        | Some out ->
+            send_via node ~flow out ~next_hop:pkt.Ipv4_packet.dst ~l2_dst pkt
+        | None -> (
+            match Routing.lookup node.table pkt.Ipv4_packet.dst with
+            | None -> drop_unsent node ~flow Trace.No_route pkt
+            | Some route -> (
+                match find_iface node route.Routing.iface with
+                | None -> drop_unsent node ~flow Trace.No_route pkt
+                | Some out ->
+                    let next_hop =
+                      match route.Routing.gateway with
+                      | Some g -> g
+                      | None -> pkt.Ipv4_packet.dst
+                    in
+                    send_via node ~flow out ~next_hop ~l2_dst pkt)))
+  end
+
+(* Fill an unspecified source from the outgoing interface only after the
+   route-override hook has seen the packet: an unbound source is itself a
+   signal the mobility policy keys on (§7.1.1). *)
+and send_via node ~flow out ~next_hop ~l2_dst pkt =
+  let pkt =
+    if Ipv4_addr.equal pkt.Ipv4_packet.src Ipv4_addr.any then
+      { pkt with Ipv4_packet.src = out.addr }
+    else pkt
+  in
+  trace_send node ~id:(new_frame_id node) ~flow pkt;
+  ip_output node ~out ~next_hop ?l2_dst ~flow pkt
 
 let send node ?flow ?via ?l2_dst pkt =
   let flow = match flow with Some f -> f | None -> new_flow node.net in

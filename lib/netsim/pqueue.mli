@@ -8,9 +8,11 @@
     Layout: heap positions hold int slot numbers, with each position's
     key unboxed beside it (a [floatarray] of priorities and an [int
     array] of insertion sequence numbers).  A value is written once into
-    a slot array on {!add} and cleared once when popped; vacated slots
-    are reused.  Sifts move only floats and ints, so neither {!add} nor
-    {!pop_min} allocates (except when {!add} grows the arrays, doubling
+    a slot array on {!add} and cleared once when popped or removed;
+    vacated slots are reused.  A slot-to-position index, kept by the
+    sifts, lets {!remove} take an element out from the middle of the heap.
+    Sifts move only floats and ints, so neither {!add}, {!pop_min} nor
+    {!remove} allocates (except when {!add} grows the arrays, doubling
     them).  Priorities must not be NaN: the engine rejects NaN times
     before they reach the queue. *)
 
@@ -20,6 +22,24 @@ val create : unit -> 'a t
 
 val add : 'a t -> priority:float -> 'a -> unit
 (** Insert an element. O(log n). *)
+
+type handle
+(** Names one queued element, for {!remove}: its slot and its insertion
+    sequence number. *)
+
+val add_removable : 'a t -> priority:float -> 'a -> handle
+(** {!add}, returning a handle to the element (the handle is the one
+    allocation). *)
+
+val remove : 'a t -> handle -> bool
+(** [remove q h] takes [h]'s element out of the queue and returns [true].
+    The last element fills its place and moves up or down, so the order
+    of the others, FIFO among ties included, is unchanged.  O(log n).
+
+    A stale handle is a no-op that returns [false]: its element was
+    popped or removed already, the queue was {!clear}ed since, or its
+    slot now holds a newer element.  Sequence numbers are never reused,
+    so a stale handle can match no element. *)
 
 val priorities : 'a t -> floatarray
 (** The heap's priority array, by heap position.  While the queue is not
@@ -46,4 +66,4 @@ val is_empty : 'a t -> bool
 
 val clear : 'a t -> unit
 (** Drop every element and release the arrays.  Insertion sequence
-    numbers keep counting. *)
+    numbers keep counting, so every handle taken before is stale. *)

@@ -42,6 +42,11 @@ let header_length = 20
 let seq_modulus = 0x1_0000_0000
 let seq_add a b = (a + b) mod seq_modulus
 
+(* RFC 793 §3.3: [b] is at or after [a] when it lies less than half the
+   sequence space ahead of it, counting modulo 2^32. *)
+let seq_leq a b = (b - a) land (seq_modulus - 1) < seq_modulus / 2
+let seq_lt a b = a <> b && seq_leq a b
+
 let make ~src_port ~dst_port ~seq ~ack_n ~flags ?(window = 65535) payload =
   let check name v limit =
     if v < 0 || v >= limit then

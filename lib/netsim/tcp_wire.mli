@@ -51,6 +51,14 @@ val byte_length : t -> int
 val seq_add : int -> int -> int
 (** Sequence arithmetic modulo 2^32. *)
 
+val seq_leq : int -> int -> bool
+(** [seq_leq a b]: [a] is at or before [b] in sequence space (RFC 793
+    §3.3), comparing modulo 2^32: [b] lies less than 2^31 ahead of [a].
+    So [seq_leq 0xffff_fff0 5] holds. *)
+
+val seq_lt : int -> int -> bool
+(** [seq_lt a b] is [seq_leq a b && a <> b]. *)
+
 val encode : src:Ipv4_addr.t -> dst:Ipv4_addr.t -> t -> Bytes.t
 val decode :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> Bytes.t -> (t, string) result

@@ -280,6 +280,7 @@ let json_of_engine_stats (s : Engine.stats) =
       ("executed", Json.Int s.Engine.executed);
       ("pending", Json.Int s.Engine.pending);
       ("max_pending", Json.Int s.Engine.max_pending);
+      ("cancelled", Json.Int s.Engine.cancelled);
       ("truncated", Json.Int s.Engine.truncated);
       ("sim_time", Json.Float s.Engine.sim_time);
     ]

@@ -239,7 +239,8 @@ and handle_ack c ack_n =
   (* Cumulative acknowledgement: drop the fully-acknowledged prefix. *)
   let acked, remaining =
     List.partition
-      (fun seg -> ack_n >= Tcp_wire.seq_add seg.seg_seq seg.seg_len)
+      (fun seg ->
+        Tcp_wire.seq_leq (Tcp_wire.seq_add seg.seg_seq seg.seg_len) ack_n)
       c.inflight
   in
   if acked <> [] then begin
@@ -318,7 +319,7 @@ let segment_input c (tw : Tcp_wire.t) =
               ());
         send_bare_ack c
       end
-      else if tw.Tcp_wire.seq < c.rcv_nxt then begin
+      else if Tcp_wire.seq_lt tw.Tcp_wire.seq c.rcv_nxt then begin
         (* Duplicate: the peer is retransmitting — our ACKs are not getting
            through.  This is the signal the paper wants surfaced (§7.1.2). *)
         feedback stack
@@ -349,7 +350,7 @@ let demux t (pkt : Ipv4_packet.t) (tw : Tcp_wire.t) =
         | Some (window, accept_cb) ->
             (* Passive open. *)
             let iss = t.next_iss in
-            t.next_iss <- t.next_iss + 64000;
+            t.next_iss <- Tcp_wire.seq_add t.next_iss 64000;
             let c =
               {
                 stack = t;
@@ -446,7 +447,7 @@ let connect t ?src ?src_port ?(mss = default_mss) ?(window = 1) ~dst ~dst_port (
         p
   in
   let iss = t.next_iss in
-  t.next_iss <- t.next_iss + 64000;
+  t.next_iss <- Tcp_wire.seq_add t.next_iss 64000;
   let c =
     {
       stack = t;

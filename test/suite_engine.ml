@@ -1,5 +1,5 @@
 (* The priority queue and the discrete-event engine: ordering, FIFO ties,
-   cancellation, bounded runs, determinism. *)
+   removal and cancellation, bounded runs, determinism. *)
 
 open Netsim
 
@@ -162,6 +162,123 @@ let prop_pqueue_interleaved =
       in
       List.for_all step ops && drain ())
 
+(* [remove] against a model: the queued elements as (priority, seq, value)
+   and every handle ever taken, with its element's seq.  Removing through
+   any handle must succeed exactly when the model still holds its
+   element, so handles whose element was popped, removed or cleared, or
+   whose slot a later add reused, must be no-ops.  A pop returns the
+   model's least (priority, seq). *)
+type pq_rm_op = Add of int | Add_plain of int | Remove of int | Pop | Clear
+
+let pq_rm_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun p -> Add p) (int_bound 7));
+        (1, map (fun p -> Add_plain p) (int_bound 7));
+        (4, map (fun k -> Remove k) (int_bound 1_000));
+        (3, return Pop);
+        (1, map (fun n -> if n = 0 then Clear else Pop) (int_bound 20));
+      ])
+
+let print_pq_rm_op = function
+  | Add p -> Printf.sprintf "add %d" p
+  | Add_plain p -> Printf.sprintf "add-plain %d" p
+  | Remove k -> Printf.sprintf "remove #%d" k
+  | Pop -> "pop"
+  | Clear -> "clear"
+
+let prop_pqueue_remove =
+  QCheck.Test.make
+    ~name:"pqueue add/remove/pop/clear = model ordered by (time, seq)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_pq_rm_op ops))
+       QCheck.Gen.(list_size (0 -- 300) pq_rm_op_gen))
+    (fun ops ->
+      let q = Pqueue.create () in
+      let model = ref [] and handles = ref [||] and next = ref 0 in
+      let least () =
+        List.fold_left
+          (fun best ((p, s, _) as e) ->
+            match best with
+            | Some (bp, bs, _) when bp < p || (bp = p && bs < s) -> best
+            | _ -> Some e)
+          None !model
+      in
+      let add ~removable p =
+        let s = !next in
+        incr next;
+        let v = Printf.sprintf "v%d" s in
+        if removable then
+          handles :=
+            Array.append !handles
+              [| (Pqueue.add_removable q ~priority:(float_of_int p) v, s) |]
+        else Pqueue.add q ~priority:(float_of_int p) v;
+        model := (p, s, v) :: !model
+      in
+      let step op =
+        (match op with
+        | Add p -> add ~removable:true p
+        | Add_plain p -> add ~removable:false p
+        | Remove k ->
+            let n = Array.length !handles in
+            if n > 0 then begin
+              let h, s = !handles.(k mod n) in
+              let queued = List.exists (fun (_, s', _) -> s' = s) !model in
+              if Pqueue.remove q h <> queued then
+                QCheck.Test.fail_reportf "remove of seq %d: expected %b" s
+                  queued;
+              model := List.filter (fun (_, s', _) -> s' <> s) !model
+            end
+        | Pop -> (
+            match (least (), Pqueue.pop q) with
+            | None, None -> ()
+            | Some ((p, _, v) as e), Some (p', v')
+              when float_of_int p = p' && v = v' ->
+                model := List.filter (fun e' -> e' != e) !model
+            | _ -> QCheck.Test.fail_report "pop disagrees with the model")
+        | Clear ->
+            Pqueue.clear q;
+            model := []);
+        Pqueue.length q = List.length !model
+      in
+      let rec drain () =
+        match (least (), Pqueue.pop q) with
+        | None, None -> true
+        | Some ((p, _, v) as e), Some (p', v')
+          when float_of_int p = p' && v = v' ->
+            model := List.filter (fun e' -> e' != e) !model;
+            drain ()
+        | _ -> false
+      in
+      List.for_all step ops && drain ())
+
+(* The three ways a handle goes stale, each a no-op that leaves the queue
+   as it was. *)
+let test_pqueue_stale_handles () =
+  let q = Pqueue.create () in
+  let popped = Pqueue.add_removable q ~priority:1.0 "popped" in
+  Pqueue.add q ~priority:2.0 "kept";
+  Alcotest.(check (option (pair (float 0.0) string)))
+    "pop" (Some (1.0, "popped")) (Pqueue.pop q);
+  Alcotest.(check bool) "after a pop" false (Pqueue.remove q popped);
+  (* "popped"'s slot is free again: the next add takes it. *)
+  let reuser = Pqueue.add_removable q ~priority:3.0 "reuser" in
+  Alcotest.(check bool) "after its slot is reused" false
+    (Pqueue.remove q popped);
+  Alcotest.(check int) "both still queued" 2 (Pqueue.length q);
+  Alcotest.(check bool) "the live handle removes" true
+    (Pqueue.remove q reuser);
+  Alcotest.(check bool) "twice is a no-op" false (Pqueue.remove q reuser);
+  let cleared = Pqueue.add_removable q ~priority:0.5 "cleared" in
+  Pqueue.clear q;
+  Pqueue.add q ~priority:4.0 "fresh";
+  Alcotest.(check bool) "after clear" false (Pqueue.remove q cleared);
+  Alcotest.(check (option (pair (float 0.0) string)))
+    "only the fresh element" (Some (4.0, "fresh")) (Pqueue.pop q);
+  Alcotest.(check bool) "then empty" true (Pqueue.is_empty q)
+
 let test_engine_runs_in_order () =
   let e = Engine.create () in
   let log = ref [] in
@@ -251,6 +368,40 @@ let test_engine_cancellation () =
   Engine.run e;
   Alcotest.(check bool) "cancelled" false !fired
 
+(* A cancelled timer leaves the queue: a run whose only other pending
+   events are cancelled timers ends with the clock at its last live
+   event, not at a dead deadline. *)
+let test_engine_cancelled_deadline_unvisited () =
+  let e = Engine.create () in
+  let ran = ref 0 in
+  Engine.after e 1.0 (fun () -> incr ran);
+  let cancel = Engine.cancellable_after e 5.0 (fun () -> incr ran) in
+  Engine.after e 0.5 cancel;
+  Engine.run e;
+  Alcotest.(check int) "only the live event ran" 1 !ran;
+  Alcotest.(check (float 0.0)) "clock at the last live event" 1.0
+    (Engine.now e);
+  let st = Engine.stats e in
+  Alcotest.(check int) "executed counts live events" 2 st.Engine.executed;
+  Alcotest.(check int) "one cancelled" 1 st.Engine.cancelled
+
+let test_engine_cancelled_leave_nothing () =
+  let e = Engine.create () in
+  let n = 10_000 in
+  let cancels =
+    List.init n (fun i ->
+        Engine.cancellable_after e (float_of_int (1 + (i mod 50))) ignore)
+  in
+  Alcotest.(check int) "all queued" n (Engine.pending e);
+  List.iter (fun cancel -> cancel ()) cancels;
+  List.iter (fun cancel -> cancel ()) cancels (* again: no-ops *);
+  let st = Engine.stats e in
+  Alcotest.(check int) "nothing pending" 0 st.Engine.pending;
+  Alcotest.(check int) "each counted once" n st.Engine.cancelled;
+  Engine.run e;
+  Alcotest.(check int) "nothing ran" 0 (Engine.stats e).Engine.executed;
+  Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Engine.now e)
+
 let test_engine_cascading_events () =
   (* Events scheduling events; the chain must run to completion. *)
   let e = Engine.create () in
@@ -315,6 +466,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_pqueue_sorts;
         QCheck_alcotest.to_alcotest prop_pqueue_priority_seq_order;
         QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
+        QCheck_alcotest.to_alcotest prop_pqueue_remove;
+        Alcotest.test_case "pqueue stale handles" `Quick
+          test_pqueue_stale_handles;
         Alcotest.test_case "engine runs in order" `Quick
           test_engine_runs_in_order;
         Alcotest.test_case "engine rejects past" `Quick test_engine_rejects_past;
@@ -325,6 +479,10 @@ let suites =
         Alcotest.test_case "engine run allocates nothing" `Quick
           test_engine_run_allocation_free;
         Alcotest.test_case "engine cancellation" `Quick test_engine_cancellation;
+        Alcotest.test_case "engine never visits a cancelled deadline" `Quick
+          test_engine_cancelled_deadline_unvisited;
+        Alcotest.test_case "engine 10 000 cancelled timers leave nothing"
+          `Quick test_engine_cancelled_leave_nothing;
         Alcotest.test_case "engine cascading events" `Quick
           test_engine_cascading_events;
         Alcotest.test_case "engine step" `Quick test_engine_step;

@@ -358,6 +358,63 @@ let test_addr_map_addr_keys () =
   Alcotest.(check (option string)) "tail shifted back" (Some "z")
     (Addr_map.find m (3 + (2 * cap)))
 
+(* a -- r1 -- ... -- rn -- b over p2p links, tracing off; every node's
+   default route points one link further towards b. *)
+let router_chain n =
+  let net = Net.create () in
+  Net.set_tracing net false;
+  let nodes =
+    Array.init (n + 2) (fun i ->
+        if i = 0 then Net.add_host net "a"
+        else if i = n + 1 then Net.add_host net "b"
+        else Net.add_router net (Printf.sprintf "r%d" i))
+  in
+  for i = 0 to n do
+    let near = Ipv4_addr.of_octets 10 0 i 1 in
+    let far = Ipv4_addr.of_octets 10 0 i 2 in
+    ignore
+      (Net.p2p net ~prefix:(Ipv4_addr.Prefix.make near 30)
+         (nodes.(i), "up", near)
+         (nodes.(i + 1), "down", far));
+    Routing.add_default (Net.routing nodes.(i)) ~gateway:far ~iface:"up"
+  done;
+  (net, nodes.(0), nodes.(n + 1), Ipv4_addr.of_octets 10 0 n 2)
+
+(* Minor words one 512-byte UDP datagram costs across a chain of [n]
+   routers, from [Net.send] to its delivery at b. *)
+let words_per_datagram n =
+  let net, a, b, dst = router_chain n in
+  let delivered = ref 0 in
+  Net.set_delivery_observer b (Some (fun _ -> incr delivered));
+  let pkt =
+    Ipv4_packet.make ~protocol:Ipv4_packet.P_udp
+      ~src:(Ipv4_addr.of_octets 10 0 0 1) ~dst
+      (Ipv4_packet.Udp
+         (Udp_wire.make ~src_port:7 ~dst_port:9 (Bytes.make 512 'u')))
+  in
+  let send () =
+    ignore (Net.send a pkt);
+    Net.run net
+  in
+  send () (* fills the route caches *);
+  let runs = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    send ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every datagram delivered" (runs + 1) !delivered;
+  words /. float_of_int runs
+
+(* A forwarded, untraced, unfragmented packet allocates its new packet
+   (the TTL), its frame and its delivery event, and little else: the
+   difference between a 9-router and a 1-router chain, per router. *)
+let test_hop_allocation () =
+  let per_hop = (words_per_datagram 9 -. words_per_datagram 1) /. 8.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 45 words per router hop (%.1f)" per_hop)
+    true (per_hop <= 45.0)
+
 let suites =
   [
     ( "net",
@@ -387,5 +444,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_addr_map_matches_hashtbl;
         Alcotest.test_case "Addr_map keys addresses" `Quick
           test_addr_map_addr_keys;
+        Alcotest.test_case "router hop allocates under 45 words" `Quick
+          test_hop_allocation;
       ] );
   ]

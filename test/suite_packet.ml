@@ -100,12 +100,13 @@ let test_header_checksum_corruption () =
 let test_ttl_decrement () =
   let pkt = Ipv4_packet.make ~ttl:2 ~protocol:Ipv4_packet.P_udp ~src ~dst (udp_payload 4) in
   match Ipv4_packet.decrement_ttl pkt with
-  | None -> Alcotest.fail "ttl 2 should survive one hop"
-  | Some p -> (
+  | exception Ipv4_packet.Ttl_expired ->
+      Alcotest.fail "ttl 2 should survive one hop"
+  | p -> (
       Alcotest.(check int) "ttl 1" 1 p.Ipv4_packet.ttl;
       match Ipv4_packet.decrement_ttl p with
-      | None -> ()
-      | Some _ -> Alcotest.fail "ttl must expire at 1")
+      | exception Ipv4_packet.Ttl_expired -> ()
+      | _ -> Alcotest.fail "ttl must expire at 1")
 
 let test_fragment_payload_stays_raw () =
   let pkt = base 100 in
@@ -248,8 +249,8 @@ let prop_ttl_decrement_checksum =
       QCheck.assume (pkt.Ipv4_packet.ttl > 1);
       let csum = Ipv4_packet.header_checksum pkt in
       match Ipv4_packet.decrement_ttl pkt with
-      | None -> false
-      | Some p ->
+      | exception Ipv4_packet.Ttl_expired -> false
+      | p ->
           Ipv4_packet.decrement_ttl_checksum ~checksum:csum pkt
           = Ipv4_packet.header_checksum p)
 

@@ -331,6 +331,94 @@ let test_large_write_linear () =
     true
     (major < 4.0 *. float_of_int size)
 
+(* Open and abort [n] connections towards an address nothing routes to:
+   each takes the stack's next initial sequence number, and no packet
+   leaves the host. *)
+let burn_connects tcp n =
+  for _ = 1 to n do
+    Transport.Tcp.abort
+      (Transport.Tcp.connect tcp ~src:(a "10.3.0.1") ~dst:(a "10.9.9.9")
+         ~dst_port:9 ())
+  done
+
+(* Initial sequence numbers step 64 000 per connection from 100 000, so
+   connection 67 109 on one stack is the first whose ISS passes 2^32: it
+   must wrap, not overflow the 32-bit field. *)
+let test_iss_wraps () =
+  let net = Net.create () in
+  Net.set_tracing net false;
+  let h = Net.add_host net "h" in
+  burn_connects (Transport.Tcp.get h) 67_109;
+  Alcotest.(check int) "aborts leave no timer queued" 0
+    (Engine.pending (Net.engine net))
+
+(* A transfer whose sequence numbers cross 2^32, and the ACK of the last
+   segment that ends before the wrap is lost.  The next ACK, numbered past
+   the wrap, acknowledges that segment too (sequence numbers compare
+   modulo 2^32, RFC 793 §3.3); otherwise the sender resends it until it
+   gives up. *)
+let test_transfer_across_seq_wrap () =
+  let net = Net.create () in
+  Net.set_tracing net false;
+  let ha = Net.add_host net "a" in
+  let hb = Net.add_host net "b" in
+  ignore
+    (Net.p2p net ~latency:0.005 ~prefix:(p "10.3.0.0/30")
+       (ha, "if0", a "10.3.0.1") (hb, "if0", a "10.3.0.2"));
+  let ta = Transport.Tcp.get ha in
+  (* Connection 67 108 starts 19 296 bytes short of 2^32. *)
+  burn_connects ta 67_107;
+  let iss = ref (-1) in
+  Net.set_delivery_observer hb
+    (Some
+       (fun pkt ->
+         match pkt.Ipv4_packet.payload with
+         | Ipv4_packet.Tcp tw when tw.Tcp_wire.flags.Tcp_wire.syn ->
+             iss := tw.Tcp_wire.seq
+         | _ -> ()));
+  let size = 40_000 and mss = 536 in
+  let got = Buffer.create size in
+  let server = ref None in
+  Transport.Tcp.listen (Transport.Tcp.get hb) ~port:80 (fun conn ->
+      server := Some conn;
+      Transport.Tcp.on_receive conn (fun d -> Buffer.add_bytes got d);
+      Transport.Tcp.on_state_change conn (fun st ->
+          if st = Transport.Tcp.Close_wait then Transport.Tcp.close conn));
+  (* b acknowledges every segment as it arrives, so the ACK sent when b
+     holds exactly the whole segments below 2^32 is the one to lose. *)
+  let dropped = ref false in
+  Net.set_fault_hook net
+    (Some
+       (fun ~link:_ ~src ~dst:_ ->
+         let before_wrap = (0x1_0000_0000 - (!iss + 1)) / mss * mss in
+         if src = "b" && (not !dropped) && Buffer.length got = before_wrap
+         then begin
+           dropped := true;
+           Net.Fault_drop (Trace.Custom "ack before the wrap")
+         end
+         else Net.Fault_pass));
+  let data = Bytes.init size (pattern 0) in
+  let conn =
+    Transport.Tcp.connect ta ~mss ~window:8 ~dst:(a "10.3.0.2") ~dst_port:80 ()
+  in
+  Transport.Tcp.send_data conn data;
+  Transport.Tcp.close conn;
+  Net.run net;
+  Alcotest.(check bool) "the data crosses 2^32" true
+    (!iss + 1 + size > 0x1_0000_0000);
+  Alcotest.(check bool) "the ACK before the wrap was lost" true !dropped;
+  Alcotest.(check string) "every byte, in order" (Bytes.to_string data)
+    (Buffer.contents got);
+  Alcotest.(check int) "no retransmission" 0
+    (Transport.Tcp.retransmissions conn);
+  Alcotest.(check bool) "client closed" true
+    (Transport.Tcp.state conn = Transport.Tcp.Closed);
+  match !server with
+  | Some sc ->
+      Alcotest.(check bool) "server closed" true
+        (Transport.Tcp.state sc = Transport.Tcp.Closed)
+  | None -> Alcotest.fail "no server connection"
+
 let suites =
   [
     ( "tcp",
@@ -354,5 +442,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_segmentation;
         Alcotest.test_case "large write is linear" `Quick
           test_large_write_linear;
+        Alcotest.test_case "initial sequence numbers wrap" `Quick
+          test_iss_wraps;
+        Alcotest.test_case "transfer across the sequence wrap" `Quick
+          test_transfer_across_seq_wrap;
       ] );
   ]
