@@ -6,7 +6,7 @@
 
    Usage: gate.exe BASELINE.json FRESH.json [--threshold PCT] *)
 
-module Json = Netobs.Json
+module Json = Netsim.Json
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 

@@ -435,7 +435,7 @@ let print_micro rows =
 let results_file = "BENCH_results.json"
 
 let write_json rows =
-  let open Netobs in
+  let module Json = Netsim.Json in
   let opt f = function Some v -> f v | None -> Json.Null in
   let json =
     Json.Obj

@@ -132,8 +132,7 @@ let open_trace_out file =
   with Sys_error msg -> Error (Printf.sprintf "--trace-json: %s" msg)
 
 (* Stream every trace record (from every world the run creates) to FILE.
-   Installed with Trace.add_sink, so it tees with --pcap and any
-   recorder. *)
+   A Net.with_tap tap, so it tees with --pcap and any recorder. *)
 let with_trace_stream file f =
   match file with
   | None -> f ()
@@ -142,20 +141,19 @@ let with_trace_stream file f =
       | Error e -> `Error (false, e)
       | Ok oc ->
       let n = ref 0 in
-      let sink =
-        Netsim.Trace.add_sink (fun r ->
-            incr n;
-            Netobs.Export.sink_to_channel oc r)
-      in
       Fun.protect
         ~finally:(fun () ->
-          Netsim.Trace.remove_sink sink;
           close_out oc;
           Printf.eprintf "trace-json: wrote %d events to %s\n%!" !n file)
-        f)
+        (fun () ->
+          Netsim.Net.with_tap
+            (fun r ->
+              incr n;
+              Netobs.Export.sink_to_channel oc r)
+            f))
 
 (* Stream every Transmit frame (from every world the run creates) to FILE
-   as pcap packets. *)
+   as pcap packets, through a Net.with_tap tap. *)
 let with_pcap_stream file f =
   match file with
   | None -> f ()
@@ -168,20 +166,19 @@ let with_pcap_stream file f =
       | Ok oc ->
           Netobs.Pcap.write_header oc;
           let n = ref 0 in
-          let sink =
-            Netsim.Trace.add_sink (fun r ->
-                match Netobs.Pcap.packet_of_record r with
-                | Some (time, payload) ->
-                    incr n;
-                    Netobs.Pcap.append_packet oc ~time payload
-                | None -> ())
-          in
           Fun.protect
             ~finally:(fun () ->
-              Netsim.Trace.remove_sink sink;
               close_out oc;
               Printf.eprintf "pcap: wrote %d packets to %s\n%!" !n file)
-            f)
+            (fun () ->
+              Netsim.Net.with_tap
+                (fun r ->
+                  match Netobs.Pcap.packet_of_record r with
+                  | Some (time, payload) ->
+                      incr n;
+                      Netobs.Pcap.append_packet oc ~time payload
+                  | None -> ())
+                f))
 
 (* Post-hoc dump of one finished world's trace: exactly Trace.length lines.
    The channel is opened before the scenario runs so a bad path fails fast. *)
@@ -529,7 +526,7 @@ let stats_cmd =
     | None -> ());
     let snap = Netobs.Metrics.snapshot reg in
     if json then
-      print_endline (Netobs.Json.to_string (Netobs.Metrics.snapshot_to_json snap))
+      print_endline (Netsim.Json.to_string (Netobs.Metrics.snapshot_to_json snap))
     else Netobs.Metrics.pp_snapshot out_fmt snap
   in
   Cmd.v
@@ -843,7 +840,7 @@ let soak_cmd =
           end;
           Ok (report.Experiments.Soak.findings <> [])
     in
-    (* The pcap sink is torn down (and its channel closed) before the
+    (* The pcap tap is torn down (and its channel closed) before the
        violation exit code is raised. *)
     match with_pcap_stream pcap (fun () -> `Done (result ())) with
     | `Error _ as e -> e
@@ -881,7 +878,7 @@ let profile_cmd =
     Netsim.Prof.set_enabled false;
     let entries = Netsim.Prof.snapshot () in
     if json then
-      print_endline (Netobs.Json.to_string (Netobs.Profile.to_json entries))
+      print_endline (Netsim.Json.to_string (Netobs.Profile.to_json entries))
     else begin
       Format.printf
         "workload: %d concurrent flows, %d/%d datagrams delivered, %.1f ms \

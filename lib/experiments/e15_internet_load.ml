@@ -36,10 +36,11 @@ let run_workload topo =
              (Bytes.make req_size 'q')))
   done;
   Net.run net;
+  let trace = Net.trace net in
   ( !replies,
-    Scenarios.Metrics.backbone_bytes net,
-    Scenarios.Metrics.total_bytes net,
-    Scenarios.Metrics.bytes_on net ~link:"hr<->b0" )
+    Netobs.Trace_stats.backbone_bytes trace,
+    Netobs.Trace_stats.total_bytes trace,
+    Netobs.Trace_stats.bytes_on trace ~link:"hr<->b0" )
 
 let run () =
   (* Regime 1: conventional CH, conservative MH (everything via HA both

@@ -8,14 +8,15 @@
      jsonl             full JSONL export streaming to a file
      pcap              pcap export streaming to a file
 
-   The recorder rungs take the allocation-free [Trace.emit_*] fast path
-   (no event construction at all); jsonl and pcap are full consumers, so
-   they pay record/event allocation plus their own serialisation.  The
-   ladder separates the price of *knowing* (recorder) from the price of
-   *exporting* (jsonl, pcap).  The roadmap claim under test: the flight
-   recorder is cheap enough to leave on at capacity scale — sampled
-   capture within measurement noise of tracing-off, full every-flow
-   capture at roughly a tenth of throughput.
+   The recorder rungs take [Trace.emit]'s allocation-free ring path (no
+   event construction at all); jsonl and pcap are observers on the world
+   they measure, so they pay record/event allocation plus their own
+   serialisation.  The ladder separates the price of *knowing*
+   (recorder) from the price of *exporting* (jsonl, pcap).  The roadmap
+   claim under test: the flight recorder is cheap enough to leave on at
+   capacity scale — sampled capture within measurement noise of
+   tracing-off, full every-flow capture at roughly a tenth of
+   throughput.
 
    Rates on a loaded host wobble; wall time is host *CPU* seconds of the
    workload's [Net.run], read with [Sys.time] around it (immune to CPU
@@ -111,17 +112,17 @@ let rung_recorder ?sample_every () net =
   Netobs.Recorder.install r trace;
   fun () -> Netobs.Recorder.uninstall r trace
 
-let rung_to_file make_sink (_ : Net.t) =
+let rung_to_file make_observer net =
   let path = Filename.temp_file "e20" ".out" in
   let oc = open_out_bin path in
-  let sink = Trace.add_sink (make_sink oc) in
+  let trace = Net.trace net in
+  let observer = Trace.add_observer trace (make_observer oc) in
   fun () ->
-    Trace.remove_sink sink;
+    Trace.remove_observer trace observer;
     close_out oc;
     Sys.remove path
 
-let rung_jsonl net =
-  rung_to_file (fun oc -> Netobs.Export.sink_to_channel oc) net
+let rung_jsonl net = rung_to_file Netobs.Export.sink_to_channel net
 
 let rung_pcap net =
   rung_to_file
@@ -252,8 +253,8 @@ let run () =
       [
         Printf.sprintf
           "same workload as E18's %d-flow level; recorder rungs ride the \
-           allocation-free emit fast path, jsonl/pcap are full consumers \
-           and pay record construction plus serialisation"
+           allocation-free emit fast path, jsonl/pcap are observers on the \
+           measured world and pay record construction plus serialisation"
           flows;
         Printf.sprintf
           "recorder: %d-slot ring; recorder-sampled keeps 1 flow in %d \

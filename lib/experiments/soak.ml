@@ -161,16 +161,17 @@ let check_actions plan =
     (Ok plan) plan.Netsim.Fault.events
 
 (* One flight of a (seed, cell, plan) run.  [recorder] says whether it
-   carries the flight recorder: [`Never], [`Always], or [`If_sink] — only
-   when a process-wide sink already makes the world build every record.
-   Returns the outcome and whether the recorder flew. *)
+   carries the flight recorder: [`Never], [`Always], or [`If_observed] —
+   only when an observer, such as a [Net.with_tap] tap, already makes the
+   world build every record.  Returns the outcome and whether the
+   recorder flew. *)
 let fly ~recorder profile ~cell ~seed plan =
   let topo = build_world profile ~cell ~seed in
   let net = topo.Scenarios.Topo.net in
   (* Nothing reads this world's in-memory trace log: the invariants poll
      agent state and the recorder, when it flies, is a ring on the trace.
      With the log off and no recorder, nothing builds events at all; a
-     process-wide sink ([--pcap]) still gets full records. *)
+     tap ([--pcap]) still gets full records. *)
   Netsim.Net.set_tracing net false;
   let eng = Netsim.Net.engine net in
   let mh = topo.Scenarios.Topo.mh in
@@ -198,7 +199,7 @@ let fly ~recorder profile ~cell ~seed plan =
     match recorder with
     | `Never -> false
     | `Always -> true
-    | `If_sink -> Netsim.Trace.interested (Netsim.Net.trace net)
+    | `If_observed -> Netsim.Trace.interested (Netsim.Net.trace net)
   in
   if recorded then
     Scenarios.Oracle.attach_recorder ~capacity:recorder_capacity oracle;
@@ -257,11 +258,11 @@ let fly ~recorder profile ~cell ~seed plan =
 (* Only a violating run reads the recorder's tail, so a run flies without
    it and only a violation is flown again, recorder attached: replay is
    bit-for-bit deterministic, so the second flight is the first one
-   recorded.  A run a sink listens to records in flight instead, so that
-   the sink sees it once. *)
+   recorded.  A run a tap observes records in flight instead, so that
+   the tap sees it once. *)
 let replay ?(profile = gentle) ~cell ~seed plan =
   (match check_actions plan with Ok _ -> () | Error e -> invalid_arg e);
-  let first, recorded = fly ~recorder:`If_sink profile ~cell ~seed plan in
+  let first, recorded = fly ~recorder:`If_observed profile ~cell ~seed plan in
   if first.violations = [] || recorded then first
   else begin
     let again, _ = fly ~recorder:`Always profile ~cell ~seed plan in

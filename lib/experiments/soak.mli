@@ -95,9 +95,10 @@ val replay :
 
     The run flies without the flight recorder.  Only a run that violates
     is flown again, with the recorder attached, to fill
-    [recorder_tail]; the outcome returned is the re-flight's.  While a
-    process-wide sink listens ([--pcap], [--trace-json]) the run records
-    in flight instead and is not re-flown, so the sink sees it once.
+    [recorder_tail]; the outcome returned is the re-flight's.  When the
+    world is observed (a {!Netsim.Net.with_tap} tap such as [--pcap] or
+    [--trace-json]) the run records in flight instead and is not
+    re-flown, so the tap sees it once.
     @raise Invalid_argument on an action {!repro_of_string} rejects.
     @raise Failure if the re-flight does not reproduce the first
     flight's violations. *)

@@ -97,9 +97,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
         | None -> false
         | Some mac ->
             t.delivered <- t.delivered + 1;
-            Trace.emit_decapsulate
-              (Net.trace (Net.node_net t.fa_node))
-              ~node:(Net.node_name t.fa_node) ~id:0 ~flow ~pkt:inner;
+            Net.trace_event t.fa_node Trace.k_decapsulate ~id:0 ~flow inner;
             ignore
               (Net.send t.fa_node ~flow ~via:t.iface ~l2_dst:mac inner);
             true)

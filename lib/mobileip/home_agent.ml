@@ -255,9 +255,7 @@ let relay_multicast t ~flow (pkt : Ipv4_packet.t) =
               ~ident:(tunnel_ident t) pkt
           in
           t.mcast_relayed <- t.mcast_relayed + 1;
-          Trace.emit_encapsulate
-            (Net.trace (Net.node_net t.ha_node))
-            ~node:(Net.node_name t.ha_node) ~id:0 ~flow ~pkt:outer;
+          Net.trace_event t.ha_node Trace.k_encapsulate ~id:0 ~flow outer;
           ignore (Net.send t.ha_node ~flow outer))
     subscribers;
   subscribers <> []
@@ -286,9 +284,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
           ~ident:(tunnel_ident t) pkt
       in
       t.tunneled <- t.tunneled + 1;
-      Trace.emit_encapsulate
-        (Net.trace (Net.node_net t.ha_node))
-        ~node:(Net.node_name t.ha_node) ~id:0 ~flow ~pkt:outer;
+      Net.trace_event t.ha_node Trace.k_encapsulate ~id:0 ~flow outer;
       ignore (Net.send t.ha_node ~flow outer);
       maybe_notify t ~correspondent:pkt.Ipv4_packet.src b;
       true
@@ -305,9 +301,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
                 false
             | Some _ ->
                 t.reverse_tunneled <- t.reverse_tunneled + 1;
-                Trace.emit_decapsulate
-                  (Net.trace (Net.node_net t.ha_node))
-                  ~node:(Net.node_name t.ha_node) ~id:0 ~flow ~pkt:inner;
+                Net.trace_event t.ha_node Trace.k_decapsulate ~id:0 ~flow inner;
                 ignore (Net.send t.ha_node ~flow inner);
                 true))
 

@@ -117,10 +117,34 @@ and override_action =
     }
   | Discard of string
 
+(* The one process-wide tap list: [with_tap] extends it for the length
+   of its body, and [create] attaches what it holds to each new world's
+   trace as observers.  No event reads it. *)
+let taps : (Trace.record -> unit) list ref = ref []
+
+(* Closure-free, so building a world allocates nothing here when no tap
+   is installed, and nothing per tap beyond the observer itself. *)
+let rec attach_taps trace = function
+  | [] -> ()
+  | tap :: rest ->
+      ignore (Trace.add_observer trace tap);
+      attach_taps trace rest
+
+let with_tap tap body =
+  let live = ref true in
+  let outer = !taps in
+  taps := outer @ [ (fun r -> if !live then tap r) ];
+  Fun.protect
+    ~finally:(fun () ->
+      live := false;
+      taps := outer)
+    body
+
 let create () =
   let engine = Engine.create () in
   let trace = Trace.create () in
   Trace.set_time_source trace (Engine.clock_cell engine);
+  attach_taps trace !taps;
   {
     engine;
     trace;
@@ -446,35 +470,23 @@ let new_frame_id node =
   t.next_frame <- t.next_frame + 1;
   t.next_frame
 
-let frame_info (f : frame) pkt : Trace.frame_info =
-  { Trace.id = f.fid; flow = f.flow; pkt }
+(* Every trace site of the data plane calls [Trace.emit] through these.
+   It decides once per event whether to build a record, feed the rings
+   or return, and the arguments are values the site already holds, so a
+   world nobody traces allocates nothing for tracing. *)
+let trace_at node kind reason ~id ~flow pkt =
+  Trace.emit node.net.trace kind node.name ~in_iface:"" ~out_iface:"" ~reason
+    ~id ~flow ~bytes:0 pkt
 
-let record node event =
-  Trace.record node.net.trace ~time:(Engine.now node.net.engine) event
+let trace_event node kind ~id ~flow pkt =
+  trace_at node kind Trace.no_reason ~id ~flow pkt
 
-(* Checked before building any trace event: when false, the per-hop
-   fast path skips [frame_info]/event allocation entirely. *)
-let tracing node = Trace.interested node.net.trace
-
-(* Allocation-free tracing of the hottest per-hop events: when only fast
-   taps (the flight recorder) are listening, these skip the
-   frame_info/event/record graph that [record] builds.  [emit_*] are
-   self-gated and stamp the time from the engine's clock cell, so the
-   call sites below use them unguarded. *)
-let trace_send node ~id ~flow pkt =
-  Trace.emit_send node.net.trace ~node:node.name ~id ~flow ~pkt
-
-let trace_transmit node ~link (f : frame) pkt ~bytes =
-  Trace.emit_transmit node.net.trace ~link ~id:f.fid ~flow:f.flow ~pkt
-    ~bytes
+let trace_drop node reason (f : frame) pkt =
+  trace_at node Trace.k_drop reason ~id:f.fid ~flow:f.flow pkt
 
 let trace_forward node ~in_iface ~out_iface (f : frame) pkt =
-  Trace.emit_forward node.net.trace ~node:node.name ~in_iface ~out_iface
-    ~id:f.fid ~flow:f.flow ~pkt
-
-let trace_deliver node (f : frame) pkt =
-  Trace.emit_deliver node.net.trace ~node:node.name ~id:f.fid
-    ~flow:f.flow ~pkt
+  Trace.emit node.net.trace Trace.k_forward node.name ~in_iface ~out_iface
+    ~reason:Trace.no_reason ~id:f.fid ~flow:f.flow ~bytes:0 pkt
 
 let ip_frame node ~out ~flow l2_dst pkt =
   { fid = new_frame_id node; flow; content = Ip pkt; l2_src = out.mac; l2_dst }
@@ -482,10 +494,7 @@ let ip_frame node ~out ~flow l2_dst pkt =
 (* A packet that dies before it reaches a wire still takes a frame id, so
    the numbering does not depend on whether anything traces it. *)
 let drop_unsent node ~flow reason pkt =
-  let id = new_frame_id node in
-  if tracing node then
-    record node
-      (Trace.Drop { node = node.name; reason; frame = { Trace.id; flow; pkt } })
+  trace_at node Trace.k_drop reason ~id:(new_frame_id node) ~flow pkt
 
 let same_segment a b =
   List.exists
@@ -528,20 +537,14 @@ and emit out frame =
         | Ptp l -> l.ptp_name
         | Detached -> "detached"
       in
-      trace_transmit node ~link:link_name frame pkt ~bytes
+      Trace.emit node.net.trace Trace.k_transmit link_name ~in_iface:""
+        ~out_iface:"" ~reason:Trace.no_reason ~id:frame.fid ~flow:frame.flow
+        ~bytes pkt
   | Arp_msg _ -> ());
   match out.attachment with
   | Detached -> (
       match frame.content with
-      | Ip pkt ->
-          if tracing node then
-            record node
-            (Trace.Drop
-               {
-                 node = node.name;
-                 reason = Trace.Link_down;
-                 frame = frame_info frame pkt;
-               })
+      | Ip pkt -> trace_drop node Trace.Link_down frame pkt
       | Arp_msg _ -> ())
   | Ptp l ->
       if loss_roll l.ptp_loss then record_link_loss node frame
@@ -596,11 +599,7 @@ and schedule_delivery node delay target frame =
 
 and record_fault_drop node reason frame =
   match frame.content with
-  | Ip pkt ->
-      if tracing node then
-        record node
-        (Trace.Drop
-           { node = node.name; reason; frame = frame_info frame pkt })
+  | Ip pkt -> trace_drop node reason frame pkt
   | Arp_msg _ -> ()
 
 and record_link_loss node frame = record_fault_drop node Trace.Link_loss frame
@@ -628,14 +627,7 @@ and arp_request_retry out next_hop =
         (fun (_, frame) ->
           match frame.content with
           | Ip pkt ->
-              (if tracing node then
-                 record node
-                   (Trace.Drop
-                      {
-                        node = node.name;
-                        reason = Trace.Arp_unresolved;
-                        frame = frame_info frame pkt;
-                      }));
+              trace_drop node Trace.Arp_unresolved frame pkt;
               (* Dead next hop: three unanswered ARP requests.  Signal the
                  sender rather than black-holing the queued packets. *)
               send_icmp_error node ~reason:Trace.Arp_unresolved
@@ -743,10 +735,7 @@ and ip_input iface frame pkt =
   let node = iface.owner in
   match Filter.evaluate node.policy ~in_iface:iface.ifname pkt with
   | Filter.Reject reason ->
-      (if tracing node then
-         record node
-           (Trace.Drop
-              { node = node.name; reason; frame = frame_info frame pkt }));
+      trace_drop node reason frame pkt;
       (* §7.1.2: a filtering router that signals its refusal lets the
          sender adapt its delivery method instead of timing out. *)
       send_icmp_error node ~reason ~code:Icmp_wire.Admin_prohibited
@@ -764,11 +753,7 @@ and ip_input iface frame pkt =
       else if Ipv4_addr.is_multicast dst || Ipv4_addr.equal dst Ipv4_addr.broadcast
       then (* not joined / not ours: ignore silently *) ()
       else if node.router then forward node iface frame pkt
-      else
-        if tracing node then
-          record node
-          (Trace.Drop
-             { node = node.name; reason = Trace.Not_for_me; frame = frame_info frame pkt })
+      else trace_drop node Trace.Not_for_me frame pkt
 
 (* Only a fragment goes through reassembly, so a whole packet is delivered
    without boxing it or the clock. *)
@@ -795,15 +780,7 @@ and deliver_whole node in_iface frame whole =
           let rerouted =
             { whole with Ipv4_packet.dst = next; options }
           in
-          if tracing node then
-            record node
-            (Trace.Forward
-               {
-                 node = node.name;
-                 in_iface = "lsr";
-                 out_iface = "lsr";
-                 frame = frame_info frame rerouted;
-               });
+          trace_forward node ~in_iface:"lsr" ~out_iface:"lsr" frame rerouted;
           originate node ~flow:frame.flow rerouted
       | None -> ())
   | None -> deliver_local node in_iface frame whole
@@ -819,7 +796,7 @@ and deliver_local node in_iface frame whole =
         | None -> false
       in
       if not consumed then begin
-        trace_deliver node frame whole;
+        trace_event node Trace.k_deliver ~id:frame.fid ~flow:frame.flow whole;
         (match node.observer with Some f -> f whole | None -> ());
         let proto = Ipv4_packet.protocol_to_int whole.Ipv4_packet.protocol in
         match Addr_map.find node.handlers proto with
@@ -830,28 +807,17 @@ and deliver_local node in_iface frame whole =
 and forward node in_iface frame pkt =
   match Ipv4_packet.decrement_ttl pkt with
   | exception Ipv4_packet.Ttl_expired ->
-      if tracing node then
-        record node
-        (Trace.Drop
-           { node = node.name; reason = Trace.Ttl_expired; frame = frame_info frame pkt })
+      trace_drop node Trace.Ttl_expired frame pkt
   | pkt -> (
       match Routing.lookup node.table pkt.Ipv4_packet.dst with
       | None ->
-          (if tracing node then
-             record node
-               (Trace.Drop
-                  { node = node.name; reason = Trace.No_route;
-                    frame = frame_info frame pkt }));
+          trace_drop node Trace.No_route frame pkt;
           send_icmp_error node ~reason:Trace.No_route
             ~code:Icmp_wire.Host_unreachable ~src:in_iface.addr pkt
       | Some route -> (
           match find_iface node route.Routing.iface with
           | None ->
-              (if tracing node then
-                 record node
-                   (Trace.Drop
-                      { node = node.name; reason = Trace.No_route;
-                        frame = frame_info frame pkt }));
+              trace_drop node Trace.No_route frame pkt;
               send_icmp_error node ~reason:Trace.No_route
                 ~code:Icmp_wire.Host_unreachable ~src:in_iface.addr pkt
           | Some out ->
@@ -913,14 +879,7 @@ and send_icmp_error node ~reason ~code ~src pkt =
               (Ipv4_packet.Icmp icmp)
           in
           let flow = new_flow node.net in
-          if tracing node then
-            record node
-              (Trace.Icmp_error
-                 {
-                   node = node.name;
-                   reason;
-                   frame = { Trace.id = 0; flow; pkt = reply };
-                 });
+          trace_at node Trace.k_icmp_error reason ~id:0 ~flow reply;
           originate node ~flow reply
         end
       end
@@ -940,7 +899,7 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
       { fid = new_frame_id node; flow; content = Ip pkt;
         l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
     in
-    trace_send node ~id:f.fid ~flow pkt;
+    trace_event node Trace.k_send ~id:f.fid ~flow pkt;
     deliver node None f pkt
   end
   else begin
@@ -988,7 +947,7 @@ and send_via node ~flow out ~next_hop ~l2_dst pkt =
       { pkt with Ipv4_packet.src = out.addr }
     else pkt
   in
-  trace_send node ~id:(new_frame_id node) ~flow pkt;
+  trace_event node Trace.k_send ~id:(new_frame_id node) ~flow pkt;
   ip_output node ~out ~next_hop ?l2_dst ~flow pkt
 
 let send node ?flow ?via ?l2_dst pkt =
@@ -1001,9 +960,7 @@ let inject_local node ~flow pkt =
     { fid = new_frame_id node; flow; content = Ip pkt;
       l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
   in
-  if tracing node then
-    record node
-      (Trace.Deliver { node = node.name; frame = frame_info frame pkt });
+  trace_event node Trace.k_deliver ~id:frame.fid ~flow pkt;
   (match node.observer with Some f -> f pkt | None -> ());
   let proto = Ipv4_packet.protocol_to_int pkt.Ipv4_packet.protocol in
   (match Addr_map.find node.handlers proto with

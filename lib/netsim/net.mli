@@ -39,9 +39,19 @@ val set_tracing : t -> bool -> unit
 (** [set_tracing t false] turns off per-packet tracing for this world
     ({!Trace.set_enabled} on its trace): the data plane stops building
     trace events, so throughput runs skip all per-hop record allocation.
-    An installed {!Trace.set_observer} or {!Trace.set_sink} overrides the
-    switch — oracle and [--trace-json] runs see identical events either
-    way.  Default on. *)
+    An observer on the trace ({!Trace.add_observer}, or a {!with_tap}
+    tap) overrides the switch — oracle and [--trace-json] runs see
+    identical events either way.  Default on. *)
+
+val with_tap : (Trace.record -> unit) -> (unit -> 'a) -> 'a
+(** [with_tap tap body] runs [body] with [tap] attached, as an observer,
+    to the trace of every world {!create}d while [body] runs — how the
+    CLI's [--trace-json] and [--pcap] observe worlds built deep inside
+    experiment runners.  Nested taps are attached in installation order,
+    so each record reaches them in that order.  A world created before
+    the call does not get the tap, and a record written after [body]
+    returns or raises reaches it no more, even from a world that
+    outlives the scope. *)
 
 val now : t -> float
 
@@ -200,6 +210,12 @@ val set_intercept :
     is how a home agent captures packets addressed to an absent mobile
     host's home address (jointly with proxy ARP and {!claim_address}) and
     re-tunnels them. *)
+
+val trace_event :
+  node -> Trace.kind -> id:int -> flow:int -> Ipv4_packet.t -> unit
+(** {!Trace.emit} of an event at the node that carries no interface,
+    reason or byte count, stamped with the net's clock: how the mobility
+    agents trace their encapsulations and decapsulations. *)
 
 val inject_local :
   node -> flow:int -> Ipv4_packet.t -> unit

@@ -61,48 +61,6 @@ type flow_entry = {
 }
 
 type observer = int
-type sink = int
-
-(* Process-wide taps, fed every record from every trace as it is written.
-   This is how the CLI streams JSONL telemetry (or a pcap) out of code
-   that builds its own worlds internally (e.g. the experiment runners).
-   Sinks compose: [--trace-json] and [--pcap] can both be installed at
-   once, alongside any trace's own observers and rings. *)
-let sink_seq = ref 0
-let sinks : (int * (record -> unit)) list ref = ref []
-let sink_fns : (record -> unit) array ref = ref [||]
-
-let sink_on = ref false
-(* cached [Array.length !sink_fns > 0]: the emit fast path tests
-   full-consumer interest once per packet event, so it reads two cached
-   booleans instead of recomputing three array lengths *)
-
-let rebuild_sinks () =
-  sink_fns := Array.of_list (List.map snd !sinks);
-  sink_on := Array.length !sink_fns > 0
-
-let add_sink f =
-  incr sink_seq;
-  let id = !sink_seq in
-  sinks := !sinks @ [ (id, f) ];
-  rebuild_sinks ();
-  id
-
-let remove_sink id =
-  sinks := List.filter (fun (i, _) -> i <> id) !sinks;
-  rebuild_sinks ()
-
-(* Back-compat single-slot facade: [set_sink (Some f)] replaces whatever
-   it installed last time but leaves other sinks alone. *)
-let legacy_sink = ref None
-
-let set_sink f =
-  (match !legacy_sink with
-  | Some id ->
-      remove_sink id;
-      legacy_sink := None
-  | None -> ());
-  match f with Some f -> legacy_sink := Some (add_sink f) | None -> ()
 
 (* Flight-recorder rings: allocation-free last-K event capture on the
    capacity fast path.
@@ -126,10 +84,10 @@ let set_sink f =
    sit next to each other.  [Netobs.Recorder] wraps a ring with the
    user-facing capture API.
 
-   Events that go through [record] (full consumers attached, or an emit
-   site with no specialised [emit_*] helper) are replayed into attached
-   rings by destructuring, so a ring sees every event exactly once
-   either way.
+   When rings are a trace's only consumers, [emit] stores each event's
+   fields straight into them.  When a log or observer makes [emit] build
+   a record, [record] replays it into the rings by destructuring, so a
+   ring sees every event exactly once either way.
 
    Rings attach to one trace, like observers: each [t] holds its own
    ring array, so a recorder sees only its own world's events when a
@@ -137,6 +95,8 @@ let set_sink f =
    process-wide keeps a dropped world's ring alive. *)
 
 (* Event kind tags, numbered in declaration order of [event]. *)
+type kind = int
+
 let k_send = 0
 
 let k_transmit = 1
@@ -203,8 +163,6 @@ type ring = {
   mutable ring_next : int;  (* write cursor: oldest slot once wrapped *)
   mutable ring_seen : int;  (* events offered, sampled-out ones included *)
   mutable ring_kept : int;  (* events written into the ring *)
-  ring_sample_every : int;
-  ring_seed : int;
   (* Sampling precomputed as a threshold compare — [hash <= threshold]
      over the hash's low 30 bits (where multiplying by an odd constant
      actually mixes small flow ids) keeps roughly 1 flow in
@@ -251,8 +209,6 @@ let make_ring ?(sample_every = 1) ?(seed = 0) ~capacity () =
     ring_next = 0;
     ring_seen = 0;
     ring_kept = 0;
-    ring_sample_every = sample_every;
-    ring_seed = seed;
     ring_threshold = 0x3FFFFFFF / sample_every;
     ring_xseed = seed * 40503;
     m_pkt = dummy_pkt;
@@ -388,6 +344,20 @@ let ring_clear rg =
   rg.ring_seen <- 0;
   rg.ring_kept <- 0
 
+(* The one decoder from a kind tag and its fields to an event: [emit]
+   builds records with it and the ring rebuilds its slots with it.
+   Fields the kind does not carry are ignored. *)
+let event_of kind name in_iface out_iface reason frame bytes =
+  match kind with
+  | 0 -> Send { node = name; frame }
+  | 1 -> Transmit { link = name; frame; bytes }
+  | 2 -> Forward { node = name; in_iface; out_iface; frame }
+  | 3 -> Drop { node = name; reason; frame }
+  | 4 -> Deliver { node = name; frame }
+  | 5 -> Encapsulate { node = name; frame }
+  | 6 -> Decapsulate { node = name; frame }
+  | _ -> Icmp_error { node = name; reason; frame }
+
 (* Cold path: rebuild a structurally identical record from a slot.  The
    pointer-lane reads are typed by the fixed per-offset discipline of
    [ring_store]. *)
@@ -411,26 +381,18 @@ let ring_record_at rg i =
       payload = (Obj.obj rg.a_payload.(i) : Ipv4_packet.payload);
     }
   in
-  let frame = { id = rg.a_scalar.(sb + 3); flow = rg.a_scalar.(sb + 4); pkt } in
-  let name : string = Obj.obj rg.i_names.(rg.a_scalar.(sb + 6)) in
+  let kind = (h lsr 37) land 0x7 in
+  let name id : string = Obj.obj rg.i_names.(id) in
+  (* only a forward wrote its interface ids; id 0 is "" *)
+  let ifaces = if kind = k_forward then rg.a_scalar.(sb + 7) else 0 in
   let event =
-    match (h lsr 37) land 0x7 with
-    | 0 -> Send { node = name; frame }
-    | 1 -> Transmit { link = name; frame; bytes = rg.a_scalar.(sb + 5) }
-    | 2 ->
-        let w = rg.a_scalar.(sb + 7) in
-        Forward
-          {
-            node = name;
-            in_iface = (Obj.obj rg.i_names.(w lsr 20) : string);
-            out_iface = (Obj.obj rg.i_names.(w land 0xFFFFF) : string);
-            frame;
-          }
-    | 3 -> Drop { node = name; reason = rg.a_reason.(i); frame }
-    | 4 -> Deliver { node = name; frame }
-    | 5 -> Encapsulate { node = name; frame }
-    | 6 -> Decapsulate { node = name; frame }
-    | _ -> Icmp_error { node = name; reason = rg.a_reason.(i); frame }
+    event_of kind
+      (name rg.a_scalar.(sb + 6))
+      (name (ifaces lsr 20))
+      (name (ifaces land 0xFFFFF))
+      rg.a_reason.(i)
+      { id = rg.a_scalar.(sb + 3); flow = rg.a_scalar.(sb + 4); pkt }
+      rg.a_scalar.(sb + 5)
   in
   { time = rg.a_time.(i); event }
 
@@ -471,26 +433,22 @@ type t = {
   mutable rev_records : record list;
   mutable count : int;
   by_flow : (int, flow_entry) Hashtbl.t;
-  mutable observers : (int * (record -> unit)) list;
-      (* per-trace taps (invariant oracle...), in installation order;
-         independent of the process-wide sinks above *)
+  mutable observers : (observer * (record -> unit)) list;
+      (* in installation order *)
   mutable obs_fns : (record -> unit) array;
       (* flattened copy of [observers] for allocation-free dispatch *)
-  mutable legacy_observer : int option;
-      (* the handle [set_observer] manages, so the optional-argument API
-         keeps its replace-in-place semantics on top of the tee *)
+  mutable obs_seq : int;  (* the last observer handle handed out *)
   mutable rings : ring array;
       (* this trace's flight-recorder rings, in attachment order — fed by
-         the [emit_*] fast path and by [record]'s replay; usually zero or
-         one *)
+         [emit] and by [record]'s replay; usually zero or one *)
   mutable enabled : bool;
-      (* when false and no observer, sink or ring is installed,
-         [interested] is false and the data plane skips event
-         construction entirely *)
-  mutable local_on : bool;
-      (* cached [enabled || observers present] — see [sink_on] *)
+      (* when false and no observer or ring is attached, [interested] is
+         false and [emit] returns at once *)
+  mutable wants_records : bool;
+      (* cached [enabled || observers present]: whether [emit] builds a
+         record, read once per event *)
   mutable time_source : floatarray;
-      (* where [emit_*] read the current time — the owning net points
+      (* where [emit] reads the current time — the owning net points
          this at its engine's clock cell, so the fast path gets the
          timestamp with one unboxed load instead of an accessor call
          and a boxed float per event *)
@@ -509,55 +467,40 @@ let create () =
     by_flow = Hashtbl.create 64;
     observers = [];
     obs_fns = [||];
-    legacy_observer = None;
+    obs_seq = 0;
     rings = [||];
     enabled = true;
-    local_on = true;
+    wants_records = true;
     time_source = Float.Array.make 1 0.0;
   }
 
 let set_time_source t cell = t.time_source <- cell
 
-let obs_seq = ref 0
-
 let rebuild_observers t =
   t.obs_fns <- Array.of_list (List.map snd t.observers);
-  t.local_on <- t.enabled || Array.length t.obs_fns > 0
+  t.wants_records <- t.enabled || Array.length t.obs_fns > 0
 
 let add_observer t f =
-  incr obs_seq;
-  let id = !obs_seq in
-  t.observers <- t.observers @ [ (id, f) ];
+  t.obs_seq <- t.obs_seq + 1;
+  t.observers <- t.observers @ [ (t.obs_seq, f) ];
   rebuild_observers t;
-  id
+  t.obs_seq
 
 let remove_observer t id =
   t.observers <- List.filter (fun (i, _) -> i <> id) t.observers;
   rebuild_observers t
 
-let set_observer t f =
-  (match t.legacy_observer with
-  | Some id ->
-      remove_observer t id;
-      t.legacy_observer <- None
-  | None -> ());
-  match f with
-  | Some f -> t.legacy_observer <- Some (add_observer t f)
-  | None -> ()
-
 let set_enabled t b =
   t.enabled <- b;
-  t.local_on <- b || Array.length t.obs_fns > 0
+  t.wants_records <- b || Array.length t.obs_fns > 0
 
 let enabled t = t.enabled
 
-(* Installed observers (invariant oracle), process-wide sinks
-   (--trace-json, --pcap) or attached rings (the flight recorder)
-   override gating: those consumers must see every event whether or not
-   in-memory logging was turned off.  Full-consumer interest is the
-   cached [t.local_on || !sink_on] — this test runs for every packet
-   hop. *)
-let interested t = t.local_on || !sink_on || Array.length t.rings > 0
+(* Attached observers (invariant oracle, [--trace-json] and [--pcap]
+   taps) or rings (the flight recorder) override gating: those consumers
+   must see every event whether or not in-memory logging was turned
+   off. *)
+let interested t = t.wants_records || Array.length t.rings > 0
 
 let frame_of = function
   | Send { frame; _ }
@@ -582,12 +525,11 @@ let record t ~time event =
   Prof.enter Prof.Trace_emit;
   let r = { time; event } in
   (* The unbounded in-memory log (and the per-flow index over it) fills
-     whenever a full consumer is active — a run that installs an
-     observer or sink with tracing "off" still gets the normal log, as
-     it always has.  Only ring-only runs skip it, so a capacity run with
-     just the flight recorder attached pays the ring store, not
-     list/hashtable growth. *)
-  if t.local_on || !sink_on then begin
+     whenever a full consumer is active — a run that attaches an observer
+     with tracing "off" still gets the normal log, as it always has.
+     Only ring-only runs skip it, so a capacity run with just the flight
+     recorder attached pays the ring store, not list/hashtable growth. *)
+  if t.wants_records then begin
     t.rev_records <- r :: t.rev_records;
     t.count <- t.count + 1;
     let e = flow_entry t (frame_of event).flow in
@@ -602,13 +544,8 @@ let record t ~time event =
   for i = 0 to Array.length obs - 1 do
     obs.(i) r
   done;
-  let snk = !sink_fns in
-  for i = 0 to Array.length snk - 1 do
-    snk.(i) r
-  done;
-  (* Replay into attached rings so they see events from un-specialised
-     emit sites (drops, ICMP errors, source-routed forwards) and from
-     runs where full consumers forced this path. *)
+  (* Replay into attached rings, so they also see the events a log or
+     an observer made [emit] build, and records written by hand. *)
   (let rs = t.rings in
    if Array.length rs > 0 then
      for i = 0 to Array.length rs - 1 do
@@ -616,89 +553,21 @@ let record t ~time event =
      done);
   Prof.leave Prof.Trace_emit
 
-(* Specialised emit points for the hottest data-plane events.  With only
-   rings interested these cost a handful of loads and stores per event;
-   with any full consumer attached they fall back to [record] (which
-   replays into rings).  The ring loop is open-coded in each body and the
-   profiler probe guarded by a direct flag read: on the capacity fast
-   path even a no-op cross-module call per event shows up in E20. *)
-
-let emit_send t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
+(* The one emit point of the data plane.  With a log or observer it
+   builds the record; with only rings it costs a handful of loads and
+   stores per event and no Prof bracket (on the capacity fast path even a
+   no-op cross-module call per event shows up in E20); with nothing
+   attached the ring loop runs zero times. *)
+let emit t kind name ~in_iface ~out_iface ~reason ~id ~flow ~bytes pkt =
+  if t.wants_records then
     record t
       ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Send { node; frame = { id; flow; pkt } })
-  else
-    (* no Prof bracket here: the ring store is a few dozen ns and the
-       [record] path keeps Trace_emit attribution for full consumers *)
-    let rs = t.rings in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_send node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-let emit_transmit t ~link ~id ~flow ~pkt ~bytes =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Transmit { link; frame = { id; flow; pkt }; bytes })
+      (event_of kind name in_iface out_iface reason { id; flow; pkt } bytes)
   else
     let rs = t.rings in
     for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_transmit link
-        no_iface no_iface no_reason id flow pkt bytes
-    done
-
-let emit_forward t ~node ~in_iface ~out_iface ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Forward { node; in_iface; out_iface; frame = { id; flow; pkt } })
-  else
-    let rs = t.rings in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_forward node
-        in_iface out_iface no_reason id flow pkt 0
-    done
-
-let emit_deliver t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Deliver { node; frame = { id; flow; pkt } })
-  else
-    let rs = t.rings in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_deliver node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-(* Tunnel events ride the same fast path: on a roamed topology every
-   tunneled packet pays one of these per encap/decap hop, which would
-   otherwise be the only per-packet event still allocating a record
-   graph on ring-only runs. *)
-let emit_encapsulate t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Encapsulate { node; frame = { id; flow; pkt } })
-  else
-    let rs = t.rings in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_encapsulate node
-        no_iface no_iface no_reason id flow pkt 0
-    done
-
-let emit_decapsulate t ~node ~id ~flow ~pkt =
-  if t.local_on || !sink_on then
-    record t
-      ~time:(Float.Array.unsafe_get t.time_source 0)
-      (Decapsulate { node; frame = { id; flow; pkt } })
-  else
-    let rs = t.rings in
-    for i = 0 to Array.length rs - 1 do
-      ring_store_cell (Array.unsafe_get rs i) t.time_source k_decapsulate node
-        no_iface no_iface no_reason id flow pkt 0
+      ring_store_cell (Array.unsafe_get rs i) t.time_source kind name in_iface
+        out_iface reason id flow pkt bytes
     done
 
 let records t = List.rev t.rev_records

@@ -63,6 +63,10 @@ type t
 
 val create : unit -> t
 val record : t -> time:float -> event -> unit
+(** Write one record: into the log when it is on or an observer is
+    attached, then to every observer and ring.  The data plane goes
+    through {!emit}; this entry is for records built by hand. *)
+
 val records : t -> record list
 (** All records, oldest first. *)
 
@@ -70,80 +74,55 @@ val clear : t -> unit
 val length : t -> int
 
 val set_enabled : t -> bool -> unit
-(** Turn per-packet tracing on or off (default on).  While off {e and} no
-    observer or sink is installed, {!interested} is false and the data
-    plane skips building events — the per-hop fast path allocates nothing
-    for tracing.  Records written while an observer or sink keeps the
-    trace interested are still logged normally; attached rings keep
+(** Turn the in-memory log on or off (default on).  While it is off
+    {e and} no observer or ring is attached, {!interested} is false and
+    {!emit} returns at once — the per-hop fast path allocates nothing for
+    tracing.  Records written while an observer keeps the trace
+    interested are still logged normally; attached rings keep
     {!interested} true but do {e not} revive the unbounded log. *)
 
 val enabled : t -> bool
 
 val interested : t -> bool
-(** Whether anything wants this trace's events right now: the trace is
-    enabled, an observer or ring is attached to it, or a process-wide
-    sink is installed.  The data plane checks this before constructing
-    an event. *)
+(** Whether anything wants this trace's events right now: the log is
+    on, or an observer or ring is attached. *)
 
-(** {1 Composable taps}
+(** {1 Observers}
 
-    Observers are per-trace, sinks are process-wide; both tee — any
-    number can be installed at once, each called with every record in
-    installation order.  The invariant oracle, the flight recorder,
-    [--trace-json] and [--pcap] all coexist.  A tap must not call back
-    into the trace it is observing. *)
+    Observers belong to one trace and tee: any number can be attached at
+    once, each called with every record in attachment order.  The
+    invariant oracle, the flight recorder and the [--trace-json] and
+    [--pcap] taps of [Net.with_tap] all coexist.  An observer must not
+    call back into the trace it is observing. *)
 
 type observer
-(** Handle for one installed per-trace tap. *)
-
-type sink
-(** Handle for one installed process-wide tap. *)
+(** Handle for one attached observer. *)
 
 val add_observer : t -> (record -> unit) -> observer
-(** Install a tap called with every record written to {e this} trace —
-    how the {!Invariant} oracle's watches see a run without disturbing
-    the process-wide sinks. *)
+(** Call [f] with every record written to {e this} trace from now on.
+    An attached observer makes {!emit} build a record for every event,
+    and the log fills as if it were on. *)
 
 val remove_observer : t -> observer -> unit
-(** Removing twice, or removing a never-installed handle, is a no-op. *)
-
-val add_sink : (record -> unit) -> sink
-(** Install a tap receiving every record from {e every} trace as it is
-    written — the hook behind the CLI's [--trace-json] and [--pcap]
-    streaming exports, which observe worlds built deep inside experiment
-    runners. *)
-
-val remove_sink : sink -> unit
-
-val set_observer : t -> (record -> unit) option -> unit
-(** Single-slot facade over {!add_observer}: installs the tap, replacing
-    whatever the previous [set_observer] installed; [None] clears it.
-    Taps installed with {!add_observer} are untouched. *)
-
-val set_sink : (record -> unit) option -> unit
-(** Single-slot facade over {!add_sink} with the same replace-in-place
-    semantics; sinks installed with {!add_sink} are untouched. *)
+(** Removing twice, or removing a never-attached handle, is a no-op. *)
 
 (** {1 Flight-recorder rings}
 
-    Observers and sinks receive allocated {!record} values, so any one
-    of them forces the data plane to build the frame/event/record graph
-    for every traced event.  A {e ring} is a preallocated fixed-capacity
-    last-K event store fed field-by-field: when rings are the only
-    consumers, the specialised [emit_*] entry points below write slot
-    arrays straight from the emit site and allocate nothing.  This is
-    what lets the flight recorder stay attached during capacity runs at
-    a few percent of throughput.  An attached ring sees every event
-    exactly once regardless of which path it took — events routed
-    through {!record} (full consumers attached, or event kinds with no
-    [emit_*] helper) are replayed into rings by destructuring.
+    Observers receive allocated {!record} values, so any one of them
+    makes the data plane build the frame/event/record graph for every
+    traced event.  A {e ring} is a preallocated fixed-capacity last-K
+    event store fed field by field: when rings are a trace's only
+    consumers, {!emit} writes slot arrays straight from the emit site
+    and allocates nothing.  This is what lets the flight recorder stay
+    attached during capacity runs at a few percent of throughput.  An
+    attached ring sees every event exactly once, whichever path it took
+    — records that a log or observer made {!emit} build, and records
+    written by hand with {!record}, are replayed into rings by
+    destructuring.
 
     Rings are per-trace, like observers: a ring attached to one trace
     sees that world's events and no other's, however many worlds the
-    process builds, and the trace holds no ring state shared between
-    worlds.  A world with its in-memory log off ({!set_enabled}) and
-    only rings attached takes the allocation-free path for every
-    specialised event.
+    process builds.
 
     This is the storage primitive behind [Netobs.Recorder], which adds
     the user-facing capture API (install, tail, JSONL/pcap dumps). *)
@@ -161,34 +140,15 @@ val make_ring : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> ring
 
 val attach_ring : t -> ring -> unit
 (** Feed the ring every event of {e this} trace from now on (idempotent).
-    Composes with the trace's observers and with process-wide sinks; a
-    ring attached to several traces records all of them. *)
+    Composes with the trace's observers; a ring attached to several
+    traces records all of them. *)
 
 val detach_ring : t -> ring -> unit
 (** Detaching a ring not attached to the trace is a no-op. *)
 
-val ring_store :
-  ring ->
-  float ->
-  int ->
-  string ->
-  string ->
-  string ->
-  drop_reason ->
-  int ->
-  int ->
-  Ipv4_packet.t ->
-  int ->
-  unit
-(** [ring_store rg time kind name in_iface out_iface reason id flow pkt
-    bytes] offers one event to the ring: the sampling decision, then the
-    slot stores.  [kind] is one of the [k_*] tags below; [name] is the
-    node name, or the link name for {!k_transmit}; arguments that do not
-    apply to a kind are [""] / a placeholder reason / [0]. *)
-
 val ring_store_record : ring -> record -> unit
-(** {!ring_store} of a record's fields — for feeding a ring from an
-    observer or sink. *)
+(** Offer a record's fields to the ring: the sampling decision, then the
+    slot stores — for feeding a ring from an observer. *)
 
 val ring_records : ring -> record list
 (** Rebuild the ring's contents as structurally identical records,
@@ -209,55 +169,53 @@ val ring_length : ring -> int
 
 val ring_clear : ring -> unit
 
-(** Kind tags used by {!ring_store}, numbered in declaration order of
-    {!event}. *)
+(** {1 Emitting events} *)
 
-val k_send : int
+type kind
+(** An event constructor's tag, for {!emit}. *)
 
-val k_transmit : int
-val k_forward : int
-val k_drop : int
-val k_deliver : int
-val k_encapsulate : int
-val k_decapsulate : int
-val k_icmp_error : int
+val k_send : kind
+val k_transmit : kind
+val k_forward : kind
+val k_drop : kind
+val k_deliver : kind
+val k_encapsulate : kind
+val k_decapsulate : kind
+val k_icmp_error : kind
+
+val no_reason : drop_reason
+(** The [reason] to pass {!emit} for a kind that carries none. *)
 
 val set_time_source : t -> floatarray -> unit
-(** Point the trace at the one-element cell its [emit_*] fast paths read
-    the current time from ({!Engine.clock_cell} of the owning net's
-    engine).  Until set, emits are stamped 0.0 — every real trace gets
-    wired by [Net.make].  The trace never writes the cell. *)
+(** Point the trace at the one-element cell {!emit} reads the current
+    time from ({!Engine.clock_cell} of the owning net's engine).  Until
+    set, emits are stamped 0.0 — every real trace gets wired by
+    [Net.create].  The trace never writes the cell. *)
 
-val emit_send : t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-(** [emit_send] .. [emit_deliver] are equivalent to {!record} with the
-    corresponding event (stamped from the {!set_time_source} cell) but
-    are self-gated: they skip event construction entirely when only
-    rings are interested, and do nothing at all when nothing is.  The
-    data plane uses them unguarded for its hottest events; other call
-    sites keep using {!record}. *)
-
-val emit_transmit :
-  t -> link:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> bytes:int -> unit
-
-val emit_forward :
+val emit :
   t ->
-  node:string ->
+  kind ->
+  string ->
   in_iface:string ->
   out_iface:string ->
+  reason:drop_reason ->
   id:int ->
   flow:int ->
-  pkt:Ipv4_packet.t ->
+  bytes:int ->
+  Ipv4_packet.t ->
   unit
+(** [emit t kind name ~in_iface ~out_iface ~reason ~id ~flow ~bytes pkt]
+    traces the [kind] event about frame [{id; flow; pkt}], stamped from
+    the {!set_time_source} cell.  [name] is the node, or the link for
+    {!k_transmit}.  A kind ignores the fields it does not carry: the
+    interfaces of anything but a forward, the reason of anything but a
+    drop or an ICMP error, the bytes of anything but a transmit.
 
-val emit_deliver : t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-
-val emit_encapsulate :
-  t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-
-val emit_decapsulate :
-  t -> node:string -> id:int -> flow:int -> pkt:Ipv4_packet.t -> unit
-(** Tunnel encap/decap on the same allocation-free fast path — on a
-    roamed topology these fire for every tunneled packet. *)
+    It decides once per event what to do.  With the log on or an
+    observer attached, it {!record}s the event.  With only rings
+    attached, it stores the fields into them and allocates nothing.
+    With nothing attached, it returns.  Every trace site of the data
+    plane and the mobility agents calls it. *)
 
 (** {1 Flow queries}
 

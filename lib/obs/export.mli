@@ -6,8 +6,8 @@
     checksums included — alongside the human-oriented summary fields
     ([src], [dst], [proto], [len]) that make the JSONL greppable. *)
 
-val json_of_record : Netsim.Trace.record -> Json.t
-val record_of_json : Json.t -> (Netsim.Trace.record, string) result
+val json_of_record : Netsim.Trace.record -> Netsim.Json.t
+val record_of_json : Netsim.Json.t -> (Netsim.Trace.record, string) result
 val line_of_record : Netsim.Trace.record -> string
 (** One JSONL line, no trailing newline. *)
 
@@ -20,11 +20,12 @@ val read_trace_jsonl : in_channel -> (Netsim.Trace.record list, string) result
     skipped. *)
 
 val sink_to_channel : out_channel -> Netsim.Trace.record -> unit
-(** A streaming sink for {!Netsim.Trace.set_sink}: writes each record as a
-    JSONL line as it happens — telemetry from worlds the caller never sees
-    (e.g. inside experiment runners). *)
+(** Write one record as a JSONL line as it happens: an observer for
+    {!Netsim.Trace.add_observer}, or a tap for {!Netsim.Net.with_tap},
+    which streams telemetry from worlds the caller never sees (e.g.
+    inside experiment runners). *)
 
-val json_of_span : Span.t -> Json.t
-val json_of_engine_stats : Netsim.Engine.stats -> Json.t
+val json_of_span : Span.t -> Netsim.Json.t
+val json_of_engine_stats : Netsim.Engine.stats -> Netsim.Json.t
 val hex_of_bytes : Bytes.t -> string
 val bytes_of_hex : string -> (Bytes.t, string) result

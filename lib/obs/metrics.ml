@@ -204,6 +204,7 @@ let pp_snapshot fmt samples =
     samples
 
 let snapshot_to_json samples =
+  let module Json = Netsim.Json in
   Json.Obj
     [
       ( "metrics",

@@ -71,5 +71,5 @@ val pp_snapshot : Format.formatter -> sample list -> unit
 (** Human-readable table; histograms get a second line with their bucket
     counts. *)
 
-val snapshot_to_json : sample list -> Json.t
+val snapshot_to_json : sample list -> Netsim.Json.t
 (** [{"metrics": [{"name": ..., "type": ..., "value"| histogram fields}]}] *)

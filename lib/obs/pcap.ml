@@ -87,6 +87,11 @@ let really_read ic len =
   really_input ic b 0 len;
   b
 
+(* libpcap's own ceiling on a record's captured length (its
+   MAXIMUM_SNAPLEN), so a header claiming a larger snaplen cannot make
+   the reader allocate more. *)
+let max_snaplen = 262_144
+
 let read_channel ic =
   match really_read ic global_header_length with
   | exception End_of_file -> Error "pcap: truncated file header"
@@ -97,6 +102,7 @@ let read_channel ic =
       else if get_u32 h 20 <> linktype_raw then
         Error "pcap: unexpected linktype (want LINKTYPE_RAW)"
       else begin
+        let limit = min (get_u32 h 16) max_snaplen in
         let packets = ref [] in
         let rec loop () =
           match really_read ic record_header_length with
@@ -105,12 +111,23 @@ let read_channel ic =
               let sec = get_u32 rh 0 in
               let usec = get_u32 rh 4 in
               let incl = get_u32 rh 8 in
-              match really_read ic incl with
-              | exception End_of_file -> Error "pcap: truncated packet record"
-              | payload ->
-                  let time = float_of_int sec +. (float_of_int usec /. 1e6) in
-                  packets := (time, payload) :: !packets;
-                  loop ())
+              (* The length comes from the file: check it before it sizes
+                 an allocation. *)
+              if incl > limit then
+                Error
+                  (Printf.sprintf
+                     "pcap: packet record of %d bytes exceeds the snapshot \
+                      length %d"
+                     incl limit)
+              else
+                match really_read ic incl with
+                | exception End_of_file -> Error "pcap: truncated packet record"
+                | payload ->
+                    let time =
+                      float_of_int sec +. (float_of_int usec /. 1e6)
+                    in
+                    packets := (time, payload) :: !packets;
+                    loop ())
         in
         loop ()
       end

@@ -31,9 +31,10 @@ val packet_of_record : Netsim.Trace.record -> (float * Bytes.t) option
 (** [Some (time, wire_bytes)] for a [Transmit] record, [None] otherwise. *)
 
 val sink_to_channel : out_channel -> Netsim.Trace.record -> unit
-(** A streaming sink for {!Netsim.Trace.add_sink}: appends each
-    [Transmit] record as a pcap packet.  The caller writes the file
-    header first ({!write_header}) and owns the channel. *)
+(** Append a [Transmit] record as a pcap packet, as it happens: an
+    observer for {!Netsim.Trace.add_observer}, or a tap for
+    {!Netsim.Net.with_tap}.  The caller writes the file header first
+    ({!write_header}) and owns the channel. *)
 
 val write_records : out_channel -> Netsim.Trace.record list -> int
 (** Header plus every [Transmit] record; returns the packet count. *)
@@ -44,4 +45,6 @@ val write_file : string -> Netsim.Trace.record list -> int
 val read_channel : in_channel -> ((float * Bytes.t) list, string) result
 val read_file : string -> ((float * Bytes.t) list, string) result
 (** Parse a capture this module wrote: [(timestamp, payload)] per packet,
-    in file order.  Rejects foreign magic, versions and linktypes. *)
+    in file order.  Rejects foreign magic, versions and linktypes, and a
+    packet record longer than the file header's snapshot length (or
+    libpcap's 262 144-byte ceiling) before reading it. *)

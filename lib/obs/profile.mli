@@ -6,6 +6,6 @@ val pp : Format.formatter -> Netsim.Prof.entry list -> unit
     and total milliseconds, and each category's share of the summed self
     time. *)
 
-val to_json : Netsim.Prof.entry list -> Json.t
+val to_json : Netsim.Prof.entry list -> Netsim.Json.t
 (** [{"profile": [{"category", "calls", "self_s", "total_s"}...]}],
     sorted by self time, descending. *)

@@ -2,7 +2,7 @@
     most recent trace records.
 
     Where the in-memory {!Netsim.Trace} log grows without bound and the
-    JSONL sink formats every event, the recorder keeps only the last
+    JSONL tap formats every event, the recorder keeps only the last
     [capacity] records at a cost of one array store per event — cheap
     enough to leave attached during capacity-scale runs, yet when an
     invariant trips, the events leading up to the failure are right
@@ -17,14 +17,14 @@
     A recorder watches one world: {!install} attaches it to that world's
     trace ({!Netsim.Trace.attach_ring}), and it sees none of the events
     of other worlds built in the same process.  An installed recorder
-    receives event fields as plain arguments from the data plane's emit
-    sites, so in a world with its in-memory log off and only recorders
+    receives event fields as plain arguments from {!Netsim.Trace.emit},
+    so in a world with its in-memory log off and only recorders
     installed the hot path allocates nothing per event.  It composes
-    with the trace's observers and with the process-wide [--trace-json]
-    and [--pcap] sinks; with one of those attached, the world builds its
-    records as usual and the recorder gets each one replayed.  {!note}
-    feeds a recorder by hand, e.g. from a {!Netsim.Trace.add_observer}
-    tap, which forces that full path. *)
+    with the trace's observers, the [--trace-json] and [--pcap] taps
+    among them; with one of those attached, the world builds its records
+    as usual and the recorder gets each one replayed.  {!note} feeds a
+    recorder by hand, e.g. from a {!Netsim.Trace.add_observer} observer,
+    which forces that full path. *)
 
 type t
 

@@ -1,6 +1,5 @@
 (** Whole-trace aggregates: per-link byte accounting, drop and delivery
-    statistics.  [Scenarios.Metrics] is a thin wrapper over this module;
-    each function folds the record list once. *)
+    statistics.  Each function folds the record list once. *)
 
 val link_bytes : Netsim.Trace.t -> (string * int) list
 (** Total bytes transmitted per link, sorted by link name. *)

@@ -471,19 +471,18 @@ let cell_dh =
 let tail_lines o =
   List.map Netobs.Export.line_of_record o.Experiments.Soak.recorder_tail
 
-(* Gentle seed 7 violates on In-DE/Out-DE and In-DH/Out-DH.  With no sink
-   the tail comes from a second, recorded flight; a sink makes the run
-   record in flight.  Both must carry the same outcome and tail. *)
+(* Gentle seed 7 violates on In-DE/Out-DE and In-DH/Out-DH.  With no tap
+   the tail comes from a second, recorded flight; a [Net.with_tap] tap
+   makes the run record in flight.  Both must carry the same outcome and
+   tail. *)
 let test_reflown_tail_is_in_flight_tail () =
   List.iter
     (fun cell ->
       let plan = Experiments.Soak.generate_plan ~cell ~seed:7 () in
       let reflown = Experiments.Soak.replay ~cell ~seed:7 plan in
-      let sink = Trace.add_sink (fun _ -> ()) in
       let in_flight =
-        Fun.protect
-          ~finally:(fun () -> Trace.remove_sink sink)
-          (fun () -> Experiments.Soak.replay ~cell ~seed:7 plan)
+        Net.with_tap ignore (fun () ->
+            Experiments.Soak.replay ~cell ~seed:7 plan)
       in
       let name = Mobileip.Grid.cell_to_string cell in
       Alcotest.(check bool)

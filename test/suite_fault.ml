@@ -45,7 +45,8 @@ let test_flap_drops_and_recovers () =
   let stats = Fault.stats fault in
   Alcotest.(check int) "two flap drops" 2 stats.Fault.flap_drops;
   let traced =
-    List.assoc_opt Trace.Link_flap (Scenarios.Metrics.drops_by_reason net)
+    List.assoc_opt Trace.Link_flap
+      (Netobs.Trace_stats.drops_by_reason (Net.trace net))
   in
   Alcotest.(check (option int)) "drops traced as link-flap" (Some 2) traced
 
@@ -59,7 +60,8 @@ let test_partition_blocks_both_directions () =
   let stats = Fault.stats fault in
   Alcotest.(check int) "partition drop counted" 1 stats.Fault.partition_drops;
   Alcotest.(check (option int)) "traced as partitioned" (Some 1)
-    (List.assoc_opt Trace.Partitioned (Scenarios.Metrics.drops_by_reason net))
+    (List.assoc_opt Trace.Partitioned
+       (Netobs.Trace_stats.drops_by_reason (Net.trace net)))
 
 let test_latency_spike_delays () =
   let net, send_at, got = tiny_world () in

@@ -71,7 +71,7 @@ let test_snapshot_deterministic () =
   in
   Alcotest.(check (list string)) "sorted" [ "alpha"; "mid"; "zeta" ] names;
   let render () =
-    Netobs.Json.to_string
+    Json.to_string
       (Netobs.Metrics.snapshot_to_json (Netobs.Metrics.snapshot reg))
   in
   Alcotest.(check string) "stable rendering" (render ()) (render ())
@@ -80,7 +80,7 @@ let test_snapshot_deterministic () =
 
 let test_json_roundtrip () =
   let v =
-    Netobs.Json.(
+    Json.(
       Obj
         [
           ("null", Null);
@@ -92,7 +92,7 @@ let test_json_roundtrip () =
           ("list", List [ Int 1; String "x"; Obj [ ("k", Bool false) ] ]);
         ])
   in
-  match Netobs.Json.of_string (Netobs.Json.to_string v) with
+  match Json.of_string (Json.to_string v) with
   | Ok v' -> Alcotest.(check bool) "round trip" true (v = v')
   | Error e -> Alcotest.failf "parse failed: %s" e
 
@@ -102,18 +102,18 @@ let test_json_errors () =
       Alcotest.(check bool)
         (Printf.sprintf "%S rejected" s)
         true
-        (Result.is_error (Netobs.Json.of_string s)))
+        (Result.is_error (Json.of_string s)))
     [ "{"; "tru"; "1 2"; "[1,]"; "\"unterminated"; "{\"a\" 1}" ]
 
 let test_json_whitespace () =
-  match Netobs.Json.of_string "  { \"a\" : [ 1 , 2.5 , \"x\\n\" ] }  " with
+  match Json.of_string "  { \"a\" : [ 1 , 2.5 , \"x\\n\" ] }  " with
   | Ok j ->
       Alcotest.(check bool) "parsed" true
-        (Netobs.Json.member "a" j
+        (Json.member "a" j
         = Some
-            (Netobs.Json.List
-               [ Netobs.Json.Int 1; Netobs.Json.Float 2.5;
-                 Netobs.Json.String "x\n" ]))
+            (Json.List
+               [ Json.Int 1; Json.Float 2.5;
+                 Json.String "x\n" ]))
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 (* ---------- trace events: JSONL round trip ---------- *)
@@ -137,8 +137,7 @@ let icmp_error_packet () =
        (Icmp_wire.Dest_unreachable
           { code = Icmp_wire.Admin_prohibited; context }))
 
-let sample_trace () =
-  let t = Trace.create () in
+let sample_trace ?(t = Trace.create ()) () =
   let frame id flow pkt = { Trace.id; flow; pkt } in
   let plain = frame 1 7 (udp_packet ()) in
   let outer = frame 2 7 (tunneled_packet ()) in
@@ -170,7 +169,7 @@ let test_event_json_roundtrip () =
   List.iter
     (fun (r : Trace.record) ->
       let line = Netobs.Export.line_of_record r in
-      match Netobs.Json.of_string line with
+      match Json.of_string line with
       | Error e -> Alcotest.failf "line does not parse: %s (%s)" e line
       | Ok j -> (
           match Netobs.Export.record_of_json j with
@@ -208,12 +207,10 @@ let test_flow_index () =
 
 let test_trace_sink () =
   let seen = ref 0 in
-  Trace.set_sink (Some (fun _ -> incr seen));
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
-    (fun () ->
-      let t = sample_trace () in
-      Alcotest.(check int) "sink saw every record" (Trace.length t) !seen)
+  let t = Trace.create () in
+  ignore (Trace.add_observer t (fun _ -> incr seen));
+  let t = sample_trace ~t () in
+  Alcotest.(check int) "observer saw every record" (Trace.length t) !seen
 
 (* ---------- spans ---------- *)
 

@@ -95,48 +95,159 @@ let prop_sampling_deterministic =
       let b = Netobs.Recorder.create ~sample_every:4 ~seed ~capacity:1 () in
       Netobs.Recorder.sampled a flow = Netobs.Recorder.sampled b flow)
 
+(* ---------- the one emit ---------- *)
+
+let kinds =
+  [|
+    Trace.k_send; Trace.k_transmit; Trace.k_forward; Trace.k_drop;
+    Trace.k_deliver; Trace.k_encapsulate; Trace.k_decapsulate;
+    Trace.k_icmp_error;
+  |]
+
+(* The event [Trace.emit] must build for kind number [k], written out
+   here independently of the trace's own decoder: every field a kind does
+   not carry is dropped. *)
+let expected_event k ~name ~in_iface ~out_iface ~reason ~bytes frame =
+  match k with
+  | 0 -> Trace.Send { node = name; frame }
+  | 1 -> Trace.Transmit { link = name; frame; bytes }
+  | 2 -> Trace.Forward { node = name; in_iface; out_iface; frame }
+  | 3 -> Trace.Drop { node = name; reason; frame }
+  | 4 -> Trace.Deliver { node = name; frame }
+  | 5 -> Trace.Encapsulate { node = name; frame }
+  | 6 -> Trace.Decapsulate { node = name; frame }
+  | _ -> Trace.Icmp_error { node = name; reason; frame }
+
+let gen_reason =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          Trace.
+            [
+              Ingress_filter; Transit_filter; Ttl_expired; No_route;
+              Mtu_exceeded; Arp_unresolved; Not_for_me; Link_down; Link_loss;
+              Link_flap; Partitioned; Reassembly_timeout;
+            ];
+        map (fun s -> Trace.Firewall s) (string_size ~gen:printable (0 -- 8));
+        map (fun s -> Trace.Custom s) (string_size ~gen:printable (0 -- 8));
+      ])
+
+type emit_case = {
+  k : int;
+  name : string;
+  in_iface : string;
+  out_iface : string;
+  reason : Trace.drop_reason;
+  id : int;
+  flow : int;
+  bytes : int;
+  time : float;
+}
+
+let gen_emit_case =
+  let name = QCheck.Gen.(string_size ~gen:printable (0 -- 6)) in
+  QCheck.Gen.(
+    map
+      (fun ((k, n, i, o), (reason, id, flow, (bytes, time))) ->
+        {
+          k; name = n; in_iface = i; out_iface = o; reason; id; flow; bytes;
+          time;
+        })
+      (pair
+         (quad (0 -- 7) name name name)
+         (quad gen_reason (0 -- 100_000) (0 -- 100_000)
+            (pair (0 -- 65_535) (float_bound_inclusive 1000.0)))))
+
+(* The three paths of [Trace.emit], for all eight kinds.  With an
+   observer attached it hands the observer exactly the record
+   [Trace.record] would, stamped from the time cell; with only a ring,
+   the ring holds that record and the log stays empty; with nothing
+   attached, nothing is logged or stored. *)
+let prop_emit_paths =
+  QCheck.Test.make ~name:"emit: observer, ring-only and idle paths"
+    ~count:300
+    (QCheck.make
+       ~print:(fun c ->
+         Printf.sprintf "kind %d %S %S %S id %d flow %d bytes %d t %h" c.k
+           c.name c.in_iface c.out_iface c.id c.flow c.bytes c.time)
+       gen_emit_case)
+    (fun c ->
+      let pkt = mk_pkt (c.id mod 1000) in
+      let frame = { Trace.id = c.id; flow = c.flow; pkt } in
+      let event =
+        expected_event c.k ~name:c.name ~in_iface:c.in_iface
+          ~out_iface:c.out_iface ~reason:c.reason ~bytes:c.bytes frame
+      in
+      let emit t =
+        Trace.set_time_source t (Float.Array.make 1 c.time);
+        Trace.emit t kinds.(c.k) c.name ~in_iface:c.in_iface
+          ~out_iface:c.out_iface ~reason:c.reason ~id:c.id ~flow:c.flow
+          ~bytes:c.bytes pkt
+      in
+      let quiet () =
+        let t = Trace.create () in
+        Trace.set_enabled t false;
+        t
+      in
+      let observed t =
+        let seen = ref [] in
+        ignore (Trace.add_observer t (fun r -> seen := r :: !seen));
+        seen
+      in
+      (* observer path, against [Trace.record] *)
+      let by_emit = quiet () and by_record = quiet () in
+      let seen_emit = observed by_emit and seen_record = observed by_record in
+      emit by_emit;
+      Trace.record by_record ~time:c.time event;
+      let observer_ok =
+        !seen_emit = [ { Trace.time = c.time; event } ]
+        && !seen_emit = !seen_record
+      in
+      (* ring-only path *)
+      let t = quiet () in
+      let ring = Trace.make_ring ~capacity:4 () in
+      Trace.attach_ring t ring;
+      emit t;
+      let ring_ok =
+        Trace.ring_records ring = [ { Trace.time = c.time; event } ]
+        && Trace.length t = 0
+      in
+      (* idle path *)
+      let t = quiet () in
+      let detached = Trace.make_ring ~capacity:4 () in
+      Trace.attach_ring t detached;
+      Trace.detach_ring t detached;
+      emit t;
+      let idle_ok =
+        Trace.length t = 0 && Trace.records t = []
+        && Trace.ring_seen detached = 0
+      in
+      observer_ok && ring_ok && idle_ok)
+
 (* ---------- trace tee ---------- *)
 
 let test_tee_identity () =
   let seen_a = ref [] and seen_b = ref [] in
-  let a = Trace.add_sink (fun r -> seen_a := r :: !seen_a) in
-  let b = Trace.add_sink (fun r -> seen_b := r :: !seen_b) in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.remove_sink a;
-      Trace.remove_sink b)
-    (fun () ->
-      let t = Trace.create () in
-      Trace.set_enabled t false;
-      Alcotest.(check bool)
-        "sinks keep a disabled trace interested" true (Trace.interested t);
-      Trace.record t ~time:0.5 (transmit 1).Trace.event;
-      Trace.record t ~time:0.75 (deliver 1).Trace.event;
-      Alcotest.(check int) "first sink saw both" 2 (List.length !seen_a);
-      Alcotest.(check bool)
-        "both sinks saw the identical records" true (!seen_a = !seen_b));
-  (* after removal the tee no longer forces interest *)
   let t = Trace.create () in
   Trace.set_enabled t false;
+  let a = Trace.add_observer t (fun r -> seen_a := r :: !seen_a) in
+  let b = Trace.add_observer t (fun r -> seen_b := r :: !seen_b) in
   Alcotest.(check bool)
-    "uninterested once sinks are gone" false (Trace.interested t)
-
-let test_tee_with_legacy_slot () =
-  let tee = ref 0 and legacy = ref 0 in
-  let h = Trace.add_sink (fun _ -> incr tee) in
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.remove_sink h;
-      Trace.set_sink None)
-    (fun () ->
-      Trace.set_sink (Some (fun _ -> incr legacy));
-      let t = Trace.create () in
-      Trace.record t ~time:0.0 (transmit 1).Trace.event;
-      (* replacing the legacy slot must not disturb the tee sink *)
-      Trace.set_sink (Some (fun _ -> legacy := !legacy + 10));
-      Trace.record t ~time:0.0 (transmit 2).Trace.event;
-      Alcotest.(check int) "tee saw every record" 2 !tee;
-      Alcotest.(check int) "legacy slot was replaced in place" 11 !legacy)
+    "observers keep a disabled trace interested" true (Trace.interested t);
+  Trace.record t ~time:0.5 (transmit 1).Trace.event;
+  Trace.record t ~time:0.75 (deliver 1).Trace.event;
+  Alcotest.(check int) "first observer saw both" 2 (List.length !seen_a);
+  Alcotest.(check bool)
+    "both observers saw the identical records" true (!seen_a = !seen_b);
+  (* after removal the tee no longer forces interest *)
+  Trace.remove_observer t a;
+  Trace.remove_observer t b;
+  Trace.remove_observer t b;
+  Alcotest.(check bool)
+    "uninterested once observers are gone" false (Trace.interested t);
+  Trace.record t ~time:1.0 (transmit 2).Trace.event;
+  Alcotest.(check int) "removed observers see nothing" 2 (List.length !seen_a)
 
 let test_recorder_as_sink () =
   let r = Netobs.Recorder.create ~capacity:8 () in
@@ -336,6 +447,30 @@ let test_pcap_reader_rejects () =
   in
   reject "truncated record" truncated_record
 
+(* A record header claiming 4 GiB in a 60-byte file: the reader refuses it
+   before sizing a buffer by it. *)
+let test_pcap_reader_bounds_record_length () =
+  let record = Netobs.Pcap.record_header ~time:0.0 ~len:0 in
+  Bytes.set_int32_le record 8 0xFFFFFFF0l;
+  let file =
+    Bytes.concat Bytes.empty
+      [ Netobs.Pcap.file_header (); record; Bytes.make 20 '\000' ]
+  in
+  Alcotest.(check int) "a 60-byte file" 60 (Bytes.length file);
+  let path = Filename.temp_file "m4x4huge" ".pcap" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc file);
+      let top () = (Gc.quick_stat ()).Gc.top_heap_words in
+      let before = top () in
+      let result = Netobs.Pcap.read_file path in
+      let grown_bytes = (top () - before) * (Sys.word_size / 8) in
+      Alcotest.(check bool) "rejected" true (Result.is_error result);
+      if grown_bytes >= 1 lsl 20 then
+        Alcotest.failf "the major heap grew by %d bytes (bound 1 MiB)"
+          grown_bytes)
+
 (* ---------- histogram percentiles ---------- *)
 
 let view_of reg name =
@@ -454,8 +589,8 @@ let suites =
         Alcotest.test_case "ring flow sampling" `Quick test_ring_sampling;
         QCheck_alcotest.to_alcotest prop_ring_wraparound;
         QCheck_alcotest.to_alcotest prop_sampling_deterministic;
+        QCheck_alcotest.to_alcotest prop_emit_paths;
         Alcotest.test_case "tee identity" `Quick test_tee_identity;
-        Alcotest.test_case "tee vs legacy slot" `Quick test_tee_with_legacy_slot;
         Alcotest.test_case "recorder as tee sink" `Quick test_recorder_as_sink;
         Alcotest.test_case "ring path matches record path" `Quick
           test_ring_path_matches_record_path;
@@ -465,6 +600,8 @@ let suites =
         Alcotest.test_case "pcap round trip" `Quick test_pcap_roundtrip;
         Alcotest.test_case "pcap reader rejects junk" `Quick
           test_pcap_reader_rejects;
+        Alcotest.test_case "pcap reader bounds record length" `Quick
+          test_pcap_reader_bounds_record_length;
         Alcotest.test_case "histogram percentiles" `Quick test_percentiles;
         Alcotest.test_case "percentile single value" `Quick
           test_percentile_single_value;

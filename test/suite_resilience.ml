@@ -51,7 +51,8 @@ let test_loss_drops_traced () =
   done;
   Net.run net;
   let losses =
-    List.assoc_opt Trace.Link_loss (Scenarios.Metrics.drops_by_reason net)
+    List.assoc_opt Trace.Link_loss
+      (Netobs.Trace_stats.drops_by_reason (Net.trace net))
   in
   Alcotest.(check bool) "link-loss drops recorded" true
     (match losses with Some n -> n > 0 | None -> false)
@@ -271,17 +272,18 @@ let test_metrics_helpers () =
   Transport.Icmp_service.ping icmp ~dst:topo.Scenarios.Topo.mh_home_addr
     (fun ~rtt:_ -> ());
   Scenarios.Topo.run topo;
-  let net = topo.Scenarios.Topo.net in
+  let trace = Net.trace topo.Scenarios.Topo.net in
   Alcotest.(check bool) "total >= backbone" true
-    (Scenarios.Metrics.total_bytes net >= Scenarios.Metrics.backbone_bytes net);
+    (Netobs.Trace_stats.total_bytes trace
+    >= Netobs.Trace_stats.backbone_bytes trace);
   Alcotest.(check bool) "backbone carried the ping" true
-    (Scenarios.Metrics.backbone_bytes net > 0);
+    (Netobs.Trace_stats.backbone_bytes trace > 0);
   Alcotest.(check bool) "home access link used" true
-    (Scenarios.Metrics.bytes_on net ~link:"hr<->b0" > 0);
+    (Netobs.Trace_stats.bytes_on trace ~link:"hr<->b0" > 0);
   Alcotest.(check bool) "mh delivered something" true
-    (Scenarios.Metrics.delivered_count net ~node:"mh" > 0);
+    (Netobs.Trace_stats.delivered_count trace ~node:"mh" > 0);
   Alcotest.(check int) "unknown link is zero" 0
-    (Scenarios.Metrics.bytes_on net ~link:"no-such-link")
+    (Netobs.Trace_stats.bytes_on trace ~link:"no-such-link")
 
 let suites =
   [

@@ -192,7 +192,7 @@ let test_gating_disabled_records_nothing () =
   Alcotest.(check bool) "second ping works" true (gating_ping net h1);
   Alcotest.(check bool) "records resume" true (Trace.length (Net.trace net) > 0)
 
-(* An observer (resp. the process-wide sink) must keep the data plane
+(* An observer (resp. a [Net.with_tap] tap) must keep the data plane
    emitting events even when the trace itself is disabled, and the events
    must be exactly those an enabled run records. *)
 let test_gating_observer_sees_identical_events () =
@@ -203,7 +203,7 @@ let test_gating_observer_sees_identical_events () =
   let net2, h2 = gating_world () in
   Net.set_tracing net2 false;
   let seen = ref [] in
-  Trace.set_observer (Net.trace net2) (Some (fun r -> seen := r :: !seen));
+  ignore (Trace.add_observer (Net.trace net2) (fun r -> seen := r :: !seen));
   Alcotest.(check bool) "observed ping" true (gating_ping net2 h2);
   Alcotest.(check (list string)) "observer sees the enabled-run events"
     reference
@@ -217,16 +217,73 @@ let test_gating_sink_sees_identical_events () =
   let net1, h1 = gating_world () in
   Alcotest.(check bool) "reference ping" true (gating_ping net1 h1);
   let reference = List.map render (Trace.records (Net.trace net1)) in
-  let net2, h2 = gating_world () in
-  Net.set_tracing net2 false;
   let seen = ref [] in
-  Fun.protect
-    ~finally:(fun () -> Trace.set_sink None)
+  Net.with_tap
+    (fun r -> seen := r :: !seen)
     (fun () ->
-      Trace.set_sink (Some (fun r -> seen := r :: !seen));
-      Alcotest.(check bool) "sink ping" true (gating_ping net2 h2));
-  Alcotest.(check (list string)) "sink sees the enabled-run events" reference
+      let net2, h2 = gating_world () in
+      Net.set_tracing net2 false;
+      Alcotest.(check bool) "tapped ping" true (gating_ping net2 h2));
+  Alcotest.(check (list string)) "tap sees the enabled-run events" reference
     (List.rev_map render !seen)
+
+(* [Net.with_tap]: a world built inside the scope gets the tap, one built
+   before it does not, and a world that outlives the scope sends the tap
+   nothing more. *)
+let test_with_tap_scope () =
+  let before, h_before = gating_world () in
+  let seen = ref [] in
+  let inside, h_inside =
+    Net.with_tap
+      (fun r -> seen := r :: !seen)
+      (fun () ->
+        let inside, h = gating_world () in
+        Alcotest.(check bool) "untapped ping" true (gating_ping before h_before);
+        Alcotest.(check int) "a world built before the scope is not tapped" 0
+          (List.length !seen);
+        Alcotest.(check bool) "tapped ping" true (gating_ping inside h);
+        (inside, h))
+  in
+  Alcotest.(check bool) "the tap saw records" true (!seen <> []);
+  Alcotest.(check (list string))
+    "the tap saw the inside world's records"
+    (List.map render (Trace.records (Net.trace inside)))
+    (List.rev_map render !seen);
+  let n = List.length !seen in
+  Alcotest.(check bool) "ping after the scope" true
+    (gating_ping inside h_inside);
+  Alcotest.(check int) "nothing reaches the tap after the scope" n
+    (List.length !seen)
+
+(* Nested taps see each record in installation order, and a world built
+   after the inner scope closes gets the outer tap only. *)
+let test_with_tap_nested_order () =
+  let calls = ref [] in
+  let tap name r = calls := (name, r) :: !calls in
+  let inner_net, outer_net =
+    Net.with_tap (tap "outer") (fun () ->
+        let inner_net =
+          Net.with_tap (tap "inner") (fun () ->
+              let net, h = gating_world () in
+              ignore (gating_ping net h);
+              net)
+        in
+        let net, h = gating_world () in
+        ignore (gating_ping net h);
+        (inner_net, net))
+  in
+  let expected =
+    List.concat_map
+      (fun r -> [ ("outer", r); ("inner", r) ])
+      (Trace.records (Net.trace inner_net))
+    @ List.map (fun r -> ("outer", r)) (Trace.records (Net.trace outer_net))
+  in
+  Alcotest.(check int) "one call per tap per record" (List.length expected)
+    (List.length !calls);
+  Alcotest.(check bool) "installation order, then the outer tap alone" true
+    (List.for_all2
+       (fun (n, r) (n', r') -> n = n' && r == r')
+       expected (List.rev !calls))
 
 (* A default world costs at most 5 000 minor-heap words to build: routes
    take at most two trie nodes, per-node tables wait for their first
@@ -267,5 +324,9 @@ let suites =
           test_gating_sink_sees_identical_events;
         Alcotest.test_case "build allocates under 5000 words" `Quick
           test_build_allocation;
+        Alcotest.test_case "with_tap: scoped to new worlds" `Quick
+          test_with_tap_scope;
+        Alcotest.test_case "with_tap: nested taps in order" `Quick
+          test_with_tap_nested_order;
       ] );
   ]
