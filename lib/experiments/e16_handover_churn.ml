@@ -65,7 +65,7 @@ let run_cell ?(seed = default_seed) (cell : Grid.cell) =
   Topo.run topo;
   let home, _coa = Conversation.configure ~mh ~ch ~ch_addr ~cell in
   Mobile_host.enable_keepalive mh ~margin:5.0 ~max_renewals:12 ();
-  Home_agent.enable_purge topo.Topo.ha ~interval:5.0 ~ticks:12 ();
+  Home_agent.enable_purge topo.Topo.ha ~interval:5.0 ();
   let reg_before = Mobile_host.registration_attempts mh in
   let t0 = Netsim.Engine.now eng in
 

@@ -111,7 +111,6 @@ let run_failover ~standby () =
   let eng = Netsim.Net.engine net in
   Topo.roam_static topo ();
   Mobile_host.enable_keepalive topo.Topo.mh ~margin:5.0 ~max_renewals:12 ();
-  Topo.arm_standby topo;
   let oracle = Oracle.create topo in
   Oracle.install_standard oracle;
   Oracle.start oracle ~interval:0.5 ~ticks:80;

@@ -184,8 +184,7 @@ let fly ~recorder profile ~cell ~seed plan =
   let home, _coa = Conversation.configure ~mh ~ch ~ch_addr ~cell in
   Mobile_host.enable_keepalive mh ~margin:5.0
     ~max_renewals:profile.max_renewals ();
-  Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:5.0 ~ticks:16 ();
-  Scenarios.Topo.arm_standby topo;
+  Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:5.0 ();
 
   (* The oracle: the standard invariants, recovery judged from the end of
      the plan, and a monitored TCP byte stream MH -> CH. *)

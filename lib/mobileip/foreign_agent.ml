@@ -114,9 +114,10 @@ let create fa_node ~iface ?(advert_interval = 5.0) ?(advertise = true)
   Net.set_intercept fa_node (Some (fun ~flow pkt -> intercept t ~flow pkt));
   if advertise then begin
     let eng = Net.node_engine fa_node in
-    (* Beacons are capped so simulations that drain the event queue
-       terminate, and stay well inside a registration lifetime so draining
-       does not expire bindings. *)
+    (* Beacons are traffic the trace records, so [advert_count] fixes
+       how many a run sends.  The default 12 (one minute) stays well
+       inside a registration lifetime: a run the beacons hold open does
+       not reach an expiry. *)
     let rec beacon n =
       if t.up then
         ignore

@@ -36,8 +36,10 @@ val create :
 (** [iface] is the interface on the visited segment.  Advertisements are
     broadcast every [advert_interval] seconds (default 5 s) when
     [advertise] (default true), at most [advert_count] times beyond the
-    first (default 12 — bounded so simulations that drain the event queue
-    terminate; raise it for long-running worlds). *)
+    first (default 12; raise it for long-running worlds).  The count stays
+    a budget: each advertisement is a broadcast that every host on the
+    segment receives and the trace records, so the number sent is part
+    of what an experiment observes, not background housekeeping. *)
 
 val node : t -> Netsim.Net.node
 val address : t -> Netsim.Ipv4_addr.t

@@ -23,8 +23,6 @@ type t = {
   mutable standby : t option;  (* on a primary: its hot standby *)
   mutable standby_of : t option;  (* on a standby: the primary it guards *)
   mutable standby_active : bool;  (* the standby is currently serving *)
-  mutable detect_interval : float;  (* liveness poll period (standby) *)
-  mutable detect_timeout : float;  (* continuous downtime before takeover *)
   mutable takeovers : int;
   mutable last_failover : float option;
       (* seconds from first observing the primary down to taking over *)
@@ -75,8 +73,9 @@ let remove_binding t home =
 
 (* Expiry is lazy: an expired binding stops matching the moment it is next
    consulted, and its proxy-ARP/claim state is torn down then.  (A timer
-   would force the event queue to run out to the expiry instant, making
-   every full simulation drain jump hundreds of simulated seconds.) *)
+   per binding would hold every run open until the expiry instant, making
+   each run jump hundreds of simulated seconds; the eager sweep is the
+   background purge below.) *)
 let binding_for t home =
   let now = Net.node_now t.ha_node in
   match
@@ -121,19 +120,9 @@ let purge_expired t =
 
 let bindings_purged t = t.purged
 
-let enable_purge t ?(interval = 30.0) ?(ticks = 20) () =
-  if interval <= 0.0 then
-    invalid_arg "Home_agent.enable_purge: interval must be positive";
-  let eng = Net.node_engine t.ha_node in
-  (* Bounded tick count, like the keepalive budget: an unbounded timer
-     would keep the event queue from ever draining. *)
-  let rec tick remaining =
-    if remaining > 0 then
-      Engine.after eng interval (fun () ->
-          if t.up then ignore (purge_expired t);
-          tick (remaining - 1))
-  in
-  tick ticks
+let enable_purge t ?(interval = 30.0) () =
+  Engine.every (Net.node_engine t.ha_node) interval (fun () ->
+      if t.up then ignore (purge_expired t))
 
 let handle_registration t udp (dgram : Transport.Udp_service.datagram) =
   if not t.up then ()
@@ -331,8 +320,6 @@ let create ha_node ~home_iface ?(auth_key = "secret") ?(encap = Encap.Ipip)
       standby = None;
       standby_of = None;
       standby_active = false;
-      detect_interval = 2.0;
-      detect_timeout = 5.0;
       takeovers = 0;
       last_failover = None;
     }
@@ -361,8 +348,8 @@ let multicast_packets_relayed t = t.mcast_relayed
 (* {1 Redundancy: a hot-standby peer}
 
    The standby keeps a passive replica of the primary's binding table
-   (soft-state replication on every install/remove).  A bounded detection
-   tick on the standby's engine watches the primary's liveness — the
+   (soft-state replication on every install/remove).  A background poll
+   on the standby's engine watches the primary's liveness — the
    deterministic stand-in for a heartbeat protocol.  When the primary has
    been continuously down for [detect_timeout], the standby takes over: it
    claims the primary's service address (so registration renewals and
@@ -408,50 +395,29 @@ let stand_down s ~(primary : t) =
     List.iter (fun b -> install_binding primary b) handed_back
   end
 
-(* (Re)arm the bounded liveness tick.  Separate from [pair] because a
-   full event-queue drain runs {e through} any pending timer chain: a
-   world that settles (drains) between construction and the interesting
-   phase consumes the whole budget settling.  Callers re-arm after each
-   settling drain. *)
-let watch s ?(ticks = 60) () =
-  match s.standby_of with
-  | None -> invalid_arg "Home_agent.watch: not paired as a standby"
-  | Some primary ->
-      let down_since = ref None in
-      let eng = Net.node_engine s.ha_node in
-      let rec tick remaining =
-        if remaining > 0 then
-          Engine.after eng s.detect_interval (fun () ->
-              (if s.up then
-                 if primary.up then down_since := None
-                 else
-                   let now = Net.node_now s.ha_node in
-                   match !down_since with
-                   | None -> down_since := Some now
-                   | Some t0 ->
-                       if
-                         (not s.standby_active)
-                         && now -. t0 >= s.detect_timeout
-                       then take_over s ~primary ~detected_at:t0);
-              tick (remaining - 1))
-      in
-      tick ticks
-
 let pair ~(primary : t) ~(standby : t) ?(detect_interval = 2.0)
-    ?(detect_timeout = 5.0) ?(watch_now = true) ?(ticks = 60) () =
+    ?(detect_timeout = 5.0) () =
   if primary == standby then
     invalid_arg "Home_agent.pair: an agent cannot stand by for itself";
   if primary.standby <> None || standby.standby_of <> None then
     invalid_arg "Home_agent.pair: already paired";
-  if detect_interval <= 0.0 || detect_timeout < 0.0 then
+  if not (detect_interval > 0.0 && detect_timeout >= 0.0) then
     invalid_arg "Home_agent.pair: detection parameters must be positive";
   primary.standby <- Some standby;
   standby.standby_of <- Some primary;
-  standby.detect_interval <- detect_interval;
-  standby.detect_timeout <- detect_timeout;
   (* Seed the replica with whatever the primary already holds. *)
   List.iter (fun b -> store_replica standby b) primary.binding_table;
-  if watch_now then watch standby ~ticks ()
+  let down_since = ref None in
+  Engine.every (Net.node_engine standby.ha_node) detect_interval (fun () ->
+      if standby.up then
+        if primary.up then down_since := None
+        else
+          let now = Net.node_now standby.ha_node in
+          match !down_since with
+          | None -> down_since := Some now
+          | Some t0 ->
+              if (not standby.standby_active) && now -. t0 >= detect_timeout
+              then take_over standby ~primary ~detected_at:t0)
 
 (* Crash/restart: the binding table is soft state kept in memory — a crash
    loses all of it, along with the proxy-ARP footprint on the home segment

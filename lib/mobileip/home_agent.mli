@@ -62,11 +62,11 @@ val purge_expired : t -> int
 (** Remove every expired binding (and its proxy-ARP/claim state) now;
     returns how many were removed. *)
 
-val enable_purge : t -> ?interval:float -> ?ticks:int -> unit -> unit
-(** Run {!purge_expired} every [interval] seconds (default 30) for [ticks]
-    periods (default 20 — bounded so simulations drain).  Skipped while
-    the agent is crashed.
-    @raise Invalid_argument if [interval <= 0]. *)
+val enable_purge : t -> ?interval:float -> unit -> unit
+(** Run {!purge_expired} every [interval] seconds (default 30) for as long
+    as the world runs, as a background event ({!Netsim.Engine.every}): it
+    never holds a run open.  Skipped while the agent is crashed.
+    @raise Invalid_argument if [interval] is not positive. *)
 
 val bindings_purged : t -> int
 (** Total bindings removed by {!purge_expired} so far. *)
@@ -107,27 +107,18 @@ val pair :
   standby:t ->
   ?detect_interval:float ->
   ?detect_timeout:float ->
-  ?watch_now:bool ->
-  ?ticks:int ->
   unit ->
   unit
-(** Pair [standby] with [primary]: link the two, record the detection
-    parameters, seed the replica, and (unless [~watch_now:false]) start
-    the liveness tick via {!watch}.  Detection: every [detect_interval]
-    seconds (default 2), takeover once the primary has been down
-    [detect_timeout] seconds (default 5).  Worst-case takeover latency
-    from the crash instant is therefore
+(** Pair [standby] with [primary]: link the two, seed the replica, and
+    start the standby's liveness poll, a background event
+    ({!Netsim.Engine.every}) that runs for as long as the world does and
+    never holds a run open.  Detection: a poll every [detect_interval]
+    seconds (default 2) from the pairing on, takeover once the primary
+    has been down [detect_timeout] seconds (default 5).  Worst-case
+    takeover latency from the crash instant is therefore
     [detect_timeout +. 2. *. detect_interval].
     @raise Invalid_argument if either agent is already paired, the two are
     the same agent, or the detection parameters are not positive. *)
-
-val watch : t -> ?ticks:int -> unit -> unit
-(** (Re)arm the standby's bounded liveness tick for [ticks] periods
-    (default 60) of its detection interval.  The tick chain is a pending
-    timer, so a full event-queue drain runs through (and exhausts) it:
-    call this again after each settling drain, before the phase whose
-    crashes the standby must cover.
-    @raise Invalid_argument unless this agent was paired as a standby. *)
 
 val is_standby_active : t -> bool
 (** Whether this (standby) agent is currently serving in the crashed

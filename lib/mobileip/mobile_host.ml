@@ -346,7 +346,7 @@ let rec register ?src ?reg_dst t ~care_of ~lifetime ?(on_result = fun _ -> ())
   attempt 0
 
 (* Registration keepalive: renew the binding [margin] seconds before it
-   would expire, a bounded number of times (simulations must drain). *)
+   would expire, as many times as the renewal budget allows. *)
 and schedule_renewal t =
   match (t.keepalive, t.loc) with
   | Some (margin, remaining), Away { care_of; _ }
@@ -368,10 +368,10 @@ and renew t ~generation ~care_of =
     ~on_result:(fun ok -> if not ok then renewal_failed t ~generation ~care_of)
     ()
 
-(* A renewal that fails outright (home agent crashed, path black-holed)
-   must not end the keepalive chain: spend the remaining renewal budget
-   retrying after a backoff delay, so the binding comes back when the
-   agent does. *)
+(* A renewal or a move's registration that fails outright (home agent
+   crashed, path black-holed) must not end the keepalive chain: spend the
+   remaining renewal budget retrying after a backoff delay, so the binding
+   comes back when the agent or the path does. *)
 and renewal_failed t ~generation ~care_of =
   match t.keepalive with
   | Some (margin, remaining)
@@ -381,6 +381,15 @@ and renewal_failed t ~generation ~care_of =
           if t.keepalive_generation = generation then
             renew t ~generation ~care_of)
   | _ -> ()
+
+(* The result handler of a move's registration: a failure goes to the
+   renewal backoff too.  Take it after the move bumped the keepalive
+   generation, so a later move cancels these retries. *)
+let move_registered t ~care_of on_registered =
+  let generation = t.keepalive_generation in
+  fun ok ->
+    if not ok then renewal_failed t ~generation ~care_of;
+    on_registered ok
 
 let enable_keepalive t ?(margin = 30.0) ?(max_renewals = 10) () =
   t.keepalive <- Some (margin, max_renewals);
@@ -404,7 +413,9 @@ let configure_away t ~care_of ~prefix ~gateway ?(on_registered = fun _ -> ())
      (In-DH, decapsulated tunnels) must be accepted. *)
   Net.claim_address t.mh_node t.home;
   (match t.sel with Some sel -> Selector.reset_all sel | None -> ());
-  register t ~care_of ~lifetime:t.lifetime ~on_result:on_registered ()
+  register t ~care_of ~lifetime:t.lifetime
+    ~on_result:(move_registered t ~care_of on_registered)
+    ()
 
 let move_to_static t segment ~addr ~prefix ~gateway ?on_registered () =
   Net.reattach t.iface segment;
@@ -430,7 +441,9 @@ let move_to_foreign_agent t segment ~fa_addr ?(on_registered = fun _ -> ())
   t.loc <- Away { care_of = fa_addr; gateway = fa_addr };
   t.is_registered <- false;
   register t ~src:t.home ~reg_dst:fa_addr ~care_of:fa_addr
-    ~lifetime:t.lifetime ~on_result:on_registered ()
+    ~lifetime:t.lifetime
+    ~on_result:(move_registered t ~care_of:fa_addr on_registered)
+    ()
 
 (* Acquire an address and register on whatever segment the interface is
    currently attached to. *)

@@ -89,7 +89,8 @@ val move_to_static :
 (** Detach from the current network, attach to the segment with a
     statically assigned care-of address (the "friendly network
     administrator" case), and register with the home agent.  The callback
-    reports the registration outcome. *)
+    reports this registration's outcome; with the keepalive on, a failed
+    one is retried on the renewal backoff ({!enable_keepalive}). *)
 
 val move_to_dhcp :
   t -> Netsim.Net.segment -> ?on_registered:(bool -> unit) -> unit -> unit
@@ -144,10 +145,14 @@ val reregister : t -> ?on_registered:(bool -> unit) -> unit -> unit
 
 val enable_keepalive : t -> ?margin:float -> ?max_renewals:int -> unit -> unit
 (** Automatically re-register [margin] seconds (default 30) before each
-    binding expiry, up to [max_renewals] times (default 10 — bounded so
-    simulations drain; raise it for long-running worlds).  Renewal timers
-    self-cancel when the host moves.  A renewal that fails outright (home
-    agent down) does not end the chain: the host keeps retrying on the
+    binding expiry, up to [max_renewals] times (default 10; raise it for
+    long-running worlds).  The budget bounds real traffic: each renewal,
+    and each retry after a failed one, is a registration exchange on the
+    wire, and how many the host may spend is an experiment's knob (the
+    harsh soak profile allows 3, so a host can give up).  Renewal timers
+    self-cancel when the host moves.  A renewal, or a move's registration
+    ([move_to_*], DHCP attachment), that fails outright (home agent down,
+    path cut) does not end the chain: the host keeps retrying on the
     backoff schedule, spending renewal budget, until the agent answers or
     the budget runs out. *)
 

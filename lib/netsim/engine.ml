@@ -18,7 +18,8 @@ type t = {
   mutable max_pending : int;
   mutable cancelled : int;
   mutable truncated : int;
-  mutable observer : (stats -> unit) option;
+  mutable background : int;
+      (* tickers armed by [every]; each keeps exactly one event queued *)
 }
 
 let create () =
@@ -29,7 +30,7 @@ let create () =
     max_pending = 0;
     cancelled = 0;
     truncated = 0;
-    observer = None;
+    background = 0;
   }
 
 let now t = Float.Array.get t.clock 0
@@ -44,8 +45,6 @@ let stats t =
     truncated = t.truncated;
     sim_time = Float.Array.get t.clock 0;
   }
-
-let set_observer t f = t.observer <- f
 
 let note_depth t =
   let depth = Pqueue.length t.queue in
@@ -82,6 +81,21 @@ let cancellable_after t delay f =
   note_depth t;
   fun () -> if Pqueue.remove t.queue h then t.cancelled <- t.cancelled + 1
 
+(* A ticker queues its next tick before it calls [f], so it holds exactly
+   one queued event at every dispatch boundary, even after [f] raises:
+   [background] counts the queued background events. *)
+let every t interval f =
+  if not (interval > 0.0) then
+    invalid_arg
+      (if Float.is_nan interval then "Engine.every: NaN interval"
+       else "Engine.every: interval must be positive");
+  let rec tick () =
+    after t interval tick;
+    f ()
+  in
+  t.background <- t.background + 1;
+  after t interval tick
+
 (* Run the earliest event.  The queue must not be empty.  Its time is
    read in place from the queue's priority array (an unboxed load, where
    a call returning the float would box it) and the pop returns no
@@ -102,8 +116,19 @@ let step t =
     true
   end
 
-let run ?until ?(max_events = 10_000_000) t =
-  let limit = match until with Some l -> l | None -> infinity in
+(* Without [until], background events hold nothing open.  Their count is
+   read on every iteration: any event may arm a ticker.  Returns whether
+   the guard stopped the run with work left. *)
+let run_unbounded t ~max_events =
+  let q = t.queue in
+  let events = ref 0 in
+  while !events < max_events && Pqueue.length q > t.background do
+    dispatch t;
+    incr events
+  done;
+  Pqueue.length q > t.background
+
+let run_until t ~limit ~max_events =
   let q = t.queue in
   let events = ref 0 in
   let stopped = ref false in
@@ -121,15 +146,21 @@ let run ?until ?(max_events = 10_000_000) t =
       incr events
     end
   done;
-  if (not !stopped) && not (Pqueue.is_empty q) then begin
+  (not !stopped) && not (Pqueue.is_empty q)
+
+let run ?until ?(max_events = 10_000_000) t =
+  let busy =
+    match until with
+    | None -> run_unbounded t ~max_events
+    | Some limit -> run_until t ~limit ~max_events
+  in
+  if busy then begin
     (* The runaway guard fired: the run stopped with work still queued.
        Record it so callers (and the metrics layer) can see it. *)
     t.truncated <- t.truncated + 1;
     Logs.warn (fun m ->
         m "Engine.run: stopped after %d events with %d still pending"
-          max_events (Pqueue.length q))
-  end;
-  match t.observer with Some f -> f (stats t) | None -> ()
+          max_events (Pqueue.length t.queue))
+  end
 
 let pending t = Pqueue.length t.queue
-let clear t = Pqueue.clear t.queue

@@ -1,12 +1,13 @@
 (** Discrete-event simulation engine.
 
     Time is a float in seconds.  Events are closures scheduled at absolute or
-    relative times; [run] drains the queue in timestamp order (FIFO among
+    relative times; [run] runs them in timestamp order (FIFO among
     simultaneous events, so the simulation is deterministic).
 
     Every simulated network ({!Net}) owns one engine; link transmission,
     protocol timers (TCP retransmission, registration lifetimes, binding
-    cache TTLs) are all engine events. *)
+    cache TTLs) are all engine events, and so are the periodic
+    housekeeping ticks ({!every}) that never keep a run going. *)
 
 type t
 
@@ -36,16 +37,27 @@ val cancellable_after : t -> float -> (unit -> unit) -> unit -> unit
     its time, and it leaves [executed], [pending] and [max_pending]
     alone, so those count live events only.  Each event so removed
     counts once in [cancelled].  Cancelling again, or after the event
-    ran, or after {!clear}, is a no-op.
+    ran, is a no-op.
     @raise Invalid_argument if [delay] is negative or NaN. *)
 
+val every : t -> float -> (unit -> unit) -> unit
+(** [every t interval f] runs [f] at [now t +. interval], then every
+    [interval] seconds after that, for the engine's whole life: a
+    {e background} event, for housekeeping such as a purge sweep or a
+    liveness poll.  A background event never holds a run open (see
+    {!run}).  Each tick queues the next one before it calls [f].
+    @raise Invalid_argument if [interval] is not positive, or is NaN. *)
+
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Drain the event queue.  Stops when empty, when simulated time would
-    exceed [until], or after [max_events] events (default 10 million, a
-    runaway guard).  A run stopped by [until] advances the clock to
-    [until] unless the clock is already past it: the clock never moves
-    back.  A run stopped by the guard is no longer silent: it logs a
-    warning and increments [truncated] in {!stats}.
+(** Run events in timestamp order.  Without [until], stops once only
+    background events ({!every}) remain queued, with the clock at the
+    last event it ran; with [until], runs every event, background ones
+    included, up to [until], and stops early only if the queue empties.
+    Also stops after [max_events] events (default 10 million, a runaway
+    guard).  A run stopped by [until] advances the clock to [until]
+    unless the clock is already past it: the clock never moves back.  A
+    run stopped by the guard while it still had work to do is not silent:
+    it logs a warning and increments [truncated] in {!stats}.
 
     [run] reads no host clock, and its dispatch loop allocates nothing
     (the events themselves may); time a run from outside when its host
@@ -71,16 +83,9 @@ type stats = {
 
 val stats : t -> stats
 
-val set_observer : t -> (stats -> unit) option -> unit
-(** Install (or clear) a hook called with fresh statistics at the end of
-    every [run] — how a metrics registry tracks an engine it does not
-    own. *)
-
 val step : t -> bool
-(** Run a single event.  Returns false when the queue is empty. *)
+(** Run the next event, background or not.  Returns false when the queue
+    is empty. *)
 
 val pending : t -> int
-(** Number of queued events. *)
-
-val clear : t -> unit
-(** Drop all pending events (does not reset the clock). *)
+(** Number of queued events, background ones included. *)

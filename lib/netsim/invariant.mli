@@ -48,8 +48,13 @@ val set_on_violation : t -> (violation -> unit) option -> unit
 
 val start : t -> ?interval:float -> ?ticks:int -> unit -> unit
 (** Run the polled checks now and then every [interval] simulated seconds
-    (default 1) for [ticks] periods (default 60 — bounded so simulations
-    drain).  @raise Invalid_argument if [interval <= 0]. *)
+    (default 1) for [ticks] periods (default 60).  The ticks are the
+    observation window: they are ordinary events, so a run lasts at least
+    [ticks *. interval] seconds and a check still sees what happens after
+    the traffic stops, such as a binding outliving its lifetime.  Unlike
+    a background housekeeping tick ({!Engine.every}), the window has to
+    hold the run open, and so it needs an end.
+    @raise Invalid_argument if [interval <= 0]. *)
 
 val check_now : t -> unit
 (** Run every polled check immediately. *)

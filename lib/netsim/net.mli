@@ -56,8 +56,9 @@ val with_tap : (Trace.record -> unit) -> (unit -> 'a) -> 'a
 val now : t -> float
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Run the world to quiescence (or [until]): {!Engine.run} on its
-    engine.  [max_events] (default 10M) is the runaway guard. *)
+(** Run the world to quiescence, when only background events remain (or
+    to [until]): {!Engine.run} on its engine.  [max_events] (default 10M)
+    is the runaway guard. *)
 
 val stats : t -> Engine.stats
 (** [Engine.stats (engine t)]. *)

@@ -67,8 +67,9 @@ val add_ha_failover : ?grace:float -> t -> unit
 val add_recovery : after:float -> t -> unit
 (** Final.  [after] is when the last scripted fault ends
     ({!Netsim.Fault.plan_end}); the bound is the run itself — by the time
-    the event queue drains, a host that is away and unregistered has no
-    pending retry left and will never recover. *)
+    a run ends with nothing but background events queued, a host that is
+    away and unregistered has no pending retry left and will never
+    recover. *)
 
 val add_tcp_stream :
   ?name:string ->
@@ -108,6 +109,9 @@ val recorder_tail : t -> Netsim.Trace.record list
 (** {1 Running} — thin wrappers over {!Netsim.Invariant}. *)
 
 val start : ?interval:float -> ?ticks:int -> t -> unit
+(** {!Netsim.Invariant.start}: [ticks] bounds the observation window,
+    which holds the run open. *)
+
 val check_now : t -> unit
 val finish : t -> unit
 val violations : t -> Netsim.Invariant.violation list

@@ -146,13 +146,9 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
         Mobileip.Home_agent.create ha2_node ~home_iface:ha2_iface ~encap
           ~notify_correspondents ()
       in
-      (* Pair without arming the liveness tick: the world settles (fully
-         drains) at least once before any experiment phase, which would
-         consume the tick budget.  Callers arm with {!arm_standby} after
-         settling. *)
       Mobileip.Home_agent.pair ~primary:ha ~standby:ha2
         ~detect_interval:standby_detect_interval
-        ~detect_timeout:standby_detect_timeout ~watch_now:false ();
+        ~detect_timeout:standby_detect_timeout ();
       Some ha2
     end
   in
@@ -369,11 +365,6 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
   }
 
 let run t = Net.run t.net
-
-let arm_standby ?ticks t =
-  match t.ha_standby with
-  | None -> ()
-  | Some s -> Mobileip.Home_agent.watch s ?ticks ()
 
 (* Chaos targets: the names the fault layer knows a [build
    ~backbone_hops:n] world by, without building it.  Segment names and

@@ -114,16 +114,8 @@ val build :
     [?with_standby_ha] (default false) adds a second home agent "ha2" at
     36.1.0.4 on the home segment, paired as a hot standby of [ha] via
     {!Mobileip.Home_agent.pair} with the given detection interval
-    (default 2 s) and timeout (default 5 s).  The liveness tick is NOT
-    armed at build time — a settling drain would consume its budget; call
-    {!arm_standby} after the world settles, before the phase whose
-    crashes the standby must cover. *)
-
-val arm_standby : ?ticks:int -> t -> unit
-(** Arm (or re-arm) the standby home agent's liveness detection
-    ({!Mobileip.Home_agent.watch}); no-op for worlds built without
-    [~with_standby_ha:true].  The tick chain keeps the event queue alive
-    for [ticks * interval] simulated seconds (default 60 ticks). *)
+    (default 2 s) and timeout (default 5 s).  Its liveness poll starts at
+    build time and runs for the world's whole life. *)
 
 val roam : t -> ?on_registered:(bool -> unit) -> unit -> unit
 (** Move the mobile host to the visited segment (DHCP attachment) and
@@ -143,7 +135,8 @@ val come_home : t -> unit
     network until complete. *)
 
 val run : t -> unit
-(** Drain the event queue. *)
+(** {!Netsim.Net.run}: run until only background events (the purge, the
+    standby's poll) remain. *)
 
 (** {1 Chaos targets}
 

@@ -37,8 +37,7 @@ let test_binding_lifetime_violation () =
 let test_binding_lifetime_clean_with_purge () =
   let topo = Scenarios.Topo.build ~mh_lifetime:5 () in
   Scenarios.Topo.roam_static topo ();
-  Mobileip.Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:2.0
-    ~ticks:8 ();
+  Mobileip.Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:2.0 ();
   let oracle = Scenarios.Oracle.create topo in
   Scenarios.Oracle.add_binding_lifetime ~grace:3.0 oracle;
   Scenarios.Oracle.start ~interval:1.0 ~ticks:12 oracle;
@@ -173,8 +172,7 @@ let test_healthy_world_clean () =
   Scenarios.Topo.roam_static topo ();
   Mobileip.Mobile_host.enable_keepalive topo.Scenarios.Topo.mh ~margin:5.0
     ~max_renewals:4 ();
-  Mobileip.Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:5.0
-    ~ticks:8 ();
+  Mobileip.Home_agent.enable_purge topo.Scenarios.Topo.ha ~interval:5.0 ();
   let oracle = Scenarios.Oracle.create topo in
   Scenarios.Oracle.install_standard ~recovery_after:0.0 oracle;
   Scenarios.Oracle.start ~interval:1.0 ~ticks:30 oracle;
@@ -361,7 +359,15 @@ let test_gentle_ci_range_clean () =
   Alcotest.(check int) "no findings" 0 (List.length r.Experiments.Soak.findings);
   Alcotest.(check bool)
     "checks ran" true
-    (r.Experiments.Soak.total_checks > 0)
+    (r.Experiments.Soak.total_checks > 0);
+  (* Seed 7 renews a binding late in the run: the background purge must
+     still sweep it once it expires, however long the run goes on. *)
+  let r7 = Experiments.Soak.run ~seed_lo:7 ~seed_hi:7 ~shrink:false () in
+  Alcotest.(check (list string))
+    "gentle seed 7 replays clean on every cell" []
+    (List.map
+       (fun f -> Mobileip.Grid.cell_to_string f.Experiments.Soak.f_cell)
+       r7.Experiments.Soak.findings)
 
 (* ---- plans without a world ---- *)
 
@@ -471,18 +477,21 @@ let cell_dh =
 let tail_lines o =
   List.map Netobs.Export.line_of_record o.Experiments.Soak.recorder_tail
 
-(* Gentle seed 7 violates on In-DE/Out-DE and In-DH/Out-DH.  With no tap
-   the tail comes from a second, recorded flight; a [Net.with_tap] tap
-   makes the run record in flight.  Both must carry the same outcome and
-   tail. *)
+(* Harsh seed 0 violates on every cell.  With no tap the tail comes from
+   a second, recorded flight; a [Net.with_tap] tap makes the run record in
+   flight.  Both must carry the same outcome and tail. *)
 let test_reflown_tail_is_in_flight_tail () =
   List.iter
     (fun cell ->
-      let plan = Experiments.Soak.generate_plan ~cell ~seed:7 () in
-      let reflown = Experiments.Soak.replay ~cell ~seed:7 plan in
+      let plan =
+        Experiments.Soak.generate_plan ~profile:harsh ~cell ~seed:0 ()
+      in
+      let reflown =
+        Experiments.Soak.replay ~profile:harsh ~cell ~seed:0 plan
+      in
       let in_flight =
         Net.with_tap ignore (fun () ->
-            Experiments.Soak.replay ~cell ~seed:7 plan)
+            Experiments.Soak.replay ~profile:harsh ~cell ~seed:0 plan)
       in
       let name = Mobileip.Grid.cell_to_string cell in
       Alcotest.(check bool)
@@ -503,13 +512,13 @@ let test_reflown_tail_is_in_flight_tail () =
         (in_flight.Experiments.Soak.recorder_tail <> []);
       Alcotest.(check (list string))
         (name ^ " same tail") (tail_lines in_flight) (tail_lines reflown))
-    [ cell_de; cell_dh ];
+    [ cell_ie; cell_de; cell_dh ];
   let passing =
-    Experiments.Soak.replay ~cell:cell_ie ~seed:7
-      (Experiments.Soak.generate_plan ~cell:cell_ie ~seed:7 ())
+    Experiments.Soak.replay ~profile:harsh ~cell:cell_ie ~seed:1
+      (Experiments.Soak.generate_plan ~profile:harsh ~cell:cell_ie ~seed:1 ())
   in
   Alcotest.(check bool)
-    "In-IE/Out-IE passes" true
+    "harsh seed 1 passes" true
     (passing.Experiments.Soak.violations = []);
   Alcotest.(check (list string)) "no tail" [] (tail_lines passing)
 

@@ -427,6 +427,91 @@ let test_engine_step () =
   Alcotest.(check bool) "step 2" true (Engine.step e);
   Alcotest.(check bool) "empty" false (Engine.step e)
 
+(* ---- background events ---- *)
+
+(* An unbounded run ends with its last foreground event: the ticker runs
+   while foreground work is queued and holds nothing open after it. *)
+let test_every_unbounded_run () =
+  let e = Engine.create () in
+  let ticks = ref 0 in
+  Engine.every e 1.0 (fun () -> incr ticks);
+  Engine.schedule e ~at:2.5 (fun () -> ());
+  Engine.run e;
+  Alcotest.(check int) "ticks before the last foreground event" 2 !ticks;
+  Alcotest.(check (float 0.0)) "clock at the last foreground event" 2.5
+    (Engine.now e);
+  Alcotest.(check int) "only the ticker queued" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check int) "an idle run runs no tick" 2 !ticks;
+  Alcotest.(check (float 0.0)) "nor moves the clock" 2.5 (Engine.now e)
+
+let test_every_until () =
+  let e = Engine.create () in
+  let at = ref [] in
+  Engine.every e 1.0 (fun () -> at := Engine.now e :: !at);
+  Engine.run ~until:5.0 e;
+  Alcotest.(check (list (float 0.0))) "ticks through until"
+    [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.rev !at);
+  Alcotest.(check (float 0.0)) "clock at until" 5.0 (Engine.now e);
+  Engine.run ~until:7.5 e;
+  Alcotest.(check int) "and on from there" 7 (List.length !at);
+  Alcotest.(check (float 0.0)) "clock at the second until" 7.5 (Engine.now e)
+
+(* Same-instant events keep (time, FIFO) order whether background or
+   not: each tick queues the next one when it runs. *)
+let test_every_fifo_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule e ~at:1.0 (note "fg-a");
+  Engine.every e 1.0 (note "tick");
+  Engine.schedule e ~at:1.0 (note "fg-b");
+  Engine.schedule e ~at:2.0 (note "fg-c");
+  Engine.run e;
+  Alcotest.(check (list string)) "foreground run"
+    [ "fg-a"; "tick"; "fg-b"; "fg-c" ] (List.rev !log);
+  Engine.run ~until:2.0 e;
+  Alcotest.(check (list string)) "the tick queued at t=1 runs after fg-c"
+    [ "fg-a"; "tick"; "fg-b"; "fg-c"; "tick" ] (List.rev !log)
+
+(* A ticker armed by a running event counts at once: the run that armed
+   it still ends. *)
+let test_every_armed_in_flight () =
+  let e = Engine.create () in
+  let ticks = ref 0 in
+  Engine.schedule e ~at:1.0 (fun () ->
+      Engine.every e 0.5 (fun () -> incr ticks));
+  Engine.schedule e ~at:2.0 (fun () -> ());
+  Engine.run ~max_events:1000 e;
+  Alcotest.(check (float 0.0)) "clock at the last foreground event" 2.0
+    (Engine.now e);
+  Alcotest.(check int) "one tick before it" 1 !ticks;
+  Alcotest.(check int) "not truncated" 0 (Engine.stats e).Engine.truncated;
+  Engine.schedule e ~at:3.0 (fun () ->
+      Engine.every e 0.25 (fun () -> incr ticks));
+  Engine.run ~max_events:1000 e;
+  Alcotest.(check (float 0.0)) "a run that only arms a ticker ends" 3.0
+    (Engine.now e);
+  Alcotest.(check int) "still not truncated" 0
+    (Engine.stats e).Engine.truncated
+
+let test_every_rejects () =
+  let e = Engine.create () in
+  let fired = ref false in
+  List.iter
+    (fun (interval, msg) ->
+      Alcotest.check_raises (Printf.sprintf "interval %g" interval)
+        (Invalid_argument msg) (fun () ->
+          Engine.every e interval (fun () -> fired := true)))
+    [
+      (0.0, "Engine.every: interval must be positive");
+      (-1.0, "Engine.every: interval must be positive");
+      (Float.nan, "Engine.every: NaN interval");
+    ];
+  Engine.run ~until:10.0 e;
+  Alcotest.(check bool) "nothing armed" false !fired;
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
 (* A popped element must not stay reachable from a vacated heap slot:
    the engine queues closures, and a retained one keeps everything it
    captured alive past its dispatch. *)
@@ -486,5 +571,15 @@ let suites =
         Alcotest.test_case "engine cascading events" `Quick
           test_engine_cascading_events;
         Alcotest.test_case "engine step" `Quick test_engine_step;
+        Alcotest.test_case "every: unbounded run ends at foreground" `Quick
+          test_every_unbounded_run;
+        Alcotest.test_case "every: run ~until runs background" `Quick
+          test_every_until;
+        Alcotest.test_case "every: same-instant FIFO order" `Quick
+          test_every_fifo_order;
+        Alcotest.test_case "every: armed in flight holds nothing open" `Quick
+          test_every_armed_in_flight;
+        Alcotest.test_case "every: rejects bad intervals" `Quick
+          test_every_rejects;
       ] );
   ]

@@ -184,6 +184,42 @@ let test_keepalive_cancelled_by_movement () =
   Alcotest.(check int) "no ghost renewals after coming home" before
     (Mobileip.Mobile_host.registration_attempts topo.Scenarios.Topo.mh)
 
+(* A move whose whole registration window falls inside a partition uses up
+   its transmissions and fails; with the keepalive on, the host retries on
+   the renewal backoff and re-registers once the cut heals. *)
+let test_failed_move_registration_retried () =
+  let topo =
+    Scenarios.Topo.build ~mh_retry_base:0.5 ~mh_retry_cap:2.0
+      ~mh_retry_limit:3 ()
+  in
+  let mh = topo.Scenarios.Topo.mh in
+  let net = topo.Scenarios.Topo.net in
+  Scenarios.Topo.roam_static topo ();
+  Mobileip.Mobile_host.enable_keepalive mh ~max_renewals:10 ();
+  let t0 = Net.now net in
+  let fault = Fault.attach net in
+  Fault.partition fault ~from_:t0 ~until:(t0 +. 10.0) ~a:[ "hr" ] ~b:[ "b0" ];
+  let first = ref None in
+  Mobileip.Mobile_host.move_to_static mh topo.Scenarios.Topo.visited_segment
+    ~addr:(a "131.7.0.201") ~prefix:topo.Scenarios.Topo.visited_prefix
+    ~gateway:(a "131.7.0.1")
+    ~on_registered:(fun ok -> first := Some ok)
+    ();
+  Net.run ~until:(t0 +. 9.0) net;
+  Alcotest.(check (option bool)) "the move's registration failed" (Some false)
+    !first;
+  Net.run ~until:(t0 +. 30.0) net;
+  Alcotest.(check bool) "registered after the cut heals" true
+    (Mobileip.Mobile_host.registered mh);
+  match
+    Mobileip.Home_agent.binding_for topo.Scenarios.Topo.ha
+      topo.Scenarios.Topo.mh_home_addr
+  with
+  | Some b ->
+      Alcotest.(check string) "binding names the new care-of" "131.7.0.201"
+        (Ipv4_addr.to_string b.Mobileip.Types.care_of)
+  | None -> Alcotest.fail "no binding after the cut healed"
+
 let test_cellular_attachment () =
   let topo = Scenarios.Topo.build ~with_cellular:true () in
   let ok = ref None in
@@ -309,5 +345,7 @@ let suites =
         Alcotest.test_case "ethernet vs cellular session" `Quick
           test_ethernet_vs_cellular_session_quality;
         Alcotest.test_case "metrics helpers" `Quick test_metrics_helpers;
+        Alcotest.test_case "failed move registration retried after a cut"
+          `Quick test_failed_move_registration_retried;
       ] );
   ]
