@@ -41,12 +41,11 @@ let routing_table = make_routing_table 100
 let routing_table_10 = make_routing_table 10
 let routing_table_1k = make_routing_table 1000
 
-(* Destinations cycled per call so these cases measure the trie walk, not
-   the destination cache (which the constant-address 100-route case above
-   deliberately hits).  The cache is direct-mapped on an address's low
-   bits, 16 slots; these 64 addresses put four on each slot, and cycling
-   them replaces every entry before it is asked for again, so each
-   lookup misses. *)
+(* Destinations cycled per call so the routing cases measure the trie
+   walk, not the destination cache.  The cache is direct-mapped on an
+   address's low bits, 16 slots; these 64 addresses put four on each
+   slot, and cycling them replaces every entry before it is asked for
+   again, so each lookup misses. *)
 let probe_addrs =
   Array.init 64 (fun i -> Netsim.Ipv4_addr.of_octets 10 (17 * i mod 256) 3 i)
 
@@ -285,9 +284,11 @@ let micro_tests =
                (Mobileip.Encap.wrap Mobileip.Encap.Minimal
                   ~src:(addr "131.7.0.100") ~dst:(addr "36.1.0.2")
                   sample_packet)));
-      Test.make ~name:"routing-lpm-100-routes"
-        (Staged.stage (fun () ->
-             Netsim.Routing.lookup routing_table (addr "10.57.3.9")));
+      (* Replaces routing-lpm-100-routes, which parsed its address inside
+         the timed closure and so mostly timed [Ipv4_addr.of_string]; the
+         gate treats the rename as [gone]/[new], never fatal. *)
+      Test.make ~name:"routing-lpm-100-routes-cycled"
+        (Staged.stage (cycled_lookup routing_table));
       Test.make ~name:"routing-lpm-10-routes"
         (Staged.stage (cycled_lookup routing_table_10));
       Test.make ~name:"routing-lpm-1k-routes"

@@ -868,33 +868,18 @@ let profile_cmd =
       & info [ "json" ] ~doc:"Emit the profile as JSON instead of a table")
   in
   let run json =
-    (* The E20/E18 capacity workload under the hot-path profiler: the
-       per-subsystem self/total table the scale-out work steers by. *)
-    Netsim.Prof.reset ();
-    Netsim.Prof.set_enabled true;
-    let stats =
-      Experiments.E20_obs_overhead.run_once ~install:(fun _ () -> ()) ()
-    in
-    Netsim.Prof.set_enabled false;
-    let entries = Netsim.Prof.snapshot () in
+    let report = Experiments.E18_sim_capacity.profile () in
     if json then
-      print_endline (Netsim.Json.to_string (Netobs.Profile.to_json entries))
-    else begin
-      Format.printf
-        "workload: %d concurrent flows, %d/%d datagrams delivered, %.1f ms \
-         wall (timings inflated by the profiler's own clock reads)@."
-        Experiments.E20_obs_overhead.flows
-        stats.Experiments.E20_obs_overhead.delivered
-        stats.Experiments.E20_obs_overhead.expected
-        (stats.Experiments.E20_obs_overhead.wall *. 1e3);
-      Netobs.Profile.pp out_fmt entries
-    end
+      print_endline (Netsim.Json.to_string (Netobs.Profile.to_json report))
+    else Netobs.Profile.pp out_fmt report
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run the capacity workload under the hot-path profiler and print \
-          per-subsystem self/total wall-clock time")
+         "Run the capacity workload and print the exact counts of its work \
+          (engine events, route lookups, mobility-hook calls, trace events \
+          by kind), each per delivered datagram, and its host CPU time per \
+          datagram")
     Term.(const run $ json)
 
 let list_cmd =

@@ -3,10 +3,10 @@
    allows".  N concurrent UDP request/response flows ping-pong between the
    mobile host (roamed, so every packet crosses the backbone and the
    tunnel) and the correspondent, with per-packet tracing gated off; we
-   report end-to-end packets/sec and engine events/sec of host wall time
-   (read with [Unix.gettimeofday] around the workload's [Net.run]; the
-   engine reads no host clock), published through a Netobs metrics
-   registry. *)
+   report end-to-end packets/sec and engine events/sec of host CPU time
+   (read with [Sys.time] around the workload's [Net.run]; the engine reads
+   no host clock).  E20 and the [profile] subcommand run the same
+   workload through [workload]. *)
 
 open Netsim
 
@@ -15,17 +15,18 @@ let exchanges_per_flow = 20
 let req_size = 256
 let rep_size = 512
 
-type level_result = {
-  flows : int;
-  delivered : int;  (* datagrams received end-to-end, both directions *)
+type run = {
+  delivered : int;
   expected : int;
-  events : int;  (* engine events executed during the workload *)
-  wall : float;  (* host wall-clock seconds of the workload's [Net.run] *)
-  packets_per_sec : float;
-  events_per_sec : float;
+  events : int;
+  route_lookups : int;
+  hook_calls : int;
+  cpu_s : float;
 }
 
-let run_level registry n =
+let nothing (_ : Net.t) () = ()
+
+let workload ?record_rtt ~flows ~install () =
   let topo = Scenarios.Topo.build () in
   Scenarios.Topo.roam topo ();
   let net = topo.Scenarios.Topo.net in
@@ -33,6 +34,7 @@ let run_level registry n =
   (* The point of the experiment: the per-hop fast path with trace-event
      construction gated off. *)
   Net.set_tracing net false;
+  let teardown = install net in
   let mh_udp = Transport.Udp_service.get topo.Scenarios.Topo.mh_node in
   let ch_udp = Transport.Udp_service.get topo.Scenarios.Topo.ch_node in
   let ch_received = ref 0 in
@@ -45,16 +47,21 @@ let run_level registry n =
            ~dst_port:dgram.Transport.Udp_service.src_port
            (Bytes.make rep_size 'r')));
   let eng = Net.engine net in
+  let stamps = Array.make flows 0.0 in
   let request i =
+    if record_rtt <> None then stamps.(i) <- Engine.now eng;
     ignore
       (Transport.Udp_service.send mh_udp ~src:topo.Scenarios.Topo.mh_home_addr
          ~dst:topo.Scenarios.Topo.ch_addr ~src_port:(47000 + i) ~dst_port:9
          (Bytes.make req_size 'q'))
   in
-  for i = 0 to n - 1 do
+  for i = 0 to flows - 1 do
     let sent = ref 1 in
     Transport.Udp_service.listen mh_udp ~port:(47000 + i) (fun _ _ ->
         incr mh_received;
+        (match record_rtt with
+        | Some f -> f ((Engine.now eng -. stamps.(i)) *. 1e3)
+        | None -> ());
         if !sent < exchanges_per_flow then begin
           incr sent;
           request i
@@ -62,42 +69,62 @@ let run_level registry n =
     (* Stagger flow starts so the event queue fills gradually. *)
     Engine.after eng (float_of_int i *. 0.003) (fun () -> request i)
   done;
-  let before = Engine.stats eng in
-  let t0 = Unix.gettimeofday () in
+  let events0 = (Net.stats net).Engine.executed in
+  let lookups0 = Net.route_lookups net in
+  let hooks0 = Net.hook_calls net in
+  let c0 = Sys.time () in
   Net.run net;
-  let wall = Unix.gettimeofday () -. t0 in
-  let after = Engine.stats eng in
-  let delivered = !ch_received + !mh_received in
-  let events = after.Engine.executed - before.Engine.executed in
-  let rate count = if wall > 0.0 then float_of_int count /. wall else 0.0 in
-  let publish name v =
-    Netobs.Metrics.set
-      (Netobs.Metrics.gauge registry (Printf.sprintf "e18.%s.flows%d" name n))
-      v
-  in
-  publish "packets_per_sec" (rate delivered);
-  publish "events_per_sec" (rate events);
+  let cpu_s = Sys.time () -. c0 in
+  teardown ();
   {
-    flows = n;
-    delivered;
-    expected = 2 * n * exchanges_per_flow;
-    events;
-    wall;
-    packets_per_sec = rate delivered;
-    events_per_sec = rate events;
+    delivered = !ch_received + !mh_received;
+    expected = 2 * flows * exchanges_per_flow;
+    events = (Net.stats net).Engine.executed - events0;
+    route_lookups = Net.route_lookups net - lookups0;
+    hook_calls = Net.hook_calls net - hooks0;
+    cpu_s;
+  }
+
+let profile ?(flows = 128) () =
+  let timed = workload ~flows ~install:nothing () in
+  let tally = Netobs.Profile.tally () in
+  let install net =
+    let trace = Net.trace net in
+    let observer = Trace.add_observer trace (Netobs.Profile.count tally) in
+    fun () -> Trace.remove_observer trace observer
+  in
+  ignore (workload ~flows ~install ());
+  {
+    Netobs.Profile.flows;
+    delivered = timed.delivered;
+    expected = timed.expected;
+    cpu_s = timed.cpu_s;
+    counts =
+      [
+        ("engine-events", timed.events);
+        ("route-lookups", timed.route_lookups);
+        ("hook-calls", timed.hook_calls);
+      ]
+      @ Netobs.Profile.kind_counts tally;
   }
 
 let run () =
-  let registry = Netobs.Metrics.create () in
-  let results = List.map (run_level registry) load_levels in
-  let row r =
+  let results =
+    List.map
+      (fun flows -> (flows, workload ~flows ~install:nothing ()))
+      load_levels
+  in
+  let rate count r =
+    if r.cpu_s > 0.0 then float_of_int count /. r.cpu_s else 0.0
+  in
+  let row (flows, r) =
     [
-      string_of_int r.flows;
+      string_of_int flows;
       Printf.sprintf "%d/%d" r.delivered r.expected;
       string_of_int r.events;
-      Printf.sprintf "%.1f" (r.wall *. 1e3);
-      Printf.sprintf "%.0f" r.packets_per_sec;
-      Printf.sprintf "%.0f" r.events_per_sec;
+      Printf.sprintf "%.1f" (r.cpu_s *. 1e3);
+      Printf.sprintf "%.0f" (rate r.delivered r);
+      Printf.sprintf "%.0f" (rate r.events r);
     ]
   in
   {
@@ -115,7 +142,7 @@ let run () =
         "concurrent flows";
         "delivered";
         "sim events";
-        "wall ms";
+        "cpu ms";
         "packets/sec";
         "events/sec";
       ];
@@ -123,9 +150,9 @@ let run () =
     notes =
       [
         "packets/sec counts end-to-end datagram deliveries (requests at the \
-         CH plus replies at the MH) per host wall-clock second of the \
-         workload's Net.run, timed by the experiment; events/sec is the \
-         engine's executed-event rate over the same window";
+         CH plus replies at the MH) per host CPU second of the workload's \
+         Net.run, timed by the experiment; events/sec is the engine's \
+         executed-event rate over the same window";
         "absolute rates vary with the host; the interesting signal is that \
          rates hold (or grow) as the flow count scales 8 -> 32 -> 128";
       ];

@@ -18,12 +18,12 @@
    tracing-off, full every-flow capture at roughly a tenth of
    throughput.
 
-   Rates on a loaded host wobble; wall time is host *CPU* seconds of the
-   workload's [Net.run], read with [Sys.time] around it (immune to CPU
-   steal), attempts are interleaved across rungs (a slow patch on a
-   shared host degrades one attempt of every rung rather than one rung's
-   whole budget), each run starts from a freshly collected heap, and each
-   rung reports its fastest attempt. *)
+   Rates on a loaded host wobble; the time is host *CPU* seconds of the
+   workload's [Net.run], which [E18_sim_capacity.workload] reads with
+   [Sys.time] around it (immune to CPU steal), attempts are interleaved
+   across rungs (a slow patch on a shared host degrades one attempt of
+   every rung rather than one rung's whole budget), each run starts from
+   a freshly collected heap, and each rung reports its median attempt. *)
 
 open Netsim
 
@@ -32,79 +32,10 @@ let attempts = 5
 let recorder_capacity = 4096
 let sample_every = 8
 
-type run_stats = {
-  delivered : int;
-  expected : int;
-  wall : float;
-  packets_per_sec : float;
-}
+let workload = E18_sim_capacity.workload ~flows
 
-(* One E18-style capacity run: [install] may hang consumers on the trace
-   (returning the matching teardown), so the workload itself is identical
-   on every rung.  [record_rtt] (used by the unmeasured percentile run
-   only — it adds per-exchange stamping the timed rungs must not pay)
-   receives each exchange's end-to-end round trip in simulated
-   milliseconds. *)
-let run_once ?record_rtt ~install () =
-  let topo = Scenarios.Topo.build () in
-  Scenarios.Topo.roam topo ();
-  let net = topo.Scenarios.Topo.net in
-  Common.fresh_trace net;
-  Net.set_tracing net false;
-  let teardown = install net in
-  let mh_udp = Transport.Udp_service.get topo.Scenarios.Topo.mh_node in
-  let ch_udp = Transport.Udp_service.get topo.Scenarios.Topo.ch_node in
-  let ch_received = ref 0 in
-  let mh_received = ref 0 in
-  Transport.Udp_service.listen ch_udp ~port:9 (fun svc dgram ->
-      incr ch_received;
-      ignore
-        (Transport.Udp_service.send svc ~src:dgram.Transport.Udp_service.dst
-           ~dst:dgram.Transport.Udp_service.src ~src_port:9
-           ~dst_port:dgram.Transport.Udp_service.src_port
-           (Bytes.make 512 'r')));
-  let eng = Net.engine net in
-  let stamps = Array.make flows 0.0 in
-  let request i =
-    if record_rtt <> None then stamps.(i) <- Engine.now eng;
-    ignore
-      (Transport.Udp_service.send mh_udp ~src:topo.Scenarios.Topo.mh_home_addr
-         ~dst:topo.Scenarios.Topo.ch_addr ~src_port:(47000 + i) ~dst_port:9
-         (Bytes.make 256 'q'))
-  in
-  let exchanges = E18_sim_capacity.exchanges_per_flow in
-  for i = 0 to flows - 1 do
-    let sent = ref 1 in
-    Transport.Udp_service.listen mh_udp ~port:(47000 + i) (fun _ _ ->
-        incr mh_received;
-        (match record_rtt with
-        | Some f -> f ((Engine.now eng -. stamps.(i)) *. 1e3)
-        | None -> ());
-        if !sent < exchanges then begin
-          incr sent;
-          request i
-        end);
-    Engine.after eng (float_of_int i *. 0.003) (fun () -> request i)
-  done;
-  (* Host CPU seconds of the workload's [Net.run] — immune to CPU steal,
-     unlike wall-clock time. *)
-  let c0 = Sys.time () in
-  Net.run net;
-  let wall = Sys.time () -. c0 in
-  teardown ();
-  let delivered = !ch_received + !mh_received in
-  {
-    delivered;
-    expected = 2 * flows * exchanges;
-    wall;
-    packets_per_sec =
-      (if wall > 0.0 then float_of_int delivered /. wall else 0.0);
-  }
-
-
-let no_teardown (_ : Net.t) () = ()
-
-let rung_off net = no_teardown net
+let packets_per_sec (r : E18_sim_capacity.run) =
+  if r.cpu_s > 0.0 then float_of_int r.delivered /. r.cpu_s else 0.0
 
 let rung_recorder ?sample_every () net =
   let r = Netobs.Recorder.create ?sample_every ~capacity:recorder_capacity () in
@@ -131,7 +62,7 @@ let rung_pcap net =
       Netobs.Pcap.sink_to_channel oc)
     net
 
-type rung = { name : string; stats : run_stats; vs_off : float }
+type rung = { name : string; stats : E18_sim_capacity.run; vs_off : float }
 
 (* The workload's end-to-end RTT distribution is pure simulated time —
    identical on every rung, whatever telemetry is installed — so it is
@@ -144,7 +75,8 @@ let rtt_percentiles () =
       ~help:"end-to-end request/reply round trip, simulated ms" "e20.rtt_ms"
   in
   ignore
-    (run_once ~record_rtt:(Netobs.Metrics.observe h) ~install:rung_off ());
+    (workload ~record_rtt:(Netobs.Metrics.observe h)
+       ~install:E18_sim_capacity.nothing ());
   List.find_map
     (fun s ->
       match s.Netobs.Metrics.value with
@@ -160,7 +92,7 @@ let rtt_percentiles () =
 let run_ladder () =
   let ladder =
     [|
-      ("off", rung_off);
+      ("off", E18_sim_capacity.nothing);
       ("recorder", fun net -> rung_recorder () net);
       ("recorder-sampled", fun net -> rung_recorder ~sample_every () net);
       ("jsonl", rung_jsonl);
@@ -181,7 +113,7 @@ let run_ladder () =
         Array.map
           (fun (_, install) ->
             Gc.compact ();
-            run_once ~install ())
+            workload ~install ())
           ladder)
   in
   let median l =
@@ -191,7 +123,7 @@ let run_ladder () =
   let stats i =
     let by_pps =
       List.sort
-        (fun a b -> compare a.packets_per_sec b.packets_per_sec)
+        (fun a b -> compare (packets_per_sec a) (packets_per_sec b))
         (Array.to_list (Array.map (fun pass -> pass.(i)) passes))
     in
     List.nth by_pps (List.length by_pps / 2)
@@ -201,10 +133,9 @@ let run_ladder () =
       (Array.to_list
          (Array.map
             (fun pass ->
-              if pass.(0).packets_per_sec > 0.0 then
-                100.0
-                *. (pass.(i).packets_per_sec /. pass.(0).packets_per_sec
-                   -. 1.0)
+              let off = packets_per_sec pass.(0) in
+              if off > 0.0 then
+                100.0 *. ((packets_per_sec pass.(i) /. off) -. 1.0)
               else 0.0)
             passes))
   in
@@ -231,8 +162,8 @@ let run () =
     [
       r.name;
       Printf.sprintf "%d/%d" r.stats.delivered r.stats.expected;
-      Printf.sprintf "%.1f" (r.stats.wall *. 1e3);
-      Printf.sprintf "%.0f" r.stats.packets_per_sec;
+      Printf.sprintf "%.1f" (r.stats.cpu_s *. 1e3);
+      Printf.sprintf "%.0f" (packets_per_sec r.stats);
       (if r.name = "off" then "-" else Printf.sprintf "%+.1f%%" r.vs_off);
     ]
   in
@@ -247,7 +178,7 @@ let run () =
        at capacity scale — sampled capture sits within measurement noise \
        of tracing-off, full every-flow capture costs ~10-15%; full \
        exports cost what they cost, and now we know the number";
-    columns = [ "rung"; "delivered"; "wall ms"; "packets/sec"; "vs off" ];
+    columns = [ "rung"; "delivered"; "cpu ms"; "packets/sec"; "vs off" ];
     rows = List.map row rungs;
     notes =
       [
@@ -262,10 +193,10 @@ let run () =
            file is deleted"
           recorder_capacity sample_every;
         Printf.sprintf
-          "wall is host CPU seconds of the workload's Net.run; %d \
+          "cpu ms is host CPU time of the workload's Net.run; %d \
            interleaved passes, heap compacted before each run; 'vs off' is the \
            median of within-pass ratios (back-to-back runs, immune to \
-           host load drift), wall/rate columns are the median run"
+           host load drift), cpu/rate columns are the median run"
           attempts;
         rtt_note;
       ];

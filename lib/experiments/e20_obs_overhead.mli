@@ -1,34 +1,7 @@
-(** E20 — the observability overhead ladder: packets/sec on the E18
-    capacity workload with nothing installed, the flight recorder (full
-    and 1-in-N sampled), full JSONL export and pcap export, each rung
-    reported as a delta against tracing-off. *)
-
-type run_stats = {
-  delivered : int;
-  expected : int;
-  wall : float;  (** host seconds inside the run *)
-  packets_per_sec : float;
-}
-
-type rung = { name : string; stats : run_stats; vs_off : float }
-
-val run_ladder : unit -> rung list
-(** The measured ladder, "off" first; [vs_off] is the percentage change
-    in packets/sec against the "off" rung (0 for "off" itself). *)
-
-val run_once :
-  ?record_rtt:(float -> unit) ->
-  install:(Netsim.Net.t -> unit -> unit) ->
-  unit ->
-  run_stats
-(** One capacity run with [install] hanging telemetry consumers before
-    the workload starts; [install] returns the matching teardown, called
-    after the run drains.  [record_rtt] receives each exchange's
-    simulated round trip in ms (adds stamping cost — never used on timed
-    rungs).  Exposed for the [profile] subcommand, which reuses the
-    workload under the hot-path profiler. *)
-
-val flows : int
-(** Concurrent UDP ping-pong flows per run (the E18 top level). *)
+(** E20 — the observability overhead ladder: packets/sec on E18's
+    capacity workload ({!E18_sim_capacity.workload}, 128 flows) with
+    nothing installed, the flight recorder (full and 1-in-N sampled),
+    full JSONL export and pcap export, each rung reported as a delta
+    against tracing-off. *)
 
 val run : unit -> Table.t

@@ -17,7 +17,6 @@ let mode_to_string = function
 let pp_mode fmt m = Format.pp_print_string fmt (mode_to_string m)
 
 let wrap mode ~src ~dst ?(ttl = 64) ?ident inner =
-  Prof.enter Prof.Encap;
   let payload, protocol =
     match mode with
     | Ipip -> (Ipv4_packet.Encap inner, Ipv4_packet.P_ipip)
@@ -25,25 +24,16 @@ let wrap mode ~src ~dst ?(ttl = 64) ?ident inner =
     | Gre -> (Ipv4_packet.Gre_encap inner, Ipv4_packet.P_gre)
   in
   let ident = Option.value ident ~default:inner.Ipv4_packet.ident in
-  let outer =
-    Ipv4_packet.make ~tos:inner.Ipv4_packet.tos ~ident ~ttl ~protocol ~src ~dst
-      payload
-  in
-  Prof.leave Prof.Encap;
-  outer
+  Ipv4_packet.make ~tos:inner.Ipv4_packet.tos ~ident ~ttl ~protocol ~src ~dst
+    payload
 
 let unwrap (pkt : Ipv4_packet.t) =
-  Prof.enter Prof.Decap;
-  let r =
-    match pkt.payload with
-    | Ipv4_packet.Encap inner -> Some (Ipip, inner)
-    | Ipv4_packet.Gre_encap inner -> Some (Gre, inner)
-    | Ipv4_packet.Min_encap inner -> Some (Minimal, inner)
-    | Ipv4_packet.Raw _ | Ipv4_packet.Udp _ | Ipv4_packet.Tcp _
-    | Ipv4_packet.Icmp _ ->
-        None
-  in
-  Prof.leave Prof.Decap;
-  r
+  match pkt.payload with
+  | Ipv4_packet.Encap inner -> Some (Ipip, inner)
+  | Ipv4_packet.Gre_encap inner -> Some (Gre, inner)
+  | Ipv4_packet.Min_encap inner -> Some (Minimal, inner)
+  | Ipv4_packet.Raw _ | Ipv4_packet.Udp _ | Ipv4_packet.Tcp _
+  | Ipv4_packet.Icmp _ ->
+      None
 
 let is_tunnel pkt = unwrap pkt <> None

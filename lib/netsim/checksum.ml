@@ -47,17 +47,8 @@ let ones_complement_sum ?(initial = 0) buf off len =
 
 let finish sum = lnot (fold_carries sum) land 0xffff
 
-let compute buf =
-  Prof.enter Prof.Checksum;
-  let c = finish (ones_complement_sum buf 0 (Bytes.length buf)) in
-  Prof.leave Prof.Checksum;
-  c
-
-let compute_sub buf off len =
-  Prof.enter Prof.Checksum;
-  let c = finish (ones_complement_sum buf off len) in
-  Prof.leave Prof.Checksum;
-  c
+let compute buf = finish (ones_complement_sum buf 0 (Bytes.length buf))
+let compute_sub buf off len = finish (ones_complement_sum buf off len)
 
 (* RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m') — update a checksum for the
    rewrite of one 16-bit header word without touching the other words. *)

@@ -105,9 +105,7 @@ let dispatch t =
     (Float.Array.unsafe_get (Pqueue.priorities t.queue) 0);
   let f = Pqueue.pop_min t.queue in
   t.executed <- t.executed + 1;
-  Prof.enter Prof.Dispatch;
-  f ();
-  Prof.leave Prof.Dispatch
+  f ()
 
 let step t =
   if Pqueue.is_empty t.queue then false

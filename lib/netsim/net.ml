@@ -15,6 +15,8 @@ type t = {
   mutable icmp_errors : icmp_errors option;
       (* ICMP error signaling config; None (the default) keeps every drop
          silent and costs the fast path a single field load. *)
+  mutable route_lookups : int;
+  mutable hook_calls : int;
 }
 
 (* Opt-in ICMP error signaling: per-(node, offender) hold-down with a
@@ -154,6 +156,8 @@ let create () =
     next_flow = 0;
     fault_hook = None;
     icmp_errors = None;
+    route_lookups = 0;
+    hook_calls = 0;
   }
 
 let set_fault_hook t f = t.fault_hook <- f
@@ -183,6 +187,8 @@ let set_tracing t b = Trace.set_enabled t.trace b
 
 let engine t = t.engine
 let trace t = t.trace
+let route_lookups t = t.route_lookups
+let hook_calls t = t.hook_calls
 let now t = Engine.now t.engine
 
 let add_node t name router =
@@ -496,6 +502,27 @@ let ip_frame node ~out ~flow l2_dst pkt =
 let drop_unsent node ~flow reason pkt =
   trace_at node Trace.k_drop reason ~id:(new_frame_id node) ~flow pkt
 
+(* The world counts its routing-table lookups and mobility-hook calls
+   where they happen, whatever its trace has attached. *)
+let route node dst =
+  let t = node.net in
+  t.route_lookups <- t.route_lookups + 1;
+  Routing.lookup node.table dst
+
+let count_hook_call node =
+  let t = node.net in
+  t.hook_calls <- t.hook_calls + 1
+
+(* A packet reaches its node's stack: the Deliver trace, the delivery
+   observer, then the protocol handler. *)
+let hand_up node in_iface ~id ~flow pkt =
+  trace_event node Trace.k_deliver ~id ~flow pkt;
+  (match node.observer with Some f -> f pkt | None -> ());
+  let proto = Ipv4_packet.protocol_to_int pkt.Ipv4_packet.protocol in
+  match Addr_map.find node.handlers proto with
+  | Some handler -> handler node in_iface pkt
+  | None -> ()
+
 let same_segment a b =
   List.exists
     (fun ia ->
@@ -786,30 +813,22 @@ and deliver_whole node in_iface frame whole =
   | None -> deliver_local node in_iface frame whole
 
 and deliver_local node in_iface frame whole =
-      let consumed =
-        match node.intercept with
-        | Some hook ->
-            Prof.enter Prof.Agent;
-            let c = hook ~flow:frame.flow whole in
-            Prof.leave Prof.Agent;
-            c
-        | None -> false
-      in
-      if not consumed then begin
-        trace_event node Trace.k_deliver ~id:frame.fid ~flow:frame.flow whole;
-        (match node.observer with Some f -> f whole | None -> ());
-        let proto = Ipv4_packet.protocol_to_int whole.Ipv4_packet.protocol in
-        match Addr_map.find node.handlers proto with
-        | Some handler -> handler node in_iface whole
-        | None -> ()
-      end
+  let consumed =
+    match node.intercept with
+    | Some hook ->
+        count_hook_call node;
+        hook ~flow:frame.flow whole
+    | None -> false
+  in
+  if not consumed then
+    hand_up node in_iface ~id:frame.fid ~flow:frame.flow whole
 
 and forward node in_iface frame pkt =
   match Ipv4_packet.decrement_ttl pkt with
   | exception Ipv4_packet.Ttl_expired ->
       trace_drop node Trace.Ttl_expired frame pkt
   | pkt -> (
-      match Routing.lookup node.table pkt.Ipv4_packet.dst with
+      match route node pkt.Ipv4_packet.dst with
       | None ->
           trace_drop node Trace.No_route frame pkt;
           send_icmp_error node ~reason:Trace.No_route
@@ -906,10 +925,8 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
     let decision =
       match node.override with
       | Some hook ->
-          Prof.enter Prof.Agent;
-          let d = hook pkt in
-          Prof.leave Prof.Agent;
-          d
+          count_hook_call node;
+          hook pkt
       | None -> None
     in
     match decision with
@@ -924,7 +941,7 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
         | Some out ->
             send_via node ~flow out ~next_hop:pkt.Ipv4_packet.dst ~l2_dst pkt
         | None -> (
-            match Routing.lookup node.table pkt.Ipv4_packet.dst with
+            match route node pkt.Ipv4_packet.dst with
             | None -> drop_unsent node ~flow Trace.No_route pkt
             | Some route -> (
                 match find_iface node route.Routing.iface with
@@ -956,16 +973,7 @@ let send node ?flow ?via ?l2_dst pkt =
   flow
 
 let inject_local node ~flow pkt =
-  let frame =
-    { fid = new_frame_id node; flow; content = Ip pkt;
-      l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
-  in
-  trace_event node Trace.k_deliver ~id:frame.fid ~flow pkt;
-  (match node.observer with Some f -> f pkt | None -> ());
-  let proto = Ipv4_packet.protocol_to_int pkt.Ipv4_packet.protocol in
-  (match Addr_map.find node.handlers proto with
-  | Some handler -> handler node None pkt
-  | None -> ())
+  hand_up node None ~id:(new_frame_id node) ~flow pkt
 
 let gratuitous_arp _node iface addr =
   send_arp iface ~l2_dst:Mac_addr.broadcast

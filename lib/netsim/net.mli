@@ -63,6 +63,24 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 val stats : t -> Engine.stats
 (** [Engine.stats (engine t)]. *)
 
+(** {2 Work counts}
+
+    The world counts two kinds of data-plane work since {!create},
+    whatever its trace has attached; each count is an [int] increment
+    where the work happens.  The engine counts dispatched events
+    ([executed] in {!stats}), and an observer on the trace counts trace
+    events. *)
+
+val route_lookups : t -> int
+(** Routing-table lookups: one per packet a router forwards (after its
+    TTL check), and one per origin send that is not loopback and that
+    neither the route-override hook nor [?via] routes. *)
+
+val hook_calls : t -> int
+(** Mobility-hook calls: the intercept hook ({!set_intercept}) once per
+    local delivery, and the route-override hook ({!set_route_override})
+    once per origin send that is not loopback, resubmits included. *)
+
 val add_host : t -> string -> node
 val add_router : t -> string -> node
 (** @raise Invalid_argument if the name is already taken. *)

@@ -182,26 +182,21 @@ let lookup_uncached t addr =
   match walk (key_of addr) t.root [] with (_, r) :: _ -> Some r | [] -> None
 
 let lookup t addr =
-  Prof.enter Prof.Routing;
   let a = Ipv4_addr.to_int32 addr in
   let i = Int32.to_int a land slot_mask in
   let k = tag t.gen a in
-  let r =
-    if Array.length t.tags > 0 && Array.unsafe_get t.tags i = k then
-      Array.unsafe_get t.answers i
-    else begin
-      let r = lookup_uncached t addr in
-      if Array.length t.tags = 0 then begin
-        t.tags <- Array.make cache_slots (-1);
-        t.answers <- Array.make cache_slots None
-      end;
-      Array.unsafe_set t.tags i k;
-      Array.unsafe_set t.answers i r;
-      r
-    end
-  in
-  Prof.leave Prof.Routing;
-  r
+  if Array.length t.tags > 0 && Array.unsafe_get t.tags i = k then
+    Array.unsafe_get t.answers i
+  else begin
+    let r = lookup_uncached t addr in
+    if Array.length t.tags = 0 then begin
+      t.tags <- Array.make cache_slots (-1);
+      t.answers <- Array.make cache_slots None
+    end;
+    Array.unsafe_set t.tags i k;
+    Array.unsafe_set t.answers i r;
+    r
+  end
 
 let routes t =
   let acc = ref [] in

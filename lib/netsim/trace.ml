@@ -522,7 +522,6 @@ let flow_entry t flow =
       e
 
 let record t ~time event =
-  Prof.enter Prof.Trace_emit;
   let r = { time; event } in
   (* The unbounded in-memory log (and the per-flow index over it) fills
      whenever a full consumer is active — a run that attaches an observer
@@ -546,18 +545,15 @@ let record t ~time event =
   done;
   (* Replay into attached rings, so they also see the events a log or
      an observer made [emit] build, and records written by hand. *)
-  (let rs = t.rings in
-   if Array.length rs > 0 then
-     for i = 0 to Array.length rs - 1 do
-       ring_store_record (Array.unsafe_get rs i) r
-     done);
-  Prof.leave Prof.Trace_emit
+  let rs = t.rings in
+  for i = 0 to Array.length rs - 1 do
+    ring_store_record (Array.unsafe_get rs i) r
+  done
 
 (* The one emit point of the data plane.  With a log or observer it
    builds the record; with only rings it costs a handful of loads and
-   stores per event and no Prof bracket (on the capacity fast path even a
-   no-op cross-module call per event shows up in E20); with nothing
-   attached the ring loop runs zero times. *)
+   stores per event; with nothing attached the ring loop runs zero
+   times. *)
 let emit t kind name ~in_iface ~out_iface ~reason ~id ~flow ~bytes pkt =
   if t.wants_records then
     record t

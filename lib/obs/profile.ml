@@ -1,47 +1,87 @@
-(* Renderer for {!Netsim.Prof} snapshots: the sorted self/total table the
-   [profile] subcommand prints, plus a JSON form for machine diffing. *)
+(* The [profile] subcommand's report: exact counts of one workload's work,
+   each per delivered datagram, beside one measured total.  Nothing here
+   reads a clock. *)
 
 open Netsim
 
-let by_self entries =
-  List.sort
-    (fun a b -> compare b.Prof.self_s a.Prof.self_s)
-    entries
+let kinds =
+  [|
+    "send";
+    "transmit";
+    "forward";
+    "deliver";
+    "drop";
+    "encapsulate";
+    "decapsulate";
+    "icmp-error";
+  |]
 
-let pp fmt entries =
-  let entries = by_self entries in
-  let total_self =
-    List.fold_left (fun acc e -> acc +. e.Prof.self_s) 0.0 entries
-  in
-  Format.fprintf fmt "== hot-path profile (%d categories) ==@."
-    (List.length entries);
-  Format.fprintf fmt "  %-18s %12s %12s %12s %7s@." "category" "calls"
-    "self ms" "total ms" "self %";
+let kind_index = function
+  | Trace.Send _ -> 0
+  | Trace.Transmit _ -> 1
+  | Trace.Forward _ -> 2
+  | Trace.Deliver _ -> 3
+  | Trace.Drop _ -> 4
+  | Trace.Encapsulate _ -> 5
+  | Trace.Decapsulate _ -> 6
+  | Trace.Icmp_error _ -> 7
+
+type tally = int array
+
+let tally () = Array.make (Array.length kinds) 0
+
+let count tally (r : Trace.record) =
+  let i = kind_index r.Trace.event in
+  tally.(i) <- tally.(i) + 1
+
+let kind_counts tally =
+  Array.to_list (Array.mapi (fun i kind -> (kind, tally.(i))) kinds)
+
+type t = {
+  flows : int;
+  delivered : int;
+  expected : int;
+  cpu_s : float;
+  counts : (string * int) list;
+}
+
+let per_datagram t n =
+  if t.delivered > 0 then float_of_int n /. float_of_int t.delivered else 0.0
+
+let cpu_ns_per_datagram t =
+  if t.delivered > 0 then t.cpu_s *. 1e9 /. float_of_int t.delivered else 0.0
+
+let pp fmt t =
+  Format.fprintf fmt
+    "workload: %d concurrent flows, %d/%d datagrams delivered, %.0f ns host \
+     CPU per datagram (a run with nothing attached)@."
+    t.flows t.delivered t.expected (cpu_ns_per_datagram t);
+  Format.fprintf fmt "== exact counts over the workload's Net.run ==@.";
+  Format.fprintf fmt "  %-14s %10s %13s@." "count" "total" "per datagram";
   List.iter
-    (fun e ->
-      Format.fprintf fmt "  %-18s %12d %12.3f %12.3f %6.1f%%@."
-        (Prof.label e.Prof.cat) e.Prof.calls (e.Prof.self_s *. 1e3)
-        (e.Prof.total_s *. 1e3)
-        (if total_self > 0.0 then 100.0 *. e.Prof.self_s /. total_self
-         else 0.0))
-    entries;
-  Format.fprintf fmt "  %-18s %12s %12.3f@." "(sum of self)" ""
-    (total_self *. 1e3)
+    (fun (name, n) ->
+      Format.fprintf fmt "  %-14s %10d %13.2f@." name n (per_datagram t n))
+    t.counts;
+  Format.fprintf fmt
+    "  note: trace events are counted by kind by an observer on a second, \
+     untimed run@."
 
-let to_json entries =
-  let entries = by_self entries in
+let to_json t =
   Json.Obj
     [
-      ( "profile",
+      ("flows", Json.Int t.flows);
+      ("delivered", Json.Int t.delivered);
+      ("expected", Json.Int t.expected);
+      ("cpu_ns_per_datagram", Json.Float (cpu_ns_per_datagram t));
+      ( "counts",
         Json.List
           (List.map
-             (fun e ->
+             (fun (name, n) ->
                Json.Obj
                  [
-                   ("category", Json.String (Prof.label e.Prof.cat));
-                   ("calls", Json.Int e.Prof.calls);
-                   ("self_s", Json.Float e.Prof.self_s);
-                   ("total_s", Json.Float e.Prof.total_s);
+                   ("name", Json.String name);
+                   ("count", Json.Int n);
+                   ("per_datagram", Json.Float (per_datagram t n));
                  ])
-             entries) );
+             t.counts) );
     ]

@@ -1,6 +1,7 @@
 (* The flight recorder, the pcap exporter, the composable trace taps, the
-   bucket-interpolated histogram percentiles and the hot-path profiler —
-   the observability additions that ride on top of the trace tee. *)
+   bucket-interpolated histogram percentiles and the profile's exact
+   counts — the observability additions that ride on top of the trace
+   tee. *)
 
 open Netsim
 
@@ -523,63 +524,69 @@ let test_percentile_overflow_bucket () =
     (let p = Netobs.Metrics.percentile v 99.0 in
      p > 1.0 && p <= 100.0)
 
-(* ---------- hot-path profiler ---------- *)
+(* ---------- profile counts ---------- *)
 
-let test_profiler_spans () =
-  Prof.reset ();
-  Prof.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Prof.set_enabled false;
-      Prof.reset ())
-    (fun () ->
-      Prof.span Prof.Dispatch (fun () ->
-          Prof.span Prof.Routing (fun () -> ());
-          Prof.span Prof.Routing (fun () -> ()));
-      let entries = Prof.snapshot () in
-      let find cat =
-        List.find_opt (fun e -> e.Prof.cat = cat) entries
-      in
-      (match find Prof.Dispatch with
-      | Some e ->
-          Alcotest.(check int) "one dispatch span" 1 e.Prof.calls;
-          Alcotest.(check bool)
-            "self never exceeds total" true
-            (e.Prof.self_s <= e.Prof.total_s +. 1e-9)
-      | None -> Alcotest.fail "dispatch span not recorded");
-      (match find Prof.Routing with
-      | Some e -> Alcotest.(check int) "nested spans counted" 2 e.Prof.calls
-      | None -> Alcotest.fail "routing span not recorded");
-      (* an unmatched leave must not corrupt the stack *)
-      Prof.leave Prof.Checksum;
-      Prof.span Prof.Checksum (fun () -> ());
-      match find Prof.Dispatch with
-      | Some e -> Alcotest.(check int) "stack intact" 1 e.Prof.calls
-      | None -> Alcotest.fail "dispatch entry vanished")
+module E18 = Experiments.E18_sim_capacity
 
-let test_profiler_off_is_empty () =
-  Prof.reset ();
-  Prof.set_enabled false;
-  Prof.span Prof.Dispatch (fun () -> ());
-  Prof.enter Prof.Routing;
-  Prof.leave Prof.Routing;
-  Alcotest.(check int) "disabled profiler records nothing" 0
-    (List.length (Prof.snapshot ()))
+let world_counts (r : E18.run) =
+  [
+    ("delivered", r.E18.delivered);
+    ("expected", r.E18.expected);
+    ("engine-events", r.E18.events);
+    ("route-lookups", r.E18.route_lookups);
+    ("hook-calls", r.E18.hook_calls);
+  ]
 
-let test_profiler_exception_unwinds () =
-  Prof.reset ();
-  Prof.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Prof.set_enabled false;
-      Prof.reset ())
-    (fun () ->
-      (try Prof.span Prof.Encap (fun () -> failwith "boom") with
-      | Failure _ -> ());
-      match Prof.snapshot () with
-      | [ e ] ->
-          Alcotest.(check int) "span completed via protect" 1 e.Prof.calls
-      | l -> Alcotest.failf "expected one entry, got %d" (List.length l))
+(* Counting never depends on consumers: the same workload with nothing
+   attached, with the trace log on and an observer, and with only a
+   flight-recorder ring counts the same work. *)
+let test_counts_ignore_consumers () =
+  let bare = E18.workload ~flows:8 ~install:E18.nothing () in
+  let logged =
+    E18.workload ~flows:8
+      ~install:(fun net ->
+        Net.set_tracing net true;
+        let trace = Net.trace net in
+        let o = Trace.add_observer trace ignore in
+        fun () -> Trace.remove_observer trace o)
+      ()
+  in
+  let ringed =
+    E18.workload ~flows:8
+      ~install:(fun net ->
+        let r = Netobs.Recorder.create ~capacity:64 () in
+        Netobs.Recorder.install r (Net.trace net);
+        fun () -> Netobs.Recorder.uninstall r (Net.trace net))
+      ()
+  in
+  let counts = Alcotest.(list (pair string int)) in
+  Alcotest.check counts "log and observer" (world_counts bare)
+    (world_counts logged);
+  Alcotest.check counts "ring only" (world_counts bare) (world_counts ringed)
+
+(* The exact work of the 8-flow workload.  A change that adds a route
+   lookup, a hook call, an event or a trace event per hop moves these. *)
+let test_counts_at_8_flows () =
+  let p = E18.profile ~flows:8 () in
+  Alcotest.(check (pair int int))
+    "delivered/expected" (320, 320)
+    (p.Netobs.Profile.delivered, p.Netobs.Profile.expected);
+  Alcotest.(check (list (pair string int)))
+    "counts"
+    [
+      ("engine-events", 4171);
+      ("route-lookups", 4160);
+      ("hook-calls", 960);
+      ("send", 640);
+      ("transmit", 4160);
+      ("forward", 3520);
+      ("deliver", 320);
+      ("drop", 0);
+      ("encapsulate", 320);
+      ("decapsulate", 320);
+      ("icmp-error", 0);
+    ]
+    p.Netobs.Profile.counts
 
 let suites =
   [
@@ -607,10 +614,9 @@ let suites =
           test_percentile_single_value;
         Alcotest.test_case "percentile overflow bucket" `Quick
           test_percentile_overflow_bucket;
-        Alcotest.test_case "profiler spans" `Quick test_profiler_spans;
-        Alcotest.test_case "profiler off is empty" `Quick
-          test_profiler_off_is_empty;
-        Alcotest.test_case "profiler exception unwind" `Quick
-          test_profiler_exception_unwinds;
+        Alcotest.test_case "profile counts ignore consumers" `Quick
+          test_counts_ignore_consumers;
+        Alcotest.test_case "profile counts at 8 flows" `Quick
+          test_counts_at_8_flows;
       ] );
   ]
