@@ -189,6 +189,28 @@ let timer_rearm () =
   cancel := Netsim.Engine.cancellable_after e 1.0 ignore;
   assert (Netsim.Engine.pending e = 1001)
 
+(* A frame delivery on a link's lane against 1 000 pending events: the
+   append and its dispatch, as [Net] queues a delivery on a link with no
+   bandwidth term.  Both are O(1) on the lane, where the heap pays
+   O(log n) for each.  The run fails unless the step runs the delivery,
+   which leaves the 1 000 events queued. *)
+let lane_world =
+  lazy
+    (let e = Netsim.Engine.create () in
+     for i = 1 to 1000 do
+       Netsim.Engine.schedule e ~at:(1e12 +. float_of_int i) ignore
+     done;
+     let runs = ref 0 in
+     let lane = Option.get (Netsim.Engine.lane e ~delay:0.010) in
+     (e, lane, runs, fun () -> incr runs))
+
+let lane_delivery () =
+  let e, lane, runs, deliver = Lazy.force lane_world in
+  let before = !runs in
+  Netsim.Engine.append lane deliver;
+  ignore (Netsim.Engine.step e : bool);
+  assert (!runs = before + 1 && Netsim.Engine.pending e = 1000)
+
 let tcp_payload = Bytes.make 8192 'b'
 
 let tcp_transfer ~window () =
@@ -341,6 +363,11 @@ let micro_tests =
         (Staged.stage (fun () ->
              for _ = 1 to 64 do
                timer_rearm ()
+             done));
+      Test.make ~name:"engine-link-lane-1k-pending-x64"
+        (Staged.stage (fun () ->
+             for _ = 1 to 64 do
+               lane_delivery ()
              done));
       Test.make ~name:"sim-tcp-8KB-stop-and-wait"
         (Staged.stage (tcp_transfer ~window:1));

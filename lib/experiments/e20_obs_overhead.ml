@@ -12,11 +12,11 @@
    event construction at all); jsonl and pcap are observers on the world
    they measure, so they pay record/event allocation plus their own
    serialisation.  The ladder separates the price of *knowing*
-   (recorder) from the price of *exporting* (jsonl, pcap).  The roadmap
-   claim under test: the flight recorder is cheap enough to leave on at
-   capacity scale — sampled capture within measurement noise of
-   tracing-off, full every-flow capture at roughly a tenth of
-   throughput.
+   (recorder) from the price of *exporting* (jsonl, pcap).  Each rung's
+   cost is the host CPU time it adds per delivered packet over
+   tracing-off.  That cost belongs to the consumer; its share of
+   tracing-off's own time per packet also depends on the host and on
+   the engine, and grows as the simulator gets faster.
 
    Rates on a loaded host wobble; the time is host *CPU* seconds of the
    workload's [Net.run], which [E18_sim_capacity.workload] reads with
@@ -36,6 +36,9 @@ let workload = E18_sim_capacity.workload ~flows
 
 let packets_per_sec (r : E18_sim_capacity.run) =
   if r.cpu_s > 0.0 then float_of_int r.delivered /. r.cpu_s else 0.0
+
+let ns_per_packet (r : E18_sim_capacity.run) =
+  if r.delivered > 0 then r.cpu_s *. 1e9 /. float_of_int r.delivered else 0.0
 
 let rung_recorder ?sample_every () net =
   let r = Netobs.Recorder.create ?sample_every ~capacity:recorder_capacity () in
@@ -62,7 +65,12 @@ let rung_pcap net =
       Netobs.Pcap.sink_to_channel oc)
     net
 
-type rung = { name : string; stats : E18_sim_capacity.run; vs_off : float }
+type rung = {
+  name : string;
+  stats : E18_sim_capacity.run;
+  added_ns : float;  (* CPU ns per delivered packet over tracing-off *)
+  vs_off : float;  (* packets/sec against tracing-off, percent *)
+}
 
 (* The workload's end-to-end RTT distribution is pure simulated time —
    identical on every rung, whatever telemetry is installed — so it is
@@ -107,7 +115,8 @@ let run_ladder () =
      that same pass's "off"): a ratio taken seconds apart is immune to
      the minute-scale load drift of a shared host that makes absolute
      rates from different passes incomparable, and the median discards
-     the odd pass that caught a load burst mid-ladder. *)
+     the odd pass that caught a load burst mid-ladder.  A rung's added
+     ns per packet is the median of within-pass differences, likewise. *)
   let passes =
     Array.init attempts (fun _ ->
         Array.map
@@ -128,21 +137,23 @@ let run_ladder () =
     in
     List.nth by_pps (List.length by_pps / 2)
   in
-  let rel i =
-    median
-      (Array.to_list
-         (Array.map
-            (fun pass ->
-              let off = packets_per_sec pass.(0) in
-              if off > 0.0 then
-                100.0 *. ((packets_per_sec pass.(i) /. off) -. 1.0)
-              else 0.0)
-            passes))
+  let within_pass f i =
+    median (Array.to_list (Array.map (fun pass -> f pass.(0) pass.(i)) passes))
   in
+  let rel off r =
+    let off = packets_per_sec off in
+    if off > 0.0 then 100.0 *. ((packets_per_sec r /. off) -. 1.0) else 0.0
+  in
+  let added off r = ns_per_packet r -. ns_per_packet off in
   Array.to_list
     (Array.mapi
        (fun i (name, _) ->
-         { name; stats = stats i; vs_off = (if i = 0 then 0.0 else rel i) })
+         {
+           name;
+           stats = stats i;
+           added_ns = within_pass added i;
+           vs_off = within_pass rel i;
+         })
        ladder)
 
 let run () =
@@ -164,6 +175,8 @@ let run () =
       Printf.sprintf "%d/%d" r.stats.delivered r.stats.expected;
       Printf.sprintf "%.1f" (r.stats.cpu_s *. 1e3);
       Printf.sprintf "%.0f" (packets_per_sec r.stats);
+      Printf.sprintf "%.0f" (ns_per_packet r.stats);
+      (if r.name = "off" then "-" else Printf.sprintf "%+.0f" r.added_ns);
       (if r.name = "off" then "-" else Printf.sprintf "%+.1f%%" r.vs_off);
     ]
   in
@@ -174,11 +187,21 @@ let run () =
         "Observability overhead ladder: %d-flow capacity workload per rung"
         flows;
     paper_claim =
-      "harness, not paper: the flight recorder is cheap enough to leave on \
-       at capacity scale — sampled capture sits within measurement noise \
-       of tracing-off, full every-flow capture costs ~10-15%; full \
-       exports cost what they cost, and now we know the number";
-    columns = [ "rung"; "delivered"; "cpu ms"; "packets/sec"; "vs off" ];
+      "harness, not paper: each rung's cost is the host CPU time it adds \
+       per delivered packet over tracing-off (+ns/packet), as measured on \
+       the host that runs it; both that cost and its share of \
+       tracing-off's packets/sec ('vs off') depend on the host and on the \
+       engine";
+    columns =
+      [
+        "rung";
+        "delivered";
+        "cpu ms";
+        "packets/sec";
+        "ns/packet";
+        "+ns/packet";
+        "vs off";
+      ];
     rows = List.map row rungs;
     notes =
       [
@@ -194,9 +217,11 @@ let run () =
           recorder_capacity sample_every;
         Printf.sprintf
           "cpu ms is host CPU time of the workload's Net.run; %d \
-           interleaved passes, heap compacted before each run; 'vs off' is the \
-           median of within-pass ratios (back-to-back runs, immune to \
-           host load drift), cpu/rate columns are the median run"
+           interleaved passes, heap compacted before each run; \
+           '+ns/packet' (the rung's cost) and 'vs off' are medians of \
+           within-pass differences and ratios against off (back-to-back \
+           runs, immune to host load drift); the cpu, rate and ns/packet \
+           columns are the median run"
           attempts;
         rtt_note;
       ];

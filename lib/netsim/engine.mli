@@ -7,7 +7,26 @@
     Every simulated network ({!Net}) owns one engine; link transmission,
     protocol timers (TCP retransmission, registration lifetimes, binding
     cache TTLs) are all engine events, and so are the periodic
-    housekeeping ticks ({!every}) that never keep a run going. *)
+    housekeeping ticks ({!every}) that never keep a run going.
+
+    Events wait in one of two structures.  The heap ({!Pqueue}) takes any
+    event: {!schedule}, {!after}, {!cancellable_after} and {!every}
+    queue there, at O(log n).  A {e lane} ({!lane}, {!append}) takes
+    events that all run one fixed delay after they are queued, at O(1):
+    the clock never moves back and adding a fixed delay to it is
+    monotone, so a lane's events are already in time order as they
+    arrive, and a ring keeps them.  Most events in a simulated network
+    are frame deliveries, each at [now + link latency], and a world has
+    few distinct latencies, so {!Net} gives each link with no bandwidth
+    term its latency's lane.  Everything else stays on the heap:
+    bandwidth-dependent delays, fault-injected delays and duplicates,
+    ARP retries, the IP-options slow path and every protocol timer.
+
+    One engine-wide counter numbers every queued event, heap or lane,
+    and dispatch runs the least (time, number) among the heap's top and
+    the lanes' heads: exactly the order one heap holding every event
+    would give.  Which structure an event waits in changes nothing a
+    caller can see — not the order, the clock, nor {!stats}. *)
 
 type t
 
@@ -63,6 +82,31 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     (the events themselves may); time a run from outside when its host
     cost matters, as E18 and E20 do. *)
 
+(** {1 Lanes} *)
+
+type lane
+(** One engine's FIFO of events that each run a fixed delay after they
+    are appended. *)
+
+val lane : t -> delay:float -> lane option
+(** [lane t ~delay] is [t]'s lane for [delay], made on the first request
+    and shared by every later one for an equal delay.  An engine keeps at
+    most 8 lanes; past that, a request for a new delay gets [None] and
+    its caller keeps using {!after}.  Dispatch compares every busy lane's
+    head, so the cap keeps that scan short: with all 8 lanes busy an
+    event still dispatches in well under the heap's time, and the
+    scenario worlds use at most three.  A lane's ring is allocated at its
+    first {!append}, so taking a lane costs a world's set-up almost
+    nothing.
+    @raise Invalid_argument if [delay] is negative or NaN. *)
+
+val append : lane -> (unit -> unit) -> unit
+(** [append l f] runs [f] at [now t +. delay], where [t] and [delay] are
+    [l]'s engine and delay: the same time, and the same place among
+    simultaneous events, as [after t delay f] would give it.  O(1)
+    amortised: it allocates only when the ring doubles.  Once [f] has
+    run, the lane holds no reference to it. *)
+
 (** {1 Statistics}
 
     The engine keeps cheap running statistics so the observability layer
@@ -70,7 +114,7 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 
 type stats = {
   executed : int;  (** events executed since [create] *)
-  pending : int;  (** current queue depth *)
+  pending : int;  (** current queue depth, heap and lanes together *)
   max_pending : int;  (** high-water mark of the queue depth *)
   cancelled : int;
       (** events taken out of the queue by a {!cancellable_after} cancel
@@ -88,4 +132,5 @@ val step : t -> bool
     is empty. *)
 
 val pending : t -> int
-(** Number of queued events, background ones included. *)
+(** Number of queued events, on the heap and on lanes, background ones
+    included. *)

@@ -70,10 +70,15 @@ and iface = {
 
 and attachment = Detached | Seg of segment | Ptp of ptp
 
+(* A link with no bandwidth term delivers every frame [latency] after it
+   is sent, so it queues its deliveries on its latency's engine lane (O(1))
+   when the engine has one to give; otherwise, and on a link whose delay
+   depends on the frame's size, they go on the event heap. *)
 and segment = {
   seg_name : string;
   seg_latency : float;
   seg_bandwidth : float option;
+  seg_lane : Engine.lane option;
   seg_mtu : int;
   seg_loss : loss_gen option;
   mutable members : iface list;
@@ -83,6 +88,7 @@ and ptp = {
   ptp_name : string;
   ptp_latency : float;
   ptp_bandwidth : float option;
+  ptp_lane : Engine.lane option;
   ptp_loss : loss_gen option;
   mutable ends : iface list;
 }
@@ -261,15 +267,34 @@ let loss_roll = function
       g.lcg <- ((g.lcg * 1103515245) + 12345) land 0x3fffffff;
       float_of_int g.lcg /. 1073741824.0 < g.rate
 
+(* Checks a new link's delay terms and takes its lane.  A bad latency
+   would otherwise surface as the engine's error from inside the first
+   frame's [emit], and a bad bandwidth as an unlimited one. *)
+let link_lane t ~link ~latency ~bandwidth =
+  if not (latency >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Net: link %S: latency must be >= 0 (got %g)" link
+         latency);
+  match bandwidth with
+  | None -> Engine.lane t.engine ~delay:latency
+  | Some bps ->
+      if not (bps > 0.0) then
+        invalid_arg
+          (Printf.sprintf "Net: link %S: bandwidth must be > 0 (got %g)" link
+             bps);
+      None
+
 let add_segment t ~name ?(latency = 0.0005) ?bandwidth ?(mtu = 1500) ?loss
     ?loss_seed () =
-  ignore t;
+  let loss = make_loss_gen ?loss ?loss_seed () in
+  let lane = link_lane t ~link:name ~latency ~bandwidth in
   {
     seg_name = name;
     seg_latency = latency;
     seg_bandwidth = bandwidth;
+    seg_lane = lane;
     seg_mtu = mtu;
-    seg_loss = make_loss_gen ?loss ?loss_seed ();
+    seg_loss = loss;
     members = [];
   }
 
@@ -309,12 +334,16 @@ let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
     (node_a, name_a, addr_a) (node_b, name_b, addr_b) =
   check_fresh_iface node_a name_a;
   check_fresh_iface node_b name_b;
+  let name = node_a.name ^ "<->" ^ node_b.name in
+  let loss = make_loss_gen ?loss ?loss_seed () in
+  let lane = link_lane t ~link:name ~latency ~bandwidth in
   let link =
     {
-      ptp_name = node_a.name ^ "<->" ^ node_b.name;
+      ptp_name = name;
       ptp_latency = latency;
       ptp_bandwidth = bandwidth;
-      ptp_loss = make_loss_gen ?loss ?loss_seed ();
+      ptp_lane = lane;
+      ptp_loss = loss;
       ends = [];
     }
   in
@@ -539,11 +568,12 @@ let frame_bytes = function
   | Ip pkt -> Ipv4_packet.byte_length pkt
   | Arp_msg _ -> 28
 
+(* A link without a bandwidth term returns its latency itself, boxed
+   once in the link record, rather than a fresh sum. *)
 let link_delay ~latency ~bandwidth bytes =
-  latency
-  +. (match bandwidth with
-     | Some bps when bps > 0.0 -> float_of_int (bytes * 8) /. bps
-     | _ -> 0.0)
+  match bandwidth with
+  | None -> latency
+  | Some bps -> latency +. (float_of_int (bytes * 8) /. bps)
 
 let rec deliver_frame_to iface frame =
   if iface.up then
@@ -579,7 +609,8 @@ and emit out frame =
         let delay =
           link_delay ~latency:l.ptp_latency ~bandwidth:l.ptp_bandwidth bytes
         in
-        deliver_to_others node ~link:l.ptp_name ~delay out frame l.ends
+        deliver_to_others node ~link:l.ptp_name ~lane:l.ptp_lane ~delay out
+          frame l.ends
   | Seg s ->
       if loss_roll s.seg_loss then record_link_loss node frame
       else
@@ -587,42 +618,49 @@ and emit out frame =
           link_delay ~latency:s.seg_latency ~bandwidth:s.seg_bandwidth bytes
         in
         if Mac_addr.is_broadcast frame.l2_dst then
-          deliver_to_others node ~link:s.seg_name ~delay out frame s.members
-        else deliver_to_mac node ~link:s.seg_name ~delay frame s.members
+          deliver_to_others node ~link:s.seg_name ~lane:s.seg_lane ~delay out
+            frame s.members
+        else
+          deliver_to_mac node ~link:s.seg_name ~lane:s.seg_lane ~delay frame
+            s.members
 
 (* Fan-out over a link's attachments in list order, with no closure and no
    filtered copy of the list: to every attachment but the sender's, or to
    every one that owns the frame's destination MAC. *)
-and deliver_to_others node ~link ~delay out frame = function
+and deliver_to_others node ~link ~lane ~delay out frame = function
   | [] -> ()
   | m :: rest ->
-      if m != out then fault_deliver node ~link ~delay m frame;
-      deliver_to_others node ~link ~delay out frame rest
+      if m != out then fault_deliver node ~link ~lane ~delay m frame;
+      deliver_to_others node ~link ~lane ~delay out frame rest
 
-and deliver_to_mac node ~link ~delay frame = function
+and deliver_to_mac node ~link ~lane ~delay frame = function
   | [] -> ()
   | m :: rest ->
       if Mac_addr.equal m.mac frame.l2_dst then
-        fault_deliver node ~link ~delay m frame;
-      deliver_to_mac node ~link ~delay frame rest
+        fault_deliver node ~link ~lane ~delay m frame;
+      deliver_to_mac node ~link ~lane ~delay frame rest
 
 (* Per-target delivery, filtered through the network's fault plan (if any).
    The hook sees the link name and both node names; it can drop the copy
-   (with a trace reason), delay it, or duplicate it. *)
-and fault_deliver node ~link ~delay target frame =
+   (with a trace reason), delay it, or duplicate it.  A copy it passes
+   keeps the link's lane; one it delays goes on the heap. *)
+and fault_deliver node ~link ~lane ~delay target frame =
   match node.net.fault_hook with
-  | None -> schedule_delivery node delay target frame
+  | None -> schedule_delivery node lane delay target frame
   | Some hook -> (
       match hook ~link ~src:node.name ~dst:target.owner.name with
-      | Fault_pass -> schedule_delivery node delay target frame
+      | Fault_pass -> schedule_delivery node lane delay target frame
       | Fault_drop reason -> record_fault_drop node reason frame
       | Fault_deliver { extra_delay; duplicate } ->
-          schedule_delivery node (delay +. extra_delay) target frame;
+          schedule_delivery node None (delay +. extra_delay) target frame;
           if duplicate then
-            schedule_delivery node (delay +. extra_delay) target frame)
+            schedule_delivery node None (delay +. extra_delay) target frame)
 
-and schedule_delivery node delay target frame =
-  Engine.after node.net.engine delay (fun () -> deliver_frame_to target frame)
+and schedule_delivery node lane delay target frame =
+  let deliver () = deliver_frame_to target frame in
+  match lane with
+  | Some l -> Engine.append l deliver
+  | None -> Engine.after node.net.engine delay deliver
 
 and record_fault_drop node reason frame =
   match frame.content with

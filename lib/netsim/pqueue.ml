@@ -8,6 +8,10 @@
    the inverse of [slot] for queued slots; the sifts keep it current, so
    [remove] finds an entry's position in O(1).
 
+   Sequence numbers come from the caller (the engine numbers every event
+   it queues, on the heap or on a lane, from one counter); the queue only
+   orders by them.
+
    [free] is a stack of vacated slots.  Slots in use and slots on the
    stack together are always [0 .. hw) for some high-water mark [hw];
    when the stack is empty every one of them is in use, so [hw = size]
@@ -22,13 +26,12 @@ type 'a t = {
   mutable free : int array;
   mutable nfree : int;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-(* A queued entry is named by its slot and its sequence number.  Sequence
-   numbers are never reused, so a handle whose entry has left the queue
-   (popped, removed or cleared) matches no entry, even once its slot holds
-   another. *)
+(* A queued entry is named by its slot and its sequence number.  The
+   caller never reuses a sequence number, so a handle whose entry has left
+   the queue (popped, removed or cleared) matches no entry, even once its
+   slot holds another. *)
 type handle = { h_slot : int; h_seq : int }
 
 (* Filler for every vacant value slot, so the queue never keeps a popped
@@ -46,7 +49,6 @@ let create () =
     free = [||];
     nfree = 0;
     size = 0;
-    next_seq = 0;
   }
 
 let length t = t.size
@@ -157,9 +159,8 @@ let sift_down t i =
   Array.unsafe_set slot !i s;
   Array.unsafe_set pos s !i
 
-(* Queue [value] and return its slot; its sequence number is
-   [t.next_seq - 1]. *)
-let insert t ~priority value =
+(* Queue [value] and return its slot. *)
+let insert t ~priority ~seq value =
   if t.size = Array.length t.slot then grow t;
   let s =
     if t.nfree = 0 then t.size
@@ -172,17 +173,15 @@ let insert t ~priority value =
   let i = t.size in
   t.size <- i + 1;
   Float.Array.unsafe_set t.prio i priority;
-  Array.unsafe_set t.seq i t.next_seq;
+  Array.unsafe_set t.seq i seq;
   Array.unsafe_set t.slot i s;
-  t.next_seq <- t.next_seq + 1;
   sift_up t i;
   s
 
-let add t ~priority value = ignore (insert t ~priority value : int)
+let add t ~priority ~seq value = ignore (insert t ~priority ~seq value : int)
 
-let add_removable t ~priority value =
-  let s = insert t ~priority value in
-  { h_slot = s; h_seq = t.next_seq - 1 }
+let add_removable t ~priority ~seq value =
+  { h_slot = insert t ~priority ~seq value; h_seq = seq }
 
 (* Take the entry at position [i] out: free its slot, fill the hole with
    the last entry and sift that up or down to its place. *)
@@ -219,6 +218,7 @@ let remove t h =
      end
 
 let priorities t = t.prio
+let seqs t = t.seq
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Pqueue.pop_min: empty queue";

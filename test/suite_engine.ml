@@ -3,9 +3,22 @@
 
 open Netsim
 
+(* The queue orders equal priorities by a number its caller gives each
+   element; the engine numbers its events from one counter, and so do
+   these tests. *)
+let last_seq = ref 0
+
+let add q ~priority v =
+  incr last_seq;
+  Pqueue.add q ~priority ~seq:!last_seq v
+
+let add_removable q ~priority v =
+  incr last_seq;
+  Pqueue.add_removable q ~priority ~seq:!last_seq v
+
 let test_pqueue_orders () =
   let q = Pqueue.create () in
-  List.iter (fun (p, v) -> Pqueue.add q ~priority:p v)
+  List.iter (fun (p, v) -> add q ~priority:p v)
     [ (3.0, "c"); (1.0, "a"); (2.0, "b"); (0.5, "z") ];
   let order = ref [] in
   let rec drain () =
@@ -22,7 +35,7 @@ let test_pqueue_orders () =
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   for i = 0 to 9 do
-    Pqueue.add q ~priority:1.0 i
+    add q ~priority:1.0 i
   done;
   let out = ref [] in
   let rec drain () =
@@ -39,8 +52,8 @@ let test_pqueue_fifo_ties () =
 
 let test_pqueue_peek_stable () =
   let q = Pqueue.create () in
-  Pqueue.add q ~priority:2.0 "b";
-  Pqueue.add q ~priority:1.0 "a";
+  add q ~priority:2.0 "b";
+  add q ~priority:1.0 "a";
   (match Pqueue.peek q with
   | Some (p, v) ->
       Alcotest.(check string) "peek min" "a" v;
@@ -53,7 +66,7 @@ let prop_pqueue_sorts =
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun priorities ->
       let q = Pqueue.create () in
-      List.iteri (fun i p -> Pqueue.add q ~priority:p i) priorities;
+      List.iteri (fun i p -> add q ~priority:p i) priorities;
       let rec drain acc =
         match Pqueue.pop q with
         | Some (p, _) -> drain (p :: acc)
@@ -76,7 +89,7 @@ let prop_pqueue_priority_seq_order =
       let q = Pqueue.create () in
       let run batch =
         List.iteri
-          (fun i p -> Pqueue.add q ~priority:(float_of_int p) (p, i))
+          (fun i p -> add q ~priority:(float_of_int p) (p, i))
           batch;
         let rec drain acc =
           match Pqueue.pop q with
@@ -94,7 +107,7 @@ let prop_pqueue_priority_seq_order =
       let ok1 = run first_batch in
       (* Interrupt mid-stream, clear, and make sure the emptied queue
          behaves like a fresh one. *)
-      List.iteri (fun i p -> Pqueue.add q ~priority:(float_of_int p) (p, i))
+      List.iteri (fun i p -> add q ~priority:(float_of_int p) (p, i))
         first_batch;
       ignore (Pqueue.pop q);
       Pqueue.clear q;
@@ -143,7 +156,7 @@ let prop_pqueue_interleaved =
       in
       let step = function
         | Push p ->
-            Pqueue.add q ~priority:(float_of_int p) (p, !next);
+            add q ~priority:(float_of_int p) (p, !next);
             pending := !pending @ [ (p, !next) ];
             incr next;
             Pqueue.length q = List.length !pending
@@ -213,8 +226,11 @@ let prop_pqueue_remove =
         if removable then
           handles :=
             Array.append !handles
-              [| (Pqueue.add_removable q ~priority:(float_of_int p) v, s) |]
-        else Pqueue.add q ~priority:(float_of_int p) v;
+              [|
+                ( Pqueue.add_removable q ~priority:(float_of_int p) ~seq:s v,
+                  s );
+              |]
+        else Pqueue.add q ~priority:(float_of_int p) ~seq:s v;
         model := (p, s, v) :: !model
       in
       let step op =
@@ -258,22 +274,22 @@ let prop_pqueue_remove =
    as it was. *)
 let test_pqueue_stale_handles () =
   let q = Pqueue.create () in
-  let popped = Pqueue.add_removable q ~priority:1.0 "popped" in
-  Pqueue.add q ~priority:2.0 "kept";
+  let popped = add_removable q ~priority:1.0 "popped" in
+  add q ~priority:2.0 "kept";
   Alcotest.(check (option (pair (float 0.0) string)))
     "pop" (Some (1.0, "popped")) (Pqueue.pop q);
   Alcotest.(check bool) "after a pop" false (Pqueue.remove q popped);
   (* "popped"'s slot is free again: the next add takes it. *)
-  let reuser = Pqueue.add_removable q ~priority:3.0 "reuser" in
+  let reuser = add_removable q ~priority:3.0 "reuser" in
   Alcotest.(check bool) "after its slot is reused" false
     (Pqueue.remove q popped);
   Alcotest.(check int) "both still queued" 2 (Pqueue.length q);
   Alcotest.(check bool) "the live handle removes" true
     (Pqueue.remove q reuser);
   Alcotest.(check bool) "twice is a no-op" false (Pqueue.remove q reuser);
-  let cleared = Pqueue.add_removable q ~priority:0.5 "cleared" in
+  let cleared = add_removable q ~priority:0.5 "cleared" in
   Pqueue.clear q;
-  Pqueue.add q ~priority:4.0 "fresh";
+  add q ~priority:4.0 "fresh";
   Alcotest.(check bool) "after clear" false (Pqueue.remove q cleared);
   Alcotest.(check (option (pair (float 0.0) string)))
     "only the fresh element" (Some (4.0, "fresh")) (Pqueue.pop q);
@@ -342,15 +358,18 @@ let test_engine_rejects_nan () =
   Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Engine.now e)
 
 (* The dispatch loop itself allocates nothing: 10 000 queued events that
-   share one closure run without a minor-heap word per event.  (A small
-   constant covers the boxed floats [Gc.minor_words] itself returns.) *)
+   share one closure run without a minor-heap word per event, half of
+   them from the heap and half from two lanes.  (A small constant covers
+   the boxed floats [Gc.minor_words] itself returns.) *)
 let test_engine_run_allocation_free () =
   let e = Engine.create () in
   let count = ref 0 in
   let f () = incr count in
   let n = 10_000 in
-  for i = 1 to n do
-    Engine.schedule e ~at:(float_of_int (i mod 97)) f
+  let lanes = [| Engine.lane e ~delay:0.5; Engine.lane e ~delay:3.0 |] in
+  for i = 1 to n / 2 do
+    Engine.schedule e ~at:(float_of_int (i mod 97)) f;
+    Engine.append (Option.get lanes.(i mod 2)) f
   done;
   let before = Gc.minor_words () in
   Engine.run e;
@@ -521,12 +540,12 @@ let test_pqueue_pop_releases () =
   let[@inline never] add_tracked i priority =
     let v = Bytes.make 64 'v' in
     Weak.set tracked i (Some v);
-    Pqueue.add q ~priority v
+    add q ~priority v
   in
   let[@inline never] pop_discard () = ignore (Pqueue.pop q) in
   (* Heap [a; b; c]; popping [a] moves [c] to the root and leaves its old
      slot behind; popping [c] next must not leave it there. *)
-  Pqueue.add q ~priority:1.0 (Bytes.make 64 'a');
+  add q ~priority:1.0 (Bytes.make 64 'a');
   add_tracked 1 3.0;
   add_tracked 0 2.0;
   pop_discard ();
@@ -538,6 +557,264 @@ let test_pqueue_pop_releases () =
   Gc.full_major ();
   Alcotest.(check bool) "collected once the queue is empty" false
     (Weak.check tracked 1)
+
+(* ---- lanes ---- *)
+
+let test_lane_sharing () =
+  let e = Engine.create () in
+  let get delay = Option.get (Engine.lane e ~delay) in
+  let a = get 0.01 in
+  Alcotest.(check bool) "an equal delay shares the lane" true (get 0.01 == a);
+  Alcotest.(check bool) "another delay gets its own" true (get 0.02 != a);
+  for i = 3 to 8 do
+    ignore (get (0.01 *. float_of_int i))
+  done;
+  Alcotest.(check bool) "a ninth delay gets none" true
+    (Engine.lane e ~delay:0.09 = None);
+  Alcotest.(check bool) "the eight are still there" true (get 0.08 != a);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Engine.lane: negative delay") (fun () ->
+      ignore (Engine.lane e ~delay:(-1.0)));
+  Alcotest.check_raises "NaN" (Invalid_argument "Engine.lane: NaN delay")
+    (fun () -> ignore (Engine.lane e ~delay:Float.nan))
+
+(* A random program: what each event does when it runs.  Every event logs
+   its id and the clock; ids are handed out as events are queued, so two
+   runs that queue in the same order number alike. *)
+type action =
+  | After of float * action list
+  | At of float * action list  (* [schedule ~at:(now + offset)] *)
+  | Timer of float * action list  (* [cancellable_after] *)
+  | Cancel of int  (* the k-th timer queued so far, modulo their count *)
+  | Every of float
+  | Append of int * action list  (* onto [lane_delays.(i)]'s lane *)
+
+(* A delay-0 lane, a lane two equal-latency links share (1 and 2), and a
+   long-delay lane.  The heap's delays include each lane's, so heap and
+   lane events tie. *)
+let lane_delays = [| 0.0; 0.01; 0.01; 5.0 |]
+
+type slice = Until of float | Steps of int
+
+let rec print_action = function
+  | After (d, b) -> Printf.sprintf "after %g [%s]" d (print_body b)
+  | At (d, b) -> Printf.sprintf "at +%g [%s]" d (print_body b)
+  | Timer (d, b) -> Printf.sprintf "timer %g [%s]" d (print_body b)
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Every i -> Printf.sprintf "every %g" i
+  | Append (l, b) -> Printf.sprintf "lane %d [%s]" l (print_body b)
+
+and print_body b = String.concat "; " (List.map print_action b)
+
+let print_slice = function
+  | Until u -> Printf.sprintf "until %g" u
+  | Steps n -> Printf.sprintf "%d steps" n
+
+let program_gen =
+  let open QCheck.Gen in
+  let delay = oneofl [ 0.0; 0.003; 0.01; 0.5; 1.0; 5.0 ] in
+  let action =
+    fix
+      (fun self depth ->
+        let body =
+          if depth = 0 then return [] else list_size (0 -- 3) (self (depth - 1))
+        in
+        frequency
+          [
+            (3, map2 (fun d b -> After (d, b)) delay body);
+            (2, map2 (fun d b -> At (d, b)) delay body);
+            (2, map2 (fun d b -> Timer (d, b)) delay body);
+            (2, map (fun k -> Cancel k) (int_bound 50));
+            (1, map (fun i -> Every i) (oneofl [ 0.25; 1.0 ]));
+            (6, map2 (fun l b -> Append (l, b)) (int_bound 3) body);
+          ])
+      3
+  in
+  let slice =
+    frequency
+      [
+        ( 3,
+          map
+            (fun u -> Until u)
+            (oneofl [ 0.0; 0.005; 0.01; 0.5; 1.0; 2.5; 5.0; 5.01; 10.0 ]) );
+        (1, map (fun n -> Steps n) (int_bound 5));
+      ]
+  in
+  pair (list_size (1 -- 8) action) (list_size (0 -- 5) slice)
+
+(* Run a program and return its log of (event id, clock) and the stats
+   after each slice and at the end.  With [~lanes:false], every lane
+   append is made through [Engine.after] at the lane's delay instead. *)
+let run_program ~lanes (init, slices) =
+  let e = Engine.create () in
+  let queue_on =
+    if lanes then begin
+      let ls =
+        Array.map (fun delay -> Option.get (Engine.lane e ~delay)) lane_delays
+      in
+      assert (ls.(1) == ls.(2));
+      fun i f -> Engine.append ls.(i) f
+    end
+    else fun i f -> Engine.after e lane_delays.(i) f
+  in
+  let log = ref [] and next_id = ref 0 and timers = ref [||] in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let rec perform = function
+    | After (d, b) -> Engine.after e d (event b)
+    | At (d, b) -> Engine.schedule e ~at:(Engine.now e +. d) (event b)
+    | Timer (d, b) ->
+        let cancel = Engine.cancellable_after e d (event b) in
+        timers := Array.append !timers [| cancel |]
+    | Cancel k ->
+        let n = Array.length !timers in
+        if n > 0 then !timers.(k mod n) ()
+    | Every i ->
+        let id = fresh () in
+        Engine.every e i (fun () -> log := (id, Engine.now e) :: !log)
+    | Append (l, b) -> queue_on l (event b)
+  and event body =
+    let id = fresh () in
+    fun () ->
+      log := (id, Engine.now e) :: !log;
+      List.iter perform body
+  in
+  List.iter perform init;
+  let stats =
+    List.map
+      (fun slice ->
+        (match slice with
+        | Until until -> Engine.run ~until e
+        | Steps n ->
+            for _ = 1 to n do
+              ignore (Engine.step e : bool)
+            done);
+        Engine.stats e)
+      slices
+  in
+  Engine.run e;
+  (List.rev !log, stats @ [ Engine.stats e ])
+
+let prop_lanes_keep_heap_order =
+  QCheck.Test.make ~name:"lanes run events as the heap alone would" ~count:500
+    (QCheck.make
+       ~print:(fun (init, slices) ->
+         Printf.sprintf "[%s] then %s" (print_body init)
+           (String.concat ", " (List.map print_slice slices)))
+       program_gen)
+    (fun program ->
+      let log, stats = run_program ~lanes:true program in
+      let log', stats' = run_program ~lanes:false program in
+      if log <> log' then QCheck.Test.fail_report "event logs differ";
+      if stats <> stats' then QCheck.Test.fail_report "stats differ";
+      true)
+
+(* A lane clears the slot of each event it runs: a closure stays reachable
+   no longer than its event, although the ring still holds later ones. *)
+let test_lane_releases () =
+  let e = Engine.create () in
+  let l = Option.get (Engine.lane e ~delay:0.5) in
+  let tracked = Weak.create 1 in
+  let[@inline never] append_tracked () =
+    let v = Bytes.make 64 'v' in
+    Weak.set tracked 0 (Some v);
+    Engine.append l (fun () -> ignore (Sys.opaque_identity v))
+  in
+  append_tracked ();
+  Engine.after e 0.25 (fun () -> Engine.append l ignore);
+  Engine.run ~until:0.6 e;
+  Alcotest.(check int) "a later event still queued" 1 (Engine.pending e);
+  Gc.full_major ();
+  Alcotest.(check bool) "the run event's closure is collected" false
+    (Weak.check tracked 0);
+  Engine.run e;
+  Alcotest.(check int) "all ran" 3 (Engine.stats e).Engine.executed
+
+(* a =seg= r1 -- ... -- r9 =seg= b: ten links, each with its own latency,
+   and traffic both ways.  With [~full_engine] the world's engine has
+   given out its eight lanes before the links are made, so every link
+   schedules on the heap. *)
+let latency_chain ~full_engine =
+  let net = Net.create () in
+  let eng = Net.engine net in
+  if full_engine then
+    for i = 1 to 8 do
+      ignore (Engine.lane eng ~delay:(100.0 +. float_of_int i))
+    done;
+  let latency i = 0.001 *. float_of_int (i + 1) in
+  let n = 9 in
+  let nodes =
+    Array.init (n + 2) (fun i ->
+        if i = 0 then Net.add_host net "a"
+        else if i = n + 1 then Net.add_host net "b"
+        else Net.add_router net (Printf.sprintf "r%d" i))
+  in
+  let near i = Ipv4_addr.of_octets 10 0 i 1
+  and far i = Ipv4_addr.of_octets 10 0 i 2 in
+  for i = 0 to n do
+    let pfx = Ipv4_addr.Prefix.make (near i) 24 in
+    if i = 0 || i = n then begin
+      let seg =
+        Net.add_segment net ~name:(Printf.sprintf "seg%d" i)
+          ~latency:(latency i) ()
+      in
+      ignore (Net.attach nodes.(i) seg ~ifname:"up" ~addr:(near i) ~prefix:pfx);
+      ignore
+        (Net.attach nodes.(i + 1) seg ~ifname:"down" ~addr:(far i) ~prefix:pfx)
+    end
+    else
+      ignore
+        (Net.p2p net ~latency:(latency i) ~prefix:pfx
+           (nodes.(i), "up", near i)
+           (nodes.(i + 1), "down", far i));
+    Routing.add_default (Net.routing nodes.(i)) ~gateway:(far i) ~iface:"up";
+    Routing.add (Net.routing nodes.(i + 1))
+      ~prefix:(Ipv4_addr.Prefix.make (near 0) 24)
+      ~gateway:(near i) ~iface:"down" ()
+  done;
+  let a = nodes.(0) and b = nodes.(n + 1) in
+  let got = ref [] in
+  let proto = Ipv4_packet.P_other 253 in
+  let send node ~src ~dst size =
+    ignore
+      (Net.send node
+         (Ipv4_packet.make ~protocol:proto ~src ~dst
+            (Ipv4_packet.Raw (Bytes.make size 'x'))))
+  in
+  List.iter
+    (fun node ->
+      Net.set_protocol_handler node proto (fun node _ pkt ->
+          let size = Ipv4_packet.byte_length pkt in
+          got := (Net.node_name node, Net.now net, size) :: !got))
+    [ a; b ];
+  for k = 0 to 19 do
+    Engine.after eng
+      (0.0015 *. float_of_int k)
+      (fun () ->
+        send a ~src:(near 0) ~dst:(far n) (64 + (k * 32));
+        send b ~src:(far n) ~dst:(near 0) (64 + (k * 16)))
+  done;
+  Net.run net;
+  (net, List.rev !got)
+
+let test_lanes_full_engine () =
+  let net, got = latency_chain ~full_engine:false in
+  let net', got' = latency_chain ~full_engine:true in
+  let lane_for net delay = Engine.lane (Net.engine net) ~delay in
+  Alcotest.(check bool) "the first eight latencies took lanes" true
+    (lane_for net 0.001 <> None && lane_for net 0.008 <> None);
+  Alcotest.(check bool) "and the world's engine has none left" true
+    (lane_for net 1.5 = None);
+  Alcotest.(check bool) "no link of the full engine has a lane" true
+    (lane_for net' 0.001 = None);
+  Alcotest.(check int) "every datagram delivered" 40 (List.length got);
+  Alcotest.(check bool) "same deliveries, at the same times" true (got = got');
+  Alcotest.(check bool) "same trace" true
+    (Trace.records (Net.trace net) = Trace.records (Net.trace net'));
+  Alcotest.(check bool) "same stats" true (Net.stats net = Net.stats net')
 
 let suites =
   [
@@ -581,5 +858,12 @@ let suites =
           test_every_armed_in_flight;
         Alcotest.test_case "every: rejects bad intervals" `Quick
           test_every_rejects;
+        Alcotest.test_case "lane: shared by equal delays, eight at most"
+          `Quick test_lane_sharing;
+        QCheck_alcotest.to_alcotest prop_lanes_keep_heap_order;
+        Alcotest.test_case "lane: a run event's closure is freed" `Quick
+          test_lane_releases;
+        Alcotest.test_case "lane: past eight latencies, the heap, same log"
+          `Quick test_lanes_full_engine;
       ] );
   ]

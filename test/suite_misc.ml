@@ -75,7 +75,7 @@ let test_engine_max_events_guard () =
 
 let test_pqueue_clear () =
   let q = Pqueue.create () in
-  Pqueue.add q ~priority:1.0 "x";
+  Pqueue.add q ~priority:1.0 ~seq:0 "x";
   Pqueue.clear q;
   Alcotest.(check bool) "empty after clear" true (Pqueue.is_empty q);
   Alcotest.(check bool) "pop none" true (Pqueue.pop q = None)

@@ -415,6 +415,46 @@ let test_hop_allocation () =
     (Printf.sprintf "at most 45 words per router hop (%.1f)" per_hop)
     true (per_hop <= 45.0)
 
+(* A link's delay terms are checked when the link is made.  A bad
+   latency used to surface only as the engine's error from inside the
+   first frame's emit, and a bad bandwidth as an unlimited one. *)
+let test_bad_link_parameters () =
+  let net = Net.create () in
+  let a = Net.add_host net "a" and b = Net.add_host net "b" in
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let segment ?latency ?bandwidth () =
+    Net.add_segment net ~name:"lan" ?latency ?bandwidth ()
+  in
+  let p2p ?latency ?bandwidth () =
+    Net.p2p net ?latency ?bandwidth ~prefix:(prefix "10.9.0.0/30")
+      (a, "if0", addr "10.9.0.1")
+      (b, "if0", addr "10.9.0.2")
+  in
+  raises {|Net: link "lan": latency must be >= 0 (got -0.001)|}
+    (segment ~latency:(-0.001));
+  raises {|Net: link "lan": latency must be >= 0 (got nan)|}
+    (segment ~latency:Float.nan);
+  raises {|Net: link "lan": bandwidth must be > 0 (got 0)|}
+    (segment ~bandwidth:0.0);
+  raises {|Net: link "lan": bandwidth must be > 0 (got nan)|}
+    (segment ~bandwidth:Float.nan);
+  raises {|Net: link "a<->b": latency must be >= 0 (got -1)|}
+    (p2p ~latency:(-1.0));
+  raises {|Net: link "a<->b": latency must be >= 0 (got nan)|}
+    (p2p ~latency:Float.nan);
+  raises {|Net: link "a<->b": bandwidth must be > 0 (got -9600)|}
+    (p2p ~bandwidth:(-9600.0));
+  raises {|Net: link "a<->b": bandwidth must be > 0 (got nan)|}
+    (p2p ~bandwidth:Float.nan);
+  (* A rejected p2p link leaves both nodes without the interface, so
+     the same names still work. *)
+  let _ = p2p ~latency:0.0 ~bandwidth:9600.0 () in
+  ignore (segment ~latency:0.0 ());
+  Alcotest.(check int) "one interface each" 1
+    (List.length (Net.ifaces a))
+
 let suites =
   [
     ( "net",
@@ -446,5 +486,7 @@ let suites =
           test_addr_map_addr_keys;
         Alcotest.test_case "router hop allocates under 45 words" `Quick
           test_hop_allocation;
+        Alcotest.test_case "bad link latency or bandwidth rejected" `Quick
+          test_bad_link_parameters;
       ] );
   ]
