@@ -878,8 +878,8 @@ let profile_cmd =
        ~doc:
          "Run the capacity workload and print the exact counts of its work \
           (engine events, route lookups, mobility-hook calls, trace events \
-          by kind), each per delivered datagram, and its host CPU time per \
-          datagram")
+          by kind, bytes put on links), each per delivered datagram, and \
+          its host CPU time per datagram")
     Term.(const run $ json)
 
 let list_cmd =

@@ -105,7 +105,8 @@ let profile ?(flows = 128) () =
         ("route-lookups", timed.route_lookups);
         ("hook-calls", timed.hook_calls);
       ]
-      @ Netobs.Profile.kind_counts tally;
+      @ Netobs.Profile.kind_counts tally
+      @ [ ("wire-bytes", Netobs.Profile.wire_bytes tally) ];
   }
 
 let run () =

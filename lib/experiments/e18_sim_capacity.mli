@@ -36,7 +36,7 @@ val nothing : Netsim.Net.t -> unit -> unit
 val profile : ?flows:int -> unit -> Netobs.Profile.t
 (** The [profile] subcommand's report on {!workload} with [flows]
     (default 128, the top load level): the counts and CPU time of a run
-    with nothing attached, and the trace events by kind of a second,
-    untimed run with a counting observer. *)
+    with nothing attached, and the trace events by kind and the wire
+    bytes of a second, untimed run with a counting observer. *)
 
 val run : unit -> Table.t

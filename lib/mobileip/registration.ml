@@ -20,13 +20,25 @@ type reply = {
    cryptographic; see the interface documentation.  The mix must mask to
    the full 32 bits the wire format carries: masking to 0x7fffffff here
    would pin the top bit to zero and halve the digest keyspace. *)
-let authenticator ~key body =
-  let h = ref 0x811c9dc5 in
-  let mix byte = h := (!h lxor byte) * 0x01000193 land 0xffffffff in
-  String.iter (fun c -> mix (Char.code c)) key;
-  Bytes.iter (fun c -> mix (Char.code c)) body;
-  String.iter (fun c -> mix (Char.code c)) key;
-  !h land 0xffffffff
+let mix h byte = (h lxor byte) * 0x01000193 land 0xffffffff
+
+let mix_key h key =
+  let h = ref h in
+  for i = 0 to String.length key - 1 do
+    h := mix !h (Char.code (String.get key i))
+  done;
+  !h
+
+(* The digest of [buf]'s first [len] bytes, folded in place: encode and
+   decode digest a message's body without copying it out. *)
+let digest ~key buf len =
+  let h = ref (mix_key 0x811c9dc5 key) in
+  for i = 0 to len - 1 do
+    h := mix !h (Char.code (Bytes.get buf i))
+  done;
+  mix_key !h key
+
+let authenticator ~key body = digest ~key body (Bytes.length body)
 
 let put_u16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
@@ -69,7 +81,7 @@ let encode_request ~key r =
   put_addr buf 9 r.care_of;
   put_u16 buf 13 r.lifetime;
   put_u16 buf 15 r.sequence;
-  let auth = authenticator ~key (Bytes.sub buf 0 17) in
+  let auth = digest ~key buf 17 in
   put_u32 buf 17 auth;
   buf
 
@@ -79,7 +91,7 @@ let decode_request ~key buf =
     Error "registration: not a request"
   else
     let auth = get_u32 buf 17 in
-    if auth <> authenticator ~key (Bytes.sub buf 0 17) then
+    if auth <> digest ~key buf 17 then
       Error "registration: authenticator mismatch"
     else
       Ok
@@ -110,7 +122,7 @@ let encode_reply ~key r =
   put_u16 buf 9 r.r_lifetime;
   put_u16 buf 11 r.r_sequence;
   Bytes.set buf 13 (Char.chr (Types.reg_code_to_int r.r_code));
-  let auth = authenticator ~key (Bytes.sub buf 0 14) in
+  let auth = digest ~key buf 14 in
   put_u32 buf 14 auth;
   buf
 
@@ -120,7 +132,7 @@ let decode_reply ~key buf =
     Error "registration: not a reply"
   else
     let auth = get_u32 buf 14 in
-    if auth <> authenticator ~key (Bytes.sub buf 0 14) then
+    if auth <> digest ~key buf 14 then
       Error "registration: authenticator mismatch"
     else
       match Types.reg_code_of_int (Char.code (Bytes.get buf 13)) with

@@ -35,7 +35,7 @@ let length t = t.size
 (* Fibonacci-style multiplicative hash over the low bits. *)
 let slot t key = key * 0x9E3779B1 land t.mask
 
-let of_addr (a : Ipv4_addr.t) = Int32.to_int (Ipv4_addr.to_int32 a) land 0xFFFFFFFF
+let of_addr (a : Ipv4_addr.t) = Int32.to_int (a :> int32) land 0xFFFFFFFF
 
 let rec probe t key i =
   let k = Array.unsafe_get t.keys i in

@@ -4,10 +4,8 @@ let pp_error fmt = function
   | Dont_fragment -> Format.pp_print_string fmt "dont-fragment bit set"
   | Header_too_big -> Format.pp_print_string fmt "mtu smaller than header"
 
-let needs_fragmentation ~mtu pkt = Ipv4_packet.byte_length pkt > mtu
-
 let fragment ~mtu pkt =
-  if not (needs_fragmentation ~mtu pkt) then Ok [ pkt ]
+  if Ipv4_packet.byte_length pkt <= mtu then Ok [ pkt ]
   else if pkt.Ipv4_packet.dont_fragment then Error Dont_fragment
   else
     let hlen = Ipv4_packet.header_length pkt in

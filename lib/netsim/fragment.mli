@@ -16,8 +16,6 @@ val fragment : mtu:int -> Ipv4_packet.t -> (Ipv4_packet.t list, error) result
     payloads are [Raw] slices of the encoded original payload; offsets are
     in 8-byte units as on the wire. *)
 
-val needs_fragmentation : mtu:int -> Ipv4_packet.t -> bool
-
 (** Reassembly buffer, keyed by (src, dst, protocol, ident). *)
 module Reassembly : sig
   type t

@@ -111,12 +111,6 @@ module Prefix = struct
   let broadcast_addr p =
     Int32.logor p.network (Int32.lognot (mask_of_bits p.bits))
 
-  (* The host mask built as an int, so no int32 crosses a call boundary
-     and nothing is boxed. *)
-  let is_broadcast a p =
-    Int32.equal a
-      (Int32.logor p.network (Int32.of_int ((1 lsl (32 - p.bits)) - 1)))
-
   let compare a b =
     match Int32.unsigned_compare a.network b.network with
     | 0 -> Int.compare a.bits b.bits

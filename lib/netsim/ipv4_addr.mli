@@ -5,8 +5,14 @@
     needed by the routing table ({!Routing}) and the boundary-router filters
     ({!Filter}). *)
 
-type t
-(** An IPv4 address. *)
+type t = private int32
+(** An IPv4 address: its 32-bit value, [a.b.c.d] as [0xaabbccdd].  The
+    representation is visible, read-only, so a hot path in another
+    module can test an address inline, as [(a :> int32) = (b :> int32)]:
+    dune's dev profile compiles every module [-opaque], and a call to
+    {!equal} or {!is_multicast} from another module is never inlined
+    there.  Make addresses with the functions below, and order them with
+    {!compare}, which is unsigned, not with [Int32.compare]. *)
 
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
@@ -85,10 +91,6 @@ module Prefix : sig
 
   val broadcast_addr : t -> addr
   (** Directed broadcast address of the prefix. *)
-
-  val is_broadcast : addr -> t -> bool
-  (** [is_broadcast a p] is [equal a (broadcast_addr p)], without
-      allocating: the per-packet test. *)
 
   val compare : t -> t -> int
   val equal : t -> t -> bool

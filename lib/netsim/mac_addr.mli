@@ -4,7 +4,13 @@
     interface attached to an Ethernet segment; ARP ({!Net}) maps IPv4
     addresses onto these. *)
 
-type t
+type t = private int
+(** A MAC address: its 48-bit value.  The representation is visible,
+    read-only, so the data plane can match a frame's destination inline,
+    as [(a :> int) = (b :> int)]: dune's dev profile compiles every
+    module [-opaque], and a call to {!equal} from another module is never
+    inlined there.  Make addresses with {!of_int}, {!of_string} or
+    {!fresh}. *)
 
 val of_int : int -> t
 (** @raise Invalid_argument if outside [0 .. 2^48-1]. *)

@@ -61,6 +61,7 @@ and iface = {
   mac : Mac_addr.t;
   mutable addr : Ipv4_addr.t;
   mutable prefix : Ipv4_addr.Prefix.t;
+  mutable bcast : Ipv4_addr.t;  (* [prefix]'s directed broadcast *)
   mutable mtu : int;
   mutable attachment : attachment;
   mutable up : bool;
@@ -99,12 +100,14 @@ and loss_gen = { rate : float; mutable lcg : int }
 
 and pending = { mutable queued : (iface * frame) list; mutable tries : int }
 
+(* [bytes] is the content's length on the wire, computed once where the
+   packet enters a link, so no hop re-derives it. *)
 and frame = {
   fid : int;
   flow : int;
   content : content;
-  l2_src : Mac_addr.t;
   l2_dst : Mac_addr.t;
+  bytes : int;
 }
 
 and content = Ip of Ipv4_packet.t | Arp_msg of arp
@@ -318,6 +321,7 @@ let attach node segment ~ifname ~addr ~prefix =
       mac = Mac_addr.fresh ();
       addr;
       prefix;
+      bcast = Ipv4_addr.Prefix.broadcast_addr prefix;
       mtu = segment.seg_mtu;
       attachment = Seg segment;
       up = true;
@@ -355,6 +359,7 @@ let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
         mac = Mac_addr.fresh ();
         addr;
         prefix;
+        bcast = Ipv4_addr.Prefix.broadcast_addr prefix;
         mtu;
         attachment = Ptp link;
         up = true;
@@ -389,6 +394,7 @@ let set_iface_addr i ~addr ~prefix =
   Routing.remove i.owner.table ~iface:i.ifname ~prefix:i.prefix ();
   i.addr <- addr;
   i.prefix <- prefix;
+  i.bcast <- Ipv4_addr.Prefix.broadcast_addr prefix;
   install_connected_route i
 
 let detach i =
@@ -422,11 +428,28 @@ let routing node = node.table
 let set_filter node p = node.policy <- p
 let filter node = node.policy
 
+(* The per-hop address tests compare the representations that
+   [Ipv4_addr.t] ([private int32]) and [Mac_addr.t] ([private int])
+   expose, with [=] at those types, which compiles to one inline compare.
+   Dune's dev profile builds every module [-opaque], so a call from here
+   to [Ipv4_addr.equal], [Ipv4_addr.is_multicast] or [Mac_addr.equal] is
+   never inlined, and a hop makes several of these tests. *)
+let[@inline] same_addr (a : Ipv4_addr.t) (b : Ipv4_addr.t) =
+  (a :> int32) = (b :> int32)
+
+let[@inline] is_multicast (a : Ipv4_addr.t) =
+  Int32.logand (a :> int32) 0xf0000000l = 0xe0000000l
+
+let[@inline] is_limited_broadcast (a : Ipv4_addr.t) = (a :> int32) = -1l
+
+let[@inline] same_mac (a : Mac_addr.t) (b : Mac_addr.t) =
+  (a :> int) = (b :> int)
+
 (* Closure-free membership tests: [owns_address] runs on every packet a
    node receives. *)
 let rec mem_addr addr = function
   | [] -> false
-  | a :: rest -> Ipv4_addr.equal a addr || mem_addr addr rest
+  | a :: rest -> same_addr a addr || mem_addr addr rest
 
 let claim_address node addr =
   if not (mem_addr addr node.claimed) then
@@ -437,7 +460,7 @@ let unclaim_address node addr =
 
 let rec up_iface_has addr = function
   | [] -> false
-  | i :: rest -> (i.up && Ipv4_addr.equal i.addr addr) || up_iface_has addr rest
+  | i :: rest -> (i.up && same_addr i.addr addr) || up_iface_has addr rest
 
 let owns_address node addr =
   up_iface_has addr node.node_ifaces || mem_addr addr node.claimed
@@ -523,8 +546,8 @@ let trace_forward node ~in_iface ~out_iface (f : frame) pkt =
   Trace.emit node.net.trace Trace.k_forward node.name ~in_iface ~out_iface
     ~reason:Trace.no_reason ~id:f.fid ~flow:f.flow ~bytes:0 pkt
 
-let ip_frame node ~out ~flow l2_dst pkt =
-  { fid = new_frame_id node; flow; content = Ip pkt; l2_src = out.mac; l2_dst }
+let ip_frame node ~flow ~bytes l2_dst pkt =
+  { fid = new_frame_id node; flow; content = Ip pkt; l2_dst; bytes }
 
 (* A packet that dies before it reaches a wire still takes a frame id, so
    the numbering does not depend on whether anything traces it. *)
@@ -564,9 +587,8 @@ let same_segment a b =
 (* Data plane                                                        *)
 (* ---------------------------------------------------------------- *)
 
-let frame_bytes = function
-  | Ip pkt -> Ipv4_packet.byte_length pkt
-  | Arp_msg _ -> 28
+(* An ARP message for IPv4 over Ethernet (RFC 826). *)
+let arp_bytes = 28
 
 (* A link without a bandwidth term returns its latency itself, boxed
    once in the link record, rather than a fresh sum. *)
@@ -578,14 +600,13 @@ let link_delay ~latency ~bandwidth bytes =
 let rec deliver_frame_to iface frame =
   if iface.up then
     match frame.content with
-    | Arp_msg a -> arp_input iface frame a
+    | Arp_msg a -> arp_input iface a
     | Ip pkt -> ip_input iface frame pkt
 
 (* Put a frame on the wire of [out]'s link.  [l2_dst] must already be
    resolved for segments. *)
 and emit out frame =
   let node = out.owner in
-  let bytes = frame_bytes frame.content in
   (match frame.content with
   | Ip pkt ->
       let link_name =
@@ -596,7 +617,7 @@ and emit out frame =
       in
       Trace.emit node.net.trace Trace.k_transmit link_name ~in_iface:""
         ~out_iface:"" ~reason:Trace.no_reason ~id:frame.fid ~flow:frame.flow
-        ~bytes pkt
+        ~bytes:frame.bytes pkt
   | Arp_msg _ -> ());
   match out.attachment with
   | Detached -> (
@@ -607,7 +628,8 @@ and emit out frame =
       if loss_roll l.ptp_loss then record_link_loss node frame
       else
         let delay =
-          link_delay ~latency:l.ptp_latency ~bandwidth:l.ptp_bandwidth bytes
+          link_delay ~latency:l.ptp_latency ~bandwidth:l.ptp_bandwidth
+            frame.bytes
         in
         deliver_to_others node ~link:l.ptp_name ~lane:l.ptp_lane ~delay out
           frame l.ends
@@ -615,9 +637,10 @@ and emit out frame =
       if loss_roll s.seg_loss then record_link_loss node frame
       else
         let delay =
-          link_delay ~latency:s.seg_latency ~bandwidth:s.seg_bandwidth bytes
+          link_delay ~latency:s.seg_latency ~bandwidth:s.seg_bandwidth
+            frame.bytes
         in
-        if Mac_addr.is_broadcast frame.l2_dst then
+        if same_mac frame.l2_dst Mac_addr.broadcast then
           deliver_to_others node ~link:s.seg_name ~lane:s.seg_lane ~delay out
             frame s.members
         else
@@ -636,7 +659,7 @@ and deliver_to_others node ~link ~lane ~delay out frame = function
 and deliver_to_mac node ~link ~lane ~delay frame = function
   | [] -> ()
   | m :: rest ->
-      if Mac_addr.equal m.mac frame.l2_dst then
+      if same_mac m.mac frame.l2_dst then
         fault_deliver node ~link ~lane ~delay m frame;
       deliver_to_mac node ~link ~lane ~delay frame rest
 
@@ -676,8 +699,8 @@ and send_arp out ~l2_dst arp =
       fid = new_frame_id node;
       flow = 0;
       content = Arp_msg arp;
-      l2_src = out.mac;
       l2_dst;
+      bytes = arp_bytes;
     }
   in
   emit out frame
@@ -718,7 +741,7 @@ and arp_queue out next_hop frame =
         { queued = [ (out, frame) ]; tries = 0 };
       arp_request_retry out next_hop
 
-and arp_input iface frame arp =
+and arp_input iface arp =
   let node = iface.owner in
   if not (Ipv4_addr.equal arp.spa Ipv4_addr.any) then begin
     Addr_map.replace node.arp_cache (Addr_map.of_addr arp.spa) arp.sha;
@@ -739,13 +762,16 @@ and arp_input iface frame arp =
         || mem_addr arp.tpa iface.proxy
       in
       if answers then
-        send_arp iface ~l2_dst:frame.l2_src
+        send_arp iface ~l2_dst:arp.sha
           { op = `Reply; spa = arp.tpa; sha = iface.mac; tpa = arp.spa }
 
-and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
+(* [bytes] is [pkt]'s length: computed by the sender, or carried over
+   from the frame a forwarded packet arrived in (a TTL decrement keeps
+   it). *)
+and ip_output node ~out ~next_hop ?l2_dst ~flow ~bytes pkt =
   if not out.up then drop_unsent node ~flow Trace.Link_down pkt
-  else if not (Fragment.needs_fragmentation ~mtu:out.mtu pkt) then
-    transmit node ~out ~next_hop ~l2_dst ~flow pkt
+  else if bytes <= out.mtu then
+    transmit node ~out ~next_hop ~l2_dst ~flow ~bytes pkt
   else
     match Fragment.fragment ~mtu:out.mtu pkt with
     | Error _ ->
@@ -765,7 +791,9 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
         end
     | Ok pieces ->
         List.iter
-          (fun piece -> transmit node ~out ~next_hop ~l2_dst ~flow piece)
+          (fun piece ->
+            transmit node ~out ~next_hop ~l2_dst ~flow
+              ~bytes:(Ipv4_packet.byte_length piece) piece)
           pieces
 
 (* One frame onto [out]'s link.  The link-layer destination is settled
@@ -773,28 +801,27 @@ and ip_output node ~out ~next_hop ?l2_dst ~flow pkt =
    point-to-point link and for broadcast or multicast destinations, else
    the forced MAC or the next hop's cached one.  An unresolved next hop
    parks the frame on ARP. *)
-and transmit node ~out ~next_hop ~l2_dst ~flow pkt =
+and transmit node ~out ~next_hop ~l2_dst ~flow ~bytes pkt =
   match out.attachment with
   | Ptp _ | Detached ->
-      emit out (ip_frame node ~out ~flow Mac_addr.broadcast pkt)
+      emit out (ip_frame node ~flow ~bytes Mac_addr.broadcast pkt)
   | Seg _ -> (
       match l2_dst with
-      | Some mac -> emit out (ip_frame node ~out ~flow mac pkt)
+      | Some mac -> emit out (ip_frame node ~flow ~bytes mac pkt)
       | None ->
           let dst = pkt.Ipv4_packet.dst in
           if
-            Ipv4_addr.equal dst Ipv4_addr.broadcast
-            || Ipv4_addr.is_multicast dst
-            || Ipv4_addr.Prefix.is_broadcast dst out.prefix
-          then emit out (ip_frame node ~out ~flow Mac_addr.broadcast pkt)
+            is_limited_broadcast dst || is_multicast dst
+            || same_addr dst out.bcast
+          then emit out (ip_frame node ~flow ~bytes Mac_addr.broadcast pkt)
           else
             match
               Addr_map.find out.owner.arp_cache (Addr_map.of_addr next_hop)
             with
-            | Some mac -> emit out (ip_frame node ~out ~flow mac pkt)
+            | Some mac -> emit out (ip_frame node ~flow ~bytes mac pkt)
             | None ->
                 arp_queue out next_hop
-                  (ip_frame node ~out ~flow Mac_addr.broadcast pkt))
+                  (ip_frame node ~flow ~bytes Mac_addr.broadcast pkt))
 
 and ip_input iface frame pkt =
   let node = iface.owner in
@@ -808,14 +835,12 @@ and ip_input iface frame pkt =
   | Filter.Pass ->
       let dst = pkt.Ipv4_packet.dst in
       let local =
-        owns_address node dst
-        || Ipv4_addr.equal dst Ipv4_addr.broadcast
-        || Ipv4_addr.Prefix.is_broadcast dst iface.prefix
-        || (Ipv4_addr.is_multicast dst
-           && mem_addr dst iface.groups)
+        owns_address node dst || is_limited_broadcast dst
+        || same_addr dst iface.bcast
+        || (is_multicast dst && mem_addr dst iface.groups)
       in
       if local then deliver node (Some iface) frame pkt
-      else if Ipv4_addr.is_multicast dst || Ipv4_addr.equal dst Ipv4_addr.broadcast
+      else if is_multicast dst || is_limited_broadcast dst
       then (* not joined / not ours: ignore silently *) ()
       else if node.router then forward node iface frame pkt
       else trace_drop node Trace.Not_for_me frame pkt
@@ -891,8 +916,11 @@ and forward node in_iface frame pkt =
                 && Ipv4_options.has_options pkt.Ipv4_packet.options
               then
                 Engine.after node.net.engine node.option_penalty (fun () ->
-                    ip_output node ~out ~next_hop ~flow:frame.flow pkt)
-              else ip_output node ~out ~next_hop ~flow:frame.flow pkt))
+                    ip_output node ~out ~next_hop ~flow:frame.flow
+                      ~bytes:frame.bytes pkt)
+              else
+                ip_output node ~out ~next_hop ~flow:frame.flow
+                  ~bytes:frame.bytes pkt))
 
 (* Answer a drop with a real RFC 792 error quoting the offending datagram
    (IP header + 8 payload bytes), so senders get fast negative feedback
@@ -953,8 +981,8 @@ and originate ?(depth = 0) node ~flow ?via ?l2_dst pkt =
       else pkt
     in
     let f =
-      { fid = new_frame_id node; flow; content = Ip pkt;
-        l2_src = Mac_addr.broadcast; l2_dst = Mac_addr.broadcast }
+      ip_frame node ~flow ~bytes:(Ipv4_packet.byte_length pkt)
+        Mac_addr.broadcast pkt
     in
     trace_event node Trace.k_send ~id:f.fid ~flow pkt;
     deliver node None f pkt
@@ -1003,7 +1031,8 @@ and send_via node ~flow out ~next_hop ~l2_dst pkt =
     else pkt
   in
   trace_event node Trace.k_send ~id:(new_frame_id node) ~flow pkt;
-  ip_output node ~out ~next_hop ?l2_dst ~flow pkt
+  ip_output node ~out ~next_hop ?l2_dst ~flow
+    ~bytes:(Ipv4_packet.byte_length pkt) pkt
 
 let send node ?flow ?via ?l2_dst pkt =
   let flow = match flow with Some f -> f | None -> new_flow node.net in

@@ -51,7 +51,7 @@ type table = {
 
 let create () = { root = empty; seq = 0; gen = 0; tags = [||]; answers = [||] }
 
-let key_of addr = Int32.to_int (Ipv4_addr.to_int32 addr) land 0xffff_ffff
+let key_of (addr : Ipv4_addr.t) = Int32.to_int (addr :> int32) land 0xffff_ffff
 
 (* The stamp of [addr] in generation [gen]: never negative, so it never
    matches an unused tag. *)
@@ -181,8 +181,8 @@ let rec walk key n best =
 let lookup_uncached t addr =
   match walk (key_of addr) t.root [] with (_, r) :: _ -> Some r | [] -> None
 
-let lookup t addr =
-  let a = Ipv4_addr.to_int32 addr in
+let lookup t (addr : Ipv4_addr.t) =
+  let a = (addr :> int32) in
   let i = Int32.to_int a land slot_mask in
   let k = tag t.gen a in
   if Array.length t.tags > 0 && Array.unsafe_get t.tags i = k then

@@ -26,16 +26,21 @@ let kind_index = function
   | Trace.Decapsulate _ -> 6
   | Trace.Icmp_error _ -> 7
 
-type tally = int array
+type tally = { by_kind : int array; mutable wire_bytes : int }
 
-let tally () = Array.make (Array.length kinds) 0
+let tally () = { by_kind = Array.make (Array.length kinds) 0; wire_bytes = 0 }
 
 let count tally (r : Trace.record) =
   let i = kind_index r.Trace.event in
-  tally.(i) <- tally.(i) + 1
+  tally.by_kind.(i) <- tally.by_kind.(i) + 1;
+  match r.Trace.event with
+  | Trace.Transmit { bytes; _ } -> tally.wire_bytes <- tally.wire_bytes + bytes
+  | _ -> ()
 
 let kind_counts tally =
-  Array.to_list (Array.mapi (fun i kind -> (kind, tally.(i))) kinds)
+  Array.to_list (Array.mapi (fun i kind -> (kind, tally.by_kind.(i))) kinds)
+
+let wire_bytes tally = tally.wire_bytes
 
 type t = {
   flows : int;
@@ -63,8 +68,8 @@ let pp fmt t =
       Format.fprintf fmt "  %-14s %10d %13.2f@." name n (per_datagram t n))
     t.counts;
   Format.fprintf fmt
-    "  note: trace events are counted by kind by an observer on a second, \
-     untimed run@."
+    "  note: trace events (and the bytes of every transmit) are counted by \
+     an observer on a second, untimed run@."
 
 let to_json t =
   Json.Obj

@@ -7,7 +7,8 @@
 (** {1 Trace events by kind} *)
 
 type tally
-(** Trace records counted by kind. *)
+(** Trace records counted by kind, and the bytes of the transmits among
+    them. *)
 
 val tally : unit -> tally
 
@@ -18,6 +19,10 @@ val kind_counts : tally -> (string * int) list
 (** One entry per event kind, zeros included, in a fixed order: send,
     transmit, forward, deliver, drop, encapsulate, decapsulate,
     icmp-error (the kinds' JSONL names). *)
+
+val wire_bytes : tally -> int
+(** The sum of the counted [Transmit] records' [bytes]: every byte the
+    workload put on a link, fragments and encapsulation included. *)
 
 (** {1 Reports} *)
 

@@ -455,6 +455,270 @@ let test_bad_link_parameters () =
   Alcotest.(check int) "one interface each" 1
     (List.length (Net.ifaces a))
 
+(* ---------- the length a frame carries ---------- *)
+
+let udp_packet ?options ~src ~dst size =
+  Ipv4_packet.make ?options ~protocol:Ipv4_packet.P_udp ~src ~dst
+    (Ipv4_packet.Udp
+       (Udp_wire.make ~src_port:5001 ~dst_port:9 (Bytes.make size 'l')))
+
+(* What a transmitted packet is: a fragment, a source-routed packet, a
+   tunnel by its encapsulation, else its transport. *)
+let packet_kind (pkt : Ipv4_packet.t) =
+  if Ipv4_packet.is_fragment pkt then "fragment"
+  else if Ipv4_options.has_options pkt.Ipv4_packet.options then "lsr"
+  else
+    match pkt.Ipv4_packet.payload with
+    | Ipv4_packet.Udp _ -> "udp"
+    | Ipv4_packet.Tcp _ -> "tcp"
+    | Ipv4_packet.Icmp _ -> "icmp"
+    | Ipv4_packet.Encap _ -> "ipip"
+    | Ipv4_packet.Gre_encap _ -> "gre"
+    | Ipv4_packet.Min_encap _ -> "minimal"
+    | Ipv4_packet.Raw _ -> "raw"
+
+(* Every Transmit record in [net]'s log carries its packet's length; the
+   kinds of packet transmitted. *)
+let transmitted_kinds net =
+  List.filter_map
+    (fun r ->
+      match r.Trace.event with
+      | Trace.Transmit { link; frame; bytes } ->
+          let pkt = frame.Trace.pkt in
+          Alcotest.(check int)
+            (Printf.sprintf "frame %d on %s: bytes" frame.Trace.id link)
+            (Ipv4_packet.byte_length pkt) bytes;
+          Some (packet_kind pkt)
+      | _ -> None)
+    (Trace.records (Net.trace net))
+
+(* UDP, TCP and ICMP from [a] to [b], each forwarded by [r]. *)
+let originated_and_forwarded () =
+  let net, a, _r, b = routed_triangle () in
+  Transport.Tcp.listen (Transport.Tcp.get b) ~port:80 (fun conn ->
+      Transport.Tcp.on_receive conn (fun _ -> Transport.Tcp.close conn));
+  let conn =
+    Transport.Tcp.connect (Transport.Tcp.get a) ~dst:(addr "10.2.0.2")
+      ~dst_port:80 ()
+  in
+  Transport.Tcp.send_data conn (Bytes.make 700 't');
+  let (_ : Transport.Icmp_service.t) = Transport.Icmp_service.get b in
+  Transport.Icmp_service.ping (Transport.Icmp_service.get a)
+    ~dst:(addr "10.2.0.2") (fun ~rtt:_ -> ());
+  ignore
+    (Net.send a (udp_packet ~src:(addr "10.1.0.1") ~dst:(addr "10.2.0.2") 300));
+  Net.run net;
+  net
+
+(* The first datagram to a neighbour waits on ARP and leaves only when
+   the reply arrives. *)
+let parked_on_arp () =
+  let net, a, _b, _, _ = two_host_segment () in
+  let flow =
+    Net.send a (udp_packet ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2") 200)
+  in
+  Net.run net;
+  let sent = Option.get (Trace.send_time (Net.trace net) ~flow) in
+  List.iter
+    (fun r ->
+      match r.Trace.event with
+      | Trace.Transmit _ ->
+          Alcotest.(check bool) "left after the ARP exchange" true
+            (r.Trace.time > sent)
+      | _ -> ())
+    (Trace.flow_records (Net.trace net) ~flow);
+  net
+
+(* A2's worlds: the home agent tunnels a correspondent's datagram to the
+   roamed host in each encapsulation. *)
+let tunnelled mode =
+  let topo = Scenarios.Topo.build ~encap:mode () in
+  Scenarios.Topo.roam topo ();
+  let net = topo.Scenarios.Topo.net in
+  ignore
+    (Transport.Udp_service.send
+       (Transport.Udp_service.get topo.Scenarios.Topo.ch_node)
+       ~dst:topo.Scenarios.Topo.mh_home_addr ~src_port:46000 ~dst_port:9
+       (Bytes.make 512 'a'));
+  Net.run net;
+  net
+
+let fragmented_at_576 () =
+  let net = Net.create () in
+  let a = Net.add_host net "a" in
+  let b = Net.add_host net "b" in
+  ignore
+    (Net.p2p net ~mtu:576 ~prefix:(prefix "10.9.0.0/30")
+       (a, "if0", addr "10.9.0.1")
+       (b, "if0", addr "10.9.0.2"));
+  ignore
+    (Net.send a
+       (udp_packet ~src:(addr "10.9.0.1") ~dst:(addr "10.9.0.2") 1400));
+  Net.run net;
+  net
+
+(* Addressed to [mid], listing [d]: [mid] rewrites it towards [d]. *)
+let rerouted_by_lsr () =
+  let net = Net.create () in
+  let lan = Net.add_segment net ~name:"lan" () in
+  let host name a =
+    let node = Net.add_host net name in
+    ignore
+      (Net.attach node lan ~ifname:"eth0" ~addr:(addr a)
+         ~prefix:(prefix "10.0.0.0/24"));
+    node
+  in
+  let s = host "s" "10.0.0.1" in
+  let _mid = host "mid" "10.0.0.2" in
+  let _d = host "d" "10.0.0.3" in
+  let options = Ipv4_options.build_lsr ~via:[ addr "10.0.0.3" ] in
+  ignore
+    (Net.send s
+       (udp_packet ~options ~src:(addr "10.0.0.1") ~dst:(addr "10.0.0.2") 100));
+  Net.run net;
+  net
+
+(* Every frame is delayed by 5 ms and duplicated. *)
+let duplicated_and_delayed () =
+  let net, a, _r, _b = routed_triangle () in
+  Net.set_fault_hook net
+    (Some
+       (fun ~link:_ ~src:_ ~dst:_ ->
+         Net.Fault_deliver { extra_delay = 0.005; duplicate = true }));
+  ignore
+    (Net.send a (udp_packet ~src:(addr "10.1.0.1") ~dst:(addr "10.2.0.2") 400));
+  Net.run net;
+  net
+
+(* a -(9600 bit/s, 10 ms)- r - b: each frame reaches r
+   [latency + 8 * bytes / bandwidth] after it left a. *)
+let slow_link () =
+  let net = Net.create () in
+  let a = Net.add_host net "a" in
+  let r = Net.add_router net "r" in
+  let b = Net.add_host net "b" in
+  ignore
+    (Net.p2p net ~latency:0.010 ~bandwidth:9600.0
+       ~prefix:(prefix "10.1.0.0/30")
+       (a, "if0", addr "10.1.0.1")
+       (r, "if0", addr "10.1.0.2"));
+  ignore
+    (Net.p2p net ~prefix:(prefix "10.2.0.0/30")
+       (r, "if1", addr "10.2.0.1")
+       (b, "if0", addr "10.2.0.2"));
+  Routing.add_default (Net.routing a) ~gateway:(addr "10.1.0.2") ~iface:"if0";
+  List.iter
+    (fun size ->
+      ignore
+        (Net.send a
+           (udp_packet ~src:(addr "10.1.0.1") ~dst:(addr "10.2.0.2") size)))
+    [ 10; 200; 1000 ];
+  Net.run net;
+  let records = Trace.records (Net.trace net) in
+  let arrivals = Hashtbl.create 4 in
+  List.iter
+    (fun r ->
+      match r.Trace.event with
+      | Trace.Forward { node = "r"; frame; _ } ->
+          Hashtbl.replace arrivals frame.Trace.id r.Trace.time
+      | _ -> ())
+    records;
+  let slow =
+    List.filter_map
+      (fun r ->
+        match r.Trace.event with
+        | Trace.Transmit { link = "a<->r"; frame; bytes } ->
+            Some (r.Trace.time, frame.Trace.id, bytes)
+        | _ -> None)
+      records
+  in
+  Alcotest.(check int) "three frames on the slow link" 3 (List.length slow);
+  List.iter
+    (fun (sent, id, bytes) ->
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "frame %d (%d bytes) reaches r" id bytes)
+        (sent +. 0.010 +. (8.0 *. float_of_int bytes /. 9600.0))
+        (match Hashtbl.find_opt arrivals id with
+        | Some t -> t
+        | None -> Alcotest.failf "frame %d never reached r" id))
+    slow;
+  net
+
+(* Each frame's length is computed once, where its packet enters a link,
+   and carried from there: the Transmit trace, the MTU test and a link's
+   serialisation delay all read it. *)
+let test_carried_length () =
+  let worlds =
+    [ originated_and_forwarded (); parked_on_arp () ]
+    @ List.map tunnelled Mobileip.Encap.all_modes
+    @ [
+        fragmented_at_576 ();
+        rerouted_by_lsr ();
+        duplicated_and_delayed ();
+        slow_link ();
+      ]
+  in
+  let kinds = List.concat_map transmitted_kinds worlds in
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " transmitted") true (List.mem kind kinds))
+    [ "udp"; "tcp"; "icmp"; "ipip"; "gre"; "minimal"; "fragment"; "lsr" ]
+
+(* ---------- directed broadcast ---------- *)
+
+(* h1..h3 and r on 10.0.0.0/24, h4 on 10.0.1.0/24 on the same segment;
+   r also reaches [far] over a point-to-point link. *)
+let test_directed_broadcast_follows_readdressing () =
+  let net = Net.create () in
+  let lan = Net.add_segment net ~name:"lan" () in
+  let on_lan name a p =
+    let node = Net.add_host net name in
+    (node, Net.attach node lan ~ifname:"eth0" ~addr:(addr a) ~prefix:(prefix p))
+  in
+  let h1, _ = on_lan "h1" "10.0.0.11" "10.0.0.0/24" in
+  let _, i2 = on_lan "h2" "10.0.0.12" "10.0.0.0/24" in
+  let _ = on_lan "h3" "10.0.0.13" "10.0.0.0/24" in
+  let h4, _ = on_lan "h4" "10.0.1.9" "10.0.1.0/24" in
+  let r = Net.add_router net "r" in
+  ignore
+    (Net.attach r lan ~ifname:"eth0" ~addr:(addr "10.0.0.1")
+       ~prefix:(prefix "10.0.0.0/24"));
+  let far = Net.add_host net "far" in
+  ignore
+    (Net.p2p net ~prefix:(prefix "10.9.0.0/30")
+       (r, "wan", addr "10.9.0.1")
+       (far, "wan", addr "10.9.0.2"));
+  let trace = Net.trace net in
+  let broadcast from src dst =
+    let flow = Net.send from (udp_packet ~src:(addr src) ~dst:(addr dst) 64) in
+    Net.run net;
+    flow
+  in
+  let reached flow =
+    List.filter (fun node -> Trace.delivered trace ~flow ~node)
+  in
+  let everyone = [ "h1"; "h2"; "h3"; "h4"; "r"; "far" ] in
+  let flow = broadcast h1 "10.0.0.11" "10.0.0.255" in
+  Alcotest.(check (list string))
+    "10.0.0.255 reaches the segment's 10.0.0.0/24 hosts" [ "h2"; "h3"; "r" ]
+    (reached flow everyone);
+  Alcotest.(check bool) "r does not forward it" false
+    (List.exists
+       (fun record ->
+         match record.Trace.event with
+         | Trace.Forward _ -> true
+         | Trace.Transmit { link; _ } -> link <> "lan"
+         | _ -> false)
+       (Trace.flow_records trace ~flow));
+  Net.set_iface_addr i2 ~addr:(addr "10.0.1.7") ~prefix:(prefix "10.0.1.0/24");
+  let flow = broadcast h1 "10.0.0.11" "10.0.0.255" in
+  Alcotest.(check (list string))
+    "after h2 moves to 10.0.1.0/24, 10.0.0.255 is not local to it"
+    [ "h3"; "r" ] (reached flow everyone);
+  let flow = broadcast h4 "10.0.1.9" "10.0.1.255" in
+  Alcotest.(check (list string)) "and 10.0.1.255 is" [ "h2" ]
+    (reached flow everyone)
+
 let suites =
   [
     ( "net",
@@ -488,5 +752,9 @@ let suites =
           test_hop_allocation;
         Alcotest.test_case "bad link latency or bandwidth rejected" `Quick
           test_bad_link_parameters;
+        Alcotest.test_case "frames carry their packet's length" `Quick
+          test_carried_length;
+        Alcotest.test_case "directed broadcast follows re-addressing" `Quick
+          test_directed_broadcast_follows_readdressing;
       ] );
   ]

@@ -565,7 +565,8 @@ let test_counts_ignore_consumers () =
   Alcotest.check counts "ring only" (world_counts bare) (world_counts ringed)
 
 (* The exact work of the 8-flow workload.  A change that adds a route
-   lookup, a hook call, an event or a trace event per hop moves these. *)
+   lookup, a hook call, an event or a trace event per hop moves these,
+   and a frame that carries a wrong length moves the wire bytes. *)
 let test_counts_at_8_flows () =
   let p = E18.profile ~flows:8 () in
   Alcotest.(check (pair int int))
@@ -585,6 +586,7 @@ let test_counts_at_8_flows () =
       ("encapsulate", 320);
       ("decapsulate", 320);
       ("icmp-error", 0);
+      ("wire-bytes", 1758720);
     ]
     p.Netobs.Profile.counts
 
