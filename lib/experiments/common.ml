@@ -32,20 +32,4 @@ let span_note net ~label ~flow =
   let span = Netobs.Span.of_flow (Net.trace net) ~flow in
   Format.asprintf "%s span: %a" label Netobs.Span.pp span
 
-let ping_once net ~from_node ~dst =
-  let icmp = Transport.Icmp_service.get from_node in
-  let got = ref None in
-  Transport.Icmp_service.ping icmp ~dst (fun ~rtt -> got := Some rtt);
-  Net.run net;
-  !got
-
-let udp_probe net ~from_node ?src ~dst ?(size = 64) ~port () =
-  let udp = Transport.Udp_service.get from_node in
-  let flow =
-    Transport.Udp_service.send udp ?src ~dst ~src_port:40000 ~dst_port:port
-      (Bytes.make size 'p')
-  in
-  Net.run net;
-  flow
-
 let fresh_trace net = Trace.clear (Net.trace net)

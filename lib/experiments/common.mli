@@ -15,25 +15,5 @@ val cost_of_flow : Netsim.Net.t -> flow:int -> target:string -> flow_cost
 val span_note : Netsim.Net.t -> label:string -> flow:int -> string
 (** A one-line per-flow span summary suitable for a table's notes. *)
 
-val ping_once :
-  Netsim.Net.t ->
-  from_node:Netsim.Net.node ->
-  dst:Netsim.Ipv4_addr.t ->
-  float option
-(** Ping and drain the network; the echo responder service must already
-    exist on the destination. *)
-
-val udp_probe :
-  Netsim.Net.t ->
-  from_node:Netsim.Net.node ->
-  ?src:Netsim.Ipv4_addr.t ->
-  dst:Netsim.Ipv4_addr.t ->
-  ?size:int ->
-  port:int ->
-  unit ->
-  int
-(** Fire one UDP datagram (no reply expected) and drain; returns its flow
-    for trace queries. *)
-
 val fresh_trace : Netsim.Net.t -> unit
 (** Clear the trace between measurement phases. *)

@@ -40,9 +40,9 @@ let probe_count = 120 (* 30 s of probes *)
 let probe_port = 40007
 let echo_port = 40008
 
-let default_seed = 0x16c4
+let seed = 0x16c4
 
-let run_cell ?(seed = default_seed) (cell : Grid.cell) =
+let run_cell (cell : Grid.cell) =
   let open Scenarios in
   let same_segment = cell.Grid.incoming = Grid.In_DH in
   let topo =
@@ -230,6 +230,6 @@ let run () =
          home agent recover from its crash in one probe interval";
         Printf.sprintf
           "deterministic: fault seed 0x%04x; same seed, same table"
-          default_seed;
+          seed;
       ];
   }

@@ -17,14 +17,12 @@ type cell_result = {
   fault : Netsim.Fault.stats;
 }
 
-val default_seed : int
-
-val run_cell : ?seed:int -> Mobileip.Grid.cell -> cell_result
+val run_cell : Mobileip.Grid.cell -> cell_result
 (** Run one cell's thirty-second probe stream on a fresh world under the
     standard fault plan (two handovers, duplication, a LAN flap, a latency
-    spike, reordering, a home-agent crash/restart, a partition).  Same
-    seed, same result.  Also used by the [stats] CLI to populate the churn
-    counters and recovery histogram. *)
+    spike, reordering, a home-agent crash/restart, a partition), with
+    fault seed [0x16c4].  Same cell, same result.  Also used by the
+    [stats] CLI to populate the churn counters and recovery histogram. *)
 
 val run : unit -> Table.t
 (** Build the experiment's world(s), run the measurement, and return the

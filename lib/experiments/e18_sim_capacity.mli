@@ -3,7 +3,6 @@
     reporting end-to-end packets/sec and engine events/sec of host CPU
     time.  Its workload is also E20's and the [profile] subcommand's. *)
 
-val load_levels : int list
 val exchanges_per_flow : int
 
 type run = {

@@ -41,10 +41,10 @@ let ns_per_packet (r : E18_sim_capacity.run) =
   if r.delivered > 0 then r.cpu_s *. 1e9 /. float_of_int r.delivered else 0.0
 
 let rung_recorder ?sample_every () net =
-  let r = Netobs.Recorder.create ?sample_every ~capacity:recorder_capacity () in
+  let r = Trace.make_ring ?sample_every ~capacity:recorder_capacity () in
   let trace = Net.trace net in
-  Netobs.Recorder.install r trace;
-  fun () -> Netobs.Recorder.uninstall r trace
+  Trace.attach_ring trace r;
+  fun () -> Trace.detach_ring trace r
 
 let rung_to_file make_observer net =
   let path = Filename.temp_file "e20" ".out" in

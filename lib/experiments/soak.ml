@@ -90,7 +90,6 @@ let addr_a = Netsim.Ipv4_addr.of_string "131.7.0.200"
 let addr_b = Netsim.Ipv4_addr.of_string "131.7.0.201"
 let gateway = Netsim.Ipv4_addr.of_string "131.7.0.1"
 let stream_port = 40100
-let recorder_capacity = 512
 let pat i = Char.chr (Char.code 'a' + (i mod 26))
 
 (* The topology dimension of the sweep. *)
@@ -201,7 +200,7 @@ let fly ~recorder profile ~cell ~seed plan =
     | `If_observed -> Netsim.Trace.interested (Netsim.Net.trace net)
   in
   if recorded then
-    Scenarios.Oracle.attach_recorder ~capacity:recorder_capacity oracle;
+    Scenarios.Oracle.attach_recorder oracle;
   let ch_tcp = Transport.Tcp.get topo.Scenarios.Topo.ch_node in
   Transport.Tcp.listen ch_tcp ~port:stream_port (fun conn ->
       Scenarios.Oracle.add_tcp_stream ~expected:pat oracle conn);

@@ -15,13 +15,6 @@ type udp_result = {
   reply_latency : float option;
 }
 
-let pp_udp_result fmt r =
-  Format.fprintf fmt
-    "%s: req %d/%d replies %d/%d consistent=%b hops %d/%d bytes %d/%d"
-    (Grid.cell_to_string r.cell) r.requests_delivered r.requests_sent
-    r.replies_delivered r.replies_sent r.transport_consistent r.request_hops
-    r.reply_hops r.request_wire_bytes r.reply_wire_bytes
-
 let out_uses_home = function
   | Grid.Out_IE | Grid.Out_DE | Grid.Out_DH -> true
   | Grid.Out_DT -> false
@@ -60,8 +53,8 @@ let flow_metrics net ~flow ~target =
   in
   (hops, bytes, latency)
 
-let run_udp ~net ~mh ~ch ~ch_addr ~cell ?(requests = 3) ?(payload_size = 64)
-    ?(port = 7) () =
+let run_udp ~net ~mh ~ch ~ch_addr ~cell () =
+  let requests = 3 and port = 7 in
   let home, coa = configure ~mh ~ch ~ch_addr ~cell in
   let req_src = if out_uses_home cell.Grid.outgoing then home else coa in
   let mh_node = Mobile_host.node mh in
@@ -94,7 +87,7 @@ let run_udp ~net ~mh ~ch ~ch_addr ~cell ?(requests = 3) ?(payload_size = 64)
       let flow =
         Transport.Udp_service.send mh_udp ~src:req_src ~dst:ch_addr
           ~src_port:mh_port ~dst_port:port
-          (Bytes.make payload_size 'q')
+          (Bytes.make 64 'q')
       in
       req_flows := flow :: !req_flows;
       Engine.after eng 0.25 (fun () -> send_request (i + 1))
@@ -140,12 +133,8 @@ type tcp_result = {
   client_retransmissions : int;
 }
 
-let pp_tcp_result fmt r =
-  Format.fprintf fmt "%s: connected=%b echoed=%b final=%a retx=%d"
-    (Grid.cell_to_string r.t_cell) r.connected r.echoed Transport.Tcp.pp_state
-    r.final_state r.client_retransmissions
-
-let run_tcp ~net ~mh ~ch ~ch_addr ~cell ?(port = 8080) () =
+let run_tcp ~net ~mh ~ch ~ch_addr ~cell () =
+  let port = 8080 in
   let home, coa = configure ~mh ~ch ~ch_addr ~cell in
   let src = if out_uses_home cell.Grid.outgoing then home else coa in
   let mh_node = Mobile_host.node mh in

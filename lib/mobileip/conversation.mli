@@ -35,8 +35,6 @@ type udp_result = {
   reply_latency : float option;
 }
 
-val pp_udp_result : Format.formatter -> udp_result -> unit
-
 val configure :
   mh:Mobile_host.t ->
   ch:Correspondent.t ->
@@ -60,15 +58,12 @@ val run_udp :
   ch:Correspondent.t ->
   ch_addr:Netsim.Ipv4_addr.t ->
   cell:Grid.cell ->
-  ?requests:int ->
-  ?payload_size:int ->
-  ?port:int ->
   unit ->
   udp_result
 (** Requires the MH to be away and registered, and the correspondent to be
     created with [Mobile_aware] capability (so methods can be forced); the
-    harness seeds its binding cache itself.  Defaults: 3 requests of 64
-    bytes on port 7. *)
+    harness seeds its binding cache itself.  Sends 3 requests of 64 bytes
+    to port 7. *)
 
 type tcp_result = {
   t_cell : Grid.cell;
@@ -78,18 +73,16 @@ type tcp_result = {
   client_retransmissions : int;
 }
 
-val pp_tcp_result : Format.formatter -> tcp_result -> unit
-
 val run_tcp :
   net:Netsim.Net.t ->
   mh:Mobile_host.t ->
   ch:Correspondent.t ->
   ch_addr:Netsim.Ipv4_addr.t ->
   cell:Grid.cell ->
-  ?port:int ->
   unit ->
   tcp_result
-(** A real TCP echo over the cell: the MH connects with the source address
+(** A real TCP echo to port 8080 over the cell: the MH connects with the
+    source address
     the cell's outgoing method implies, the correspondent's incoming method
     is forced for the home address.  Broken cells manifest as failed
     handshakes or aborted connections. *)

@@ -2,13 +2,6 @@ open Netsim
 
 type capability = Conventional | Decap_capable | Mobile_aware
 
-let pp_capability fmt c =
-  Format.pp_print_string fmt
-    (match c with
-    | Conventional -> "conventional"
-    | Decap_capable -> "decapsulation-capable"
-    | Mobile_aware -> "mobile-aware")
-
 type t = {
   ch_node : Net.node;
   cap : capability;
@@ -19,16 +12,12 @@ type t = {
   mutable decapsulated : int;
   mutable adverts : int;
   mutable tunnel_ident : int;
-  mutable icmp_consumed : int;
-      (* destination-unreachable errors acted on as negative feedback *)
 }
 
 let node t = t.ch_node
-let capability t = t.cap
 let packets_encapsulated t = t.encapsulated
 let packets_decapsulated t = t.decapsulated
 let adverts_received t = t.adverts
-let icmp_errors_consumed t = t.icmp_consumed
 
 let learn_binding t ~home ~care_of ~lifetime =
   match t.cap with
@@ -44,8 +33,6 @@ let learn_binding t ~home ~care_of ~lifetime =
             registered_at = Net.node_now t.ch_node;
             sequence = 0;
           }
-
-let forget_binding t ~home = Hashtbl.remove t.cache home
 
 let cached_care_of t ~home =
   match Hashtbl.find_opt t.cache home with
@@ -165,7 +152,6 @@ let create ch_node ~capability ?(encap = Encap.Ipip) () =
       decapsulated = 0;
       adverts = 0;
       tunnel_ident = 1;
-      icmp_consumed = 0;
     }
   in
   (match capability with
@@ -203,10 +189,7 @@ let create ch_node ~capability ?(encap = Encap.Ipip) () =
                        else acc)
                      t.cache []
                  in
-                 if stale <> [] then begin
-                   t.icmp_consumed <- t.icmp_consumed + 1;
-                   List.iter (Hashtbl.remove t.cache) stale
-                 end
+                 List.iter (Hashtbl.remove t.cache) stale
              | _ -> ())));
   let (_ : Transport.Icmp_service.t) = Transport.Icmp_service.get ch_node in
   t

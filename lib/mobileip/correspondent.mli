@@ -22,15 +22,12 @@
 
 type capability = Conventional | Decap_capable | Mobile_aware
 
-val pp_capability : Format.formatter -> capability -> unit
-
 type t
 
 val create :
   Netsim.Net.node -> capability:capability -> ?encap:Encap.mode -> unit -> t
 
 val node : t -> Netsim.Net.node
-val capability : t -> capability
 
 (** {1 Binding cache (mobile-aware only)} *)
 
@@ -43,7 +40,6 @@ val learn_binding :
 (** Insert/refresh a cache entry (no-op unless mobile-aware; lifetime 0
     removes the entry). *)
 
-val forget_binding : t -> home:Netsim.Ipv4_addr.t -> unit
 val cached_care_of : t -> home:Netsim.Ipv4_addr.t -> Netsim.Ipv4_addr.t option
 (** Valid (unexpired) cache lookup. *)
 
@@ -74,9 +70,3 @@ val packets_decapsulated : t -> int
 
 val adverts_received : t -> int
 (** ICMP care-of advertisements accepted into the cache. *)
-
-val icmp_errors_consumed : t -> int
-(** Destination-unreachable errors that invalidated a cached binding
-    (mobile-aware only): the error's quoted context named a care-of
-    address this host was tunneling to, so the binding was dropped and
-    traffic falls back to In-IE via the home agent. *)

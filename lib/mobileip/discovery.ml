@@ -1,15 +1,10 @@
-let publish_care_of mh ~dns_server ~name ?(ttl = 120) () =
+let publish_care_of mh ~dns_server ~name () =
   match Mobile_host.care_of_address mh with
   | None -> false
   | Some care_of ->
       Dns_ext.Client.publish_temporary (Mobile_host.node mh) ~server:dns_server
-        ~src:care_of ~name ~care_of ~ttl ();
+        ~src:care_of ~name ~care_of ~ttl:120 ();
       true
-
-let withdraw_care_of mh ~dns_server ~name =
-  let src = Mobile_host.care_of_address mh in
-  Dns_ext.Client.publish_temporary (Mobile_host.node mh) ~server:dns_server
-    ?src ~name ~care_of:Netsim.Ipv4_addr.any ~ttl:0 ()
 
 let discover_via_dns ch ~dns_server ~name ?(on_result = fun ~learned:_ -> ())
     () =

@@ -18,17 +18,13 @@ val publish_care_of :
   Mobile_host.t ->
   dns_server:Netsim.Ipv4_addr.t ->
   name:string ->
-  ?ttl:int ->
   unit ->
   bool
 (** Publish the mobile host's current care-of address under its DNS name
-    (default TTL 120 s).  Returns false (and does nothing) when the host is
+    (TTL 120 s).  Returns false (and does nothing) when the host is
     at home — a host at home has no temporary address.  The update is sent
     from the care-of address: publishing is itself an Out-DT
     conversation. *)
-
-val withdraw_care_of :
-  Mobile_host.t -> dns_server:Netsim.Ipv4_addr.t -> name:string -> unit
 
 val discover_via_dns :
   Correspondent.t ->

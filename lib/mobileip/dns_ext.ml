@@ -109,7 +109,6 @@ module Server = struct
   type t = {
     srv_node : Net.node;
     zone : (string, record) Hashtbl.t;
-    mutable queries : int;
     mutable updates : int;
   }
 
@@ -142,7 +141,6 @@ module Server = struct
           match decode_name payload with
           | None -> ()
           | Some name ->
-              t.queries <- t.queries + 1;
               let permanent, temporary =
                 match Hashtbl.find_opt t.zone name with
                 | None -> (None, None)
@@ -172,7 +170,7 @@ module Server = struct
 
   let create node () =
     let t =
-      { srv_node = node; zone = Hashtbl.create 16; queries = 0; updates = 0 }
+      { srv_node = node; zone = Hashtbl.create 16; updates = 0 }
     in
     let udp = Transport.Udp_service.get node in
     Transport.Udp_service.listen udp ~port:Transport.Well_known.dns
@@ -192,7 +190,6 @@ module Server = struct
     | None -> None
     | Some r -> Some (r.permanent, valid_temporary t r)
 
-  let queries_served t = t.queries
   let updates_applied t = t.updates
 end
 

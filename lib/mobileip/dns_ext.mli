@@ -30,7 +30,6 @@ module Server : sig
   (** Server-side inspection: [None] for unknown names, otherwise the
       permanent record and any unexpired temporary record. *)
 
-  val queries_served : t -> int
   val updates_applied : t -> int
 end
 

@@ -14,8 +14,6 @@ let mode_to_string = function
   | Minimal -> "minimal"
   | Gre -> "gre"
 
-let pp_mode fmt m = Format.pp_print_string fmt (mode_to_string m)
-
 let wrap mode ~src ~dst ?(ttl = 64) ?ident inner =
   let payload, protocol =
     match mode with

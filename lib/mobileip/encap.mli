@@ -13,7 +13,6 @@ type mode =
 val all_modes : mode list
 val overhead : mode -> int
 val mode_to_string : mode -> string
-val pp_mode : Format.formatter -> mode -> unit
 
 val wrap :
   mode ->

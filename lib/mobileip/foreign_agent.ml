@@ -13,7 +13,6 @@ type t = {
   mutable up : bool;  (* false while crashed *)
 }
 
-let node t = t.fa_node
 let address t = Net.iface_addr t.iface
 let visitors t = t.visitor_list
 let packets_delivered t = t.delivered

@@ -41,8 +41,6 @@ val create :
     segment receives and the trace records, so the number sent is part
     of what an experiment observes, not background housekeeping. *)
 
-val node : t -> Netsim.Net.node
-val address : t -> Netsim.Ipv4_addr.t
 val visitors : t -> (Netsim.Ipv4_addr.t * Netsim.Mac_addr.t) list
 val packets_delivered : t -> int
 (** Final-hop In-DH deliveries of decapsulated packets. *)

@@ -127,17 +127,6 @@ let in_of_string = function
 let cell_to_string c =
   Printf.sprintf "%s/%s" (in_to_string c.incoming) (out_to_string c.outgoing)
 
-let pp_out fmt m = Format.pp_print_string fmt (out_to_string m)
-let pp_in fmt m = Format.pp_print_string fmt (in_to_string m)
-let pp_cell fmt c = Format.pp_print_string fmt (cell_to_string c)
-
-let pp_classification fmt c =
-  Format.pp_print_string fmt
-    (match c with
-    | Useful -> "useful"
-    | Valid_but_unlikely -> "valid-but-unlikely"
-    | Broken -> "broken")
-
 let describe_out = function
   | Out_IE ->
       "s=care-of d=home-agent | S=home D=correspondent (reverse tunnel)"
@@ -170,5 +159,4 @@ let describe_cell c =
       | Useful -> "")
 
 let equal_out (a : out_method) b = a = b
-let equal_in (a : in_method) b = a = b
 let equal_cell (a : cell) b = a = b

@@ -45,14 +45,12 @@ val useful_cells : cell list
 
 val classify : cell -> classification
 
-val works_with_tcp : cell -> bool
-(** [classify c <> Broken]. *)
-
 val endpoint_consistent : cell -> bool
-(** The structural reason behind [works_with_tcp]: the address the MH uses
-    as its transport endpoint when sending (home for IE/DE/DH, care-of for
-    DT) must equal the address at which the incoming method delivers
-    (home for IE/DE/DH, care-of for DT).  §6.4's argument, as a predicate. *)
+(** The structural reason a cell can or cannot carry TCP: the address the
+    MH uses as its transport endpoint when sending (home for IE/DE/DH,
+    care-of for DT) must equal the address at which the incoming method
+    delivers (home for IE/DE/DH, care-of for DT).  §6.4's argument, as a
+    predicate. *)
 
 (** {1 Environment and applicability} *)
 
@@ -79,13 +77,6 @@ val default_environment : environment
 (** Worst-case conservative: mobility required, filtering assumed present,
     conventional correspondent: [In_IE/Out_IE] territory. *)
 
-val out_applicable : environment -> out_method -> bool
-(** Will packets sent this way reach the correspondent (and serve the
-    optimisation goals)?  E.g. [Out_DH] is inapplicable under source
-    filtering; [Out_DE] requires a decapsulating correspondent. *)
-
-val in_applicable : environment -> in_method -> bool
-
 val cell_applicable : environment -> cell -> bool
 (** Both directions applicable and the cell not Broken. *)
 
@@ -101,10 +92,6 @@ val in_of_string : string -> in_method option
 val out_to_string : out_method -> string
 val in_to_string : in_method -> string
 val cell_to_string : cell -> string
-val pp_out : Format.formatter -> out_method -> unit
-val pp_in : Format.formatter -> in_method -> unit
-val pp_cell : Format.formatter -> cell -> unit
-val pp_classification : Format.formatter -> classification -> unit
 
 val describe_out : out_method -> string
 (** One-line summary of the method's packet format, as in Figures 6/7. *)
@@ -114,5 +101,4 @@ val describe_cell : cell -> string
 (** The Figure 10 box text for the cell (empty for broken cells). *)
 
 val equal_out : out_method -> out_method -> bool
-val equal_in : in_method -> in_method -> bool
 val equal_cell : cell -> cell -> bool

@@ -1,13 +1,16 @@
 open Netsim
 
+(* The shortest gap between two care-of advertisements to one
+   correspondent, and the longest registration lifetime granted. *)
+let notify_interval = 30.0
+let max_lifetime = 600
+
 type t = {
   ha_node : Net.node;
   home_iface : Net.iface;
   auth_key : string;
   encap : Encap.mode;
   notify_correspondents : bool;
-  notify_interval : float;
-  max_lifetime : int;
   mutable binding_table : Types.binding list;
   last_notified : (Ipv4_addr.t, float) Hashtbl.t;
   mutable tunneled : int;
@@ -164,7 +167,7 @@ let handle_registration t udp (dgram : Transport.Udp_service.datagram) =
       in
       let code, granted =
         if stale then (Types.Reg_denied_stale, 0)
-        else (Types.Reg_accepted, min req.Registration.lifetime t.max_lifetime)
+        else (Types.Reg_accepted, min req.Registration.lifetime max_lifetime)
       in
       (if not stale then
          if req.Registration.lifetime = 0 then begin
@@ -206,7 +209,7 @@ let maybe_notify t ~correspondent (b : Types.binding) =
     let now = Net.node_now t.ha_node in
     let due =
       match Hashtbl.find_opt t.last_notified correspondent with
-      | Some last -> now -. last >= t.notify_interval
+      | Some last -> now -. last >= notify_interval
       | None -> true
     in
     if due then begin
@@ -295,8 +298,7 @@ let intercept t ~flow (pkt : Ipv4_packet.t) =
                 true))
 
 let create ha_node ~home_iface ?(auth_key = "secret") ?(encap = Encap.Ipip)
-    ?(notify_correspondents = false) ?(notify_interval = 30.0)
-    ?(max_lifetime = 600) () =
+    ?(notify_correspondents = false) () =
   let t =
     {
       ha_node;
@@ -304,8 +306,6 @@ let create ha_node ~home_iface ?(auth_key = "secret") ?(encap = Encap.Ipip)
       auth_key;
       encap;
       notify_correspondents;
-      notify_interval;
-      max_lifetime;
       binding_table = [];
       last_notified = Hashtbl.create 8;
       tunneled = 0;
@@ -336,12 +336,6 @@ let subscribe_multicast t ~group ~home =
   Net.join_group t.ha_node t.home_iface group;
   if not (List.mem (group, home) t.mcast_subs) then
     t.mcast_subs <- (group, home) :: t.mcast_subs
-
-let unsubscribe_multicast t ~group ~home =
-  t.mcast_subs <-
-    List.filter (fun sub -> sub <> (group, home)) t.mcast_subs;
-  if not (List.exists (fun (g, _) -> Ipv4_addr.equal g group) t.mcast_subs)
-  then Net.leave_group t.ha_node t.home_iface group
 
 let multicast_packets_relayed t = t.mcast_relayed
 

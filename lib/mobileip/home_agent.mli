@@ -26,14 +26,13 @@ val create :
   ?auth_key:string ->
   ?encap:Encap.mode ->
   ?notify_correspondents:bool ->
-  ?notify_interval:float ->
-  ?max_lifetime:int ->
   unit ->
   t
 (** Attach home-agent behaviour to a node.  [home_iface] is the interface
     on the home segment where proxy ARP is performed.  Defaults: key
-    ["secret"], IP-in-IP encapsulation, no ICMP notifications, notification
-    interval 30 s, maximum granted lifetime 600 s. *)
+    ["secret"], IP-in-IP encapsulation, no ICMP notifications.  It
+    notifies one correspondent at most every 30 s and grants at most a
+    600 s registration lifetime. *)
 
 val node : t -> Netsim.Net.node
 val address : t -> Netsim.Ipv4_addr.t
@@ -140,8 +139,5 @@ val subscribe_multicast :
     its care-of address — the "virtual interface on its distant home
     network" membership whose waste §6.4 argues against.
     @raise Invalid_argument if [group] is not a multicast address. *)
-
-val unsubscribe_multicast :
-  t -> group:Netsim.Ipv4_addr.t -> home:Netsim.Ipv4_addr.t -> unit
 
 val multicast_packets_relayed : t -> int

@@ -61,17 +61,14 @@ type t = {
 
 let node t = t.mh_node
 let home_address t = t.home
-let home_agent_address t = t.home_agent
 
 let care_of_address t =
   match t.loc with At_home -> None | Away { care_of; _ } -> Some care_of
 
-let location t = t.loc
 let at_home t = t.loc = At_home
 let via_foreign_agent t = t.fa_mode
 let registered t = t.is_registered
 let set_default_method t m = t.default <- m
-let default_method t = t.default
 
 let pin_method t ~dst m =
   match m with
@@ -88,20 +85,17 @@ let set_degradation t m =
   t.degrade_to <- m;
   if m = None then t.degraded <- false
 
-let degradation t = t.degrade_to
 let degraded t = t.degraded
 let icmp_errors_consumed t = t.icmp_consumed
 let set_privacy t b = t.privacy_mode <- b
 let privacy t = t.privacy_mode
 let set_heuristics t hs = t.heuristic_list <- hs
-let heuristics t = t.heuristic_list
 let selector t = t.sel
 let packets_encapsulated t = t.encapsulated
 let packets_decapsulated t = t.decapsulated
 let registration_attempts t = t.reg_attempts
 let registration_failures t = t.reg_failures
 let last_registration_failure t = t.last_reg_failure
-let advertised_correspondents t = List.rev t.advertised
 
 let http_dns_heuristic (pkt : Ipv4_packet.t) =
   match pkt.payload with
@@ -395,10 +389,6 @@ let enable_keepalive t ?(margin = 30.0) ?(max_renewals = 10) () =
   t.keepalive <- Some (margin, max_renewals);
   if t.is_registered then schedule_renewal t
 
-let disable_keepalive t =
-  t.keepalive <- None;
-  t.keepalive_generation <- t.keepalive_generation + 1
-
 let configure_away t ~care_of ~prefix ~gateway ?(on_registered = fun _ -> ())
     () =
   t.keepalive_generation <- t.keepalive_generation + 1;
@@ -470,7 +460,7 @@ let move_to_dhcp t segment ?on_registered () =
 (* Settle on the home segment the interface is already attached to:
    restore the home address and routes, reclaim traffic from the home
    agent, deregister. *)
-let settle_at_home t ?(on_deregistered = fun _ -> ()) () =
+let settle_at_home t =
   t.fa_mode <- false;
   t.keepalive_generation <- t.keepalive_generation + 1;
   Net.set_iface_addr t.iface ~addr:t.home ~prefix:t.home_prefix;
@@ -483,12 +473,12 @@ let settle_at_home t ?(on_deregistered = fun _ -> ()) () =
   Net.unclaim_address t.mh_node t.home;
   (* Reclaim our traffic from the home agent's proxy ARP. *)
   Net.gratuitous_arp t.mh_node t.iface t.home;
-  register t ~care_of:t.home ~lifetime:0 ~on_result:on_deregistered ()
+  register t ~care_of:t.home ~lifetime:0 ~on_result:ignore ()
 
-let return_home t segment ?on_deregistered () =
+let return_home t segment () =
   Net.reattach t.iface segment;
   Net.clear_arp t.mh_node;
-  settle_at_home t ?on_deregistered ()
+  settle_at_home t
 
 let reregister t ?(on_registered = fun _ -> ()) () =
   match t.loc with
@@ -507,7 +497,7 @@ let handle_possible_movement t ~fa_addr =
       Net.clear_arp t.mh_node;
       if Ipv4_addr.Prefix.mem fa_addr t.home_prefix then
         (* We are hearing our own home network: settle and deregister. *)
-        settle_at_home t ()
+        settle_at_home t
       else attach_here_via_dhcp t ()
     end
   end
@@ -530,7 +520,7 @@ let disable_auto_attach t =
 
 let auto_attaches t = t.auto_attach_count
 
-let send_binding_update t ~correspondent ?(lifetime = 300) () =
+let send_binding_update t ~correspondent () =
   match t.loc with
   | At_home -> false
   | Away { care_of; _ } ->
@@ -538,7 +528,7 @@ let send_binding_update t ~correspondent ?(lifetime = 300) () =
         t.advertised <- correspondent :: t.advertised;
       let icmp = Transport.Icmp_service.get t.mh_node in
       Transport.Icmp_service.send_care_of_advert icmp ~src:care_of
-        ~dst:correspondent ~home:t.home ~care_of ~lifetime;
+        ~dst:correspondent ~home:t.home ~care_of ~lifetime:300;
       true
 
 let wire_tcp_feedback t =
@@ -566,8 +556,7 @@ let set_selector t sel =
 
 let create mh_node ~iface ~home ~home_prefix ~home_agent
     ?(auth_key = "secret") ?(encap = Encap.Ipip) ?(lifetime = 300)
-    ?(retry_base = 1.0) ?(retry_cap = 8.0) ?(retry_limit = 6)
-    ?(retry_seed = 0x2b5d) () =
+    ?(retry_base = 1.0) ?(retry_cap = 8.0) ?(retry_limit = 6) () =
   if retry_base <= 0.0 || retry_cap < retry_base then
     invalid_arg "Mobile_host.create: need 0 < retry_base <= retry_cap";
   if retry_limit < 1 then
@@ -609,7 +598,7 @@ let create mh_node ~iface ~home ~home_prefix ~home_agent
       retry_base;
       retry_cap;
       retry_limit;
-      retry_lcg = retry_seed land 0x3fffffff;
+      retry_lcg = 0x2b5d;
       advertised = [];
       fa_mode = false;
       home_gateway;

@@ -42,7 +42,6 @@ val create :
   ?retry_base:float ->
   ?retry_cap:float ->
   ?retry_limit:int ->
-  ?retry_seed:int ->
   unit ->
   t
 (** Wrap a node (assumed currently attached to its home network with
@@ -57,8 +56,8 @@ val create :
     transmissions the registration fails: the host marks itself
     unregistered, reports failure to the movement callback, and withdraws
     any binding updates it sent by advertising a zero lifetime to those
-    correspondents.  Defaults: base 1 s, cap 8 s, 6 transmissions, seed
-    [0x2b5d].
+    correspondents.  Defaults: base 1 s, cap 8 s, 6 transmissions.  The
+    jitter generator's seed is [0x2b5d].
     @raise Invalid_argument unless [0 < retry_base <= retry_cap] and
     [retry_limit >= 1]. *)
 
@@ -69,9 +68,7 @@ val retry_delay : t -> int -> float
 
 val node : t -> Netsim.Net.node
 val home_address : t -> Netsim.Ipv4_addr.t
-val home_agent_address : t -> Netsim.Ipv4_addr.t
 val care_of_address : t -> Netsim.Ipv4_addr.t option
-val location : t -> location
 val at_home : t -> bool
 val registered : t -> bool
 
@@ -96,13 +93,6 @@ val move_to_dhcp :
   t -> Netsim.Net.segment -> ?on_registered:(bool -> unit) -> unit -> unit
 (** Like {!move_to_static} but the care-of address, prefix and gateway come
     from a DHCP exchange on the visited segment. *)
-
-val attach_here_via_dhcp :
-  t -> ?on_registered:(bool -> unit) -> unit -> unit
-(** Acquire a care-of address and register on whatever segment the
-    interface is {e currently} attached to — the second half of
-    {!move_to_dhcp}, for callers (like {!enable_auto_attach}) that learn
-    about attachment after the fact. *)
 
 val enable_auto_attach : t -> unit
 (** Eager movement detection: listen for agent advertisements
@@ -134,8 +124,7 @@ val move_to_foreign_agent :
 
 val via_foreign_agent : t -> bool
 
-val return_home :
-  t -> Netsim.Net.segment -> ?on_deregistered:(bool -> unit) -> unit -> unit
+val return_home : t -> Netsim.Net.segment -> unit -> unit
 (** Reattach to the home segment with the home address, broadcast a
     gratuitous ARP to reclaim traffic from the home agent, and deregister
     (a registration with lifetime zero). *)
@@ -156,15 +145,11 @@ val enable_keepalive : t -> ?margin:float -> ?max_renewals:int -> unit -> unit
     backoff schedule, spending renewal budget, until the agent answers or
     the budget runs out. *)
 
-val disable_keepalive : t -> unit
-
 (** {1 Method selection} *)
 
 val set_default_method : t -> Grid.out_method -> unit
 (** Method used when nothing more specific decides (initial default:
     [Out_IE], the only method that always works). *)
-
-val default_method : t -> Grid.out_method
 
 val pin_method : t -> dst:Netsim.Ipv4_addr.t -> Grid.out_method option -> unit
 (** Force (or clear) the method for one destination — the per-destination
@@ -197,7 +182,6 @@ val set_degradation : t -> Grid.out_method option -> unit
     @raise Invalid_argument for [Out_IE]/[Out_DE]: encapsulating methods
     need exactly the infrastructure whose loss triggers degradation. *)
 
-val degradation : t -> Grid.out_method option
 val degraded : t -> bool
 (** Whether the degradation fallback is currently in force (a registration
     failed for good and none has succeeded since). *)
@@ -213,7 +197,6 @@ val http_dns_heuristic : heuristic
 (** The paper's example: TCP to port 80, or UDP to port 53. *)
 
 val set_heuristics : t -> heuristic list -> unit
-val heuristics : t -> heuristic list
 
 val choose_source :
   t -> ?tcp_port:int -> unit -> Netsim.Ipv4_addr.t
@@ -224,14 +207,14 @@ val choose_source :
     address. *)
 
 val send_binding_update :
-  t -> correspondent:Netsim.Ipv4_addr.t -> ?lifetime:int -> unit -> bool
+  t -> correspondent:Netsim.Ipv4_addr.t -> unit -> bool
 (** Route optimization in the style the paper cites as [Joh96]: the mobile
     host itself tells a (mobile-aware) correspondent its current care-of
     address, without waiting for the home agent's ICMP advertisement.  The
     update is the same ICMP care-of-advertisement message, sent Out-DT
     (from the care-of address — it must be deliverable even under source
-    filtering).  Returns false when at home (nothing to advertise).
-    Default lifetime 300 s. *)
+    filtering), with a 300 s lifetime.  Returns false when at home (nothing
+    to advertise). *)
 
 (** {1 Statistics} *)
 
@@ -249,7 +232,3 @@ val registration_failures : t -> int
 val last_registration_failure : t -> float option
 (** Simulation time of the most recent abandonment — raw material for the
     invariant oracle's withdrawal check. *)
-
-val advertised_correspondents : t -> Netsim.Ipv4_addr.t list
-(** Correspondents this host has sent a binding update to (the set a
-    failed registration withdraws from), oldest first. *)

@@ -3,15 +3,8 @@ open Netsim
 let join_via_home ha mh ~group =
   Home_agent.subscribe_multicast ha ~group ~home:(Mobile_host.home_address mh)
 
-let leave_via_home ha mh ~group =
-  Home_agent.unsubscribe_multicast ha ~group
-    ~home:(Mobile_host.home_address mh)
-
 let join_locally mh ~iface ~group =
   Net.join_group (Mobile_host.node mh) iface group
-
-let leave_locally mh ~iface ~group =
-  Net.leave_group (Mobile_host.node mh) iface group
 
 let send_stream node ~via ~group ~port ~count ~interval ~payload_size () =
   if not (Ipv4_addr.is_multicast group) then

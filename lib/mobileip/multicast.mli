@@ -23,13 +23,7 @@ val join_via_home :
 (** Subscribe through the "virtual interface on the distant home network".
     @raise Invalid_argument if [group] is not multicast. *)
 
-val leave_via_home :
-  Home_agent.t -> Mobile_host.t -> group:Netsim.Ipv4_addr.t -> unit
-
 val join_locally :
-  Mobile_host.t -> iface:Netsim.Net.iface -> group:Netsim.Ipv4_addr.t -> unit
-
-val leave_locally :
   Mobile_host.t -> iface:Netsim.Net.iface -> group:Netsim.Ipv4_addr.t -> unit
 
 val send_stream :

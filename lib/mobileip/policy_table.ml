@@ -30,13 +30,6 @@ let mode_for t addr =
 
 let rules t = t.entries
 
-let pp fmt t =
-  List.iter
-    (fun (p, m) ->
-      Format.fprintf fmt "%a -> %a@." Ipv4_addr.Prefix.pp p pp_mode m)
-    t.entries;
-  Format.fprintf fmt "default -> %a@." pp_mode t.default
-
 let mode_of_string = function
   | "optimistic" -> Some Optimistic
   | "pessimistic" -> Some Pessimistic

@@ -26,8 +26,6 @@ val mode_for : t -> Netsim.Ipv4_addr.t -> mode
 val rules : t -> (Netsim.Ipv4_addr.Prefix.t * mode) list
 (** Most specific first. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse a user configuration, one rule per line, "specified similarly to
     the way routing table entries are currently specified" (§7.1.2):

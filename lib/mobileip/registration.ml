@@ -146,13 +146,3 @@ let decode_reply ~key buf =
               r_sequence = get_u16 buf 11;
               r_code;
             }
-
-let pp_request fmt r =
-  Format.fprintf fmt "reg-request home=%a ha=%a coa=%a life=%ds seq=%d"
-    Ipv4_addr.pp r.home Ipv4_addr.pp r.home_agent Ipv4_addr.pp r.care_of
-    r.lifetime r.sequence
-
-let pp_reply fmt r =
-  Format.fprintf fmt "reg-reply home=%a coa=%a life=%ds seq=%d %a" Ipv4_addr.pp
-    r.r_home Ipv4_addr.pp r.r_care_of r.r_lifetime r.r_sequence
-    Types.pp_reg_code r.r_code

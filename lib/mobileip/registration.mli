@@ -53,6 +53,3 @@ val peek_reply_home : Bytes.t -> Netsim.Ipv4_addr.t option
 
 val encode_reply : key:string -> reply -> Bytes.t
 val decode_reply : key:string -> Bytes.t -> (reply, string) result
-
-val pp_request : Format.formatter -> request -> unit
-val pp_reply : Format.formatter -> reply -> unit

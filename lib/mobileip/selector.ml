@@ -5,13 +5,6 @@ type strategy =
   | Aggressive_first
   | Rule_based of Policy_table.t
 
-let pp_strategy fmt s =
-  Format.pp_print_string fmt
-    (match s with
-    | Conservative_first -> "conservative-first"
-    | Aggressive_first -> "aggressive-first"
-    | Rule_based _ -> "rule-based")
-
 type event = Original_received | Retransmission_detected | Icmp_error
 
 (* The ladder, least to most aggressive.  Out-IE is the floor: it is the
@@ -60,8 +53,6 @@ let create ?(escalate_after = 4) ?(fallback_after = 2)
     tick = 0;
     table = Hashtbl.create 16;
   }
-
-let strategy t = t.strat
 
 let initial_state t dst =
   match t.strat with

@@ -25,8 +25,6 @@ type strategy =
   | Aggressive_first
   | Rule_based of Policy_table.t
 
-val pp_strategy : Format.formatter -> strategy -> unit
-
 type event =
   | Original_received
       (** an original (non-retransmitted) packet arrived from the peer:
@@ -53,8 +51,6 @@ val create :
     [max_destinations] (default 1024) caps the per-destination table:
     beyond it the least recently used destination is evicted and, if seen
     again, restarts from the strategy's initial method. *)
-
-val strategy : t -> strategy
 
 val method_for : t -> Netsim.Ipv4_addr.t -> Grid.out_method
 (** Current selection for the destination (per-destination state is created

@@ -9,10 +9,6 @@ type binding = {
 let binding_expires_at b = b.registered_at +. b.lifetime
 let binding_valid ~now b = now < binding_expires_at b
 
-let pp_binding fmt b =
-  Format.fprintf fmt "%a@%a life=%.0fs seq=%d" Netsim.Ipv4_addr.pp b.home
-    Netsim.Ipv4_addr.pp b.care_of b.lifetime b.sequence
-
 type reg_code = Reg_accepted | Reg_denied_auth | Reg_denied_stale
 
 let reg_code_to_int = function
@@ -25,10 +21,3 @@ let reg_code_of_int = function
   | 1 -> Some Reg_denied_auth
   | 2 -> Some Reg_denied_stale
   | _ -> None
-
-let pp_reg_code fmt c =
-  Format.pp_print_string fmt
-    (match c with
-    | Reg_accepted -> "accepted"
-    | Reg_denied_auth -> "denied-authentication"
-    | Reg_denied_stale -> "denied-stale-sequence")

@@ -10,7 +10,6 @@ type binding = {
 
 val binding_valid : now:float -> binding -> bool
 val binding_expires_at : binding -> float
-val pp_binding : Format.formatter -> binding -> unit
 
 (** Result codes carried in registration replies. *)
 type reg_code =
@@ -20,4 +19,3 @@ type reg_code =
 
 val reg_code_to_int : reg_code -> int
 val reg_code_of_int : int -> reg_code option
-val pp_reg_code : Format.formatter -> reg_code -> unit

@@ -45,10 +45,6 @@ let find t key =
   let i = probe t key (slot t key) in
   if Array.unsafe_get t.keys i = key then Array.unsafe_get t.vals i else None
 
-let mem t key =
-  let i = probe t key (slot t key) in
-  Array.unsafe_get t.keys i = key
-
 let grow t =
   let old_keys = t.keys and old_vals = t.vals in
   let cap = 2 * Array.length old_keys in
@@ -120,15 +116,3 @@ let reset t =
     Array.fill t.vals 0 (Array.length t.vals) None;
     t.size <- 0
   end
-
-let iter f t =
-  Array.iteri
-    (fun i k ->
-      if k <> empty_key then
-        match t.vals.(i) with Some v -> f k v | None -> ())
-    t.keys
-
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun k v -> acc := f k v !acc) t;
-  !acc

@@ -20,10 +20,7 @@ val of_addr : Ipv4_addr.t -> int
 (** The key an address maps to: its 32-bit unsigned int image. *)
 
 val find : 'a t -> int -> 'a option
-val mem : 'a t -> int -> bool
 val replace : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
 val reset : 'a t -> unit
 val length : 'a t -> int
-val iter : (int -> 'a -> unit) -> 'a t -> unit
-val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b

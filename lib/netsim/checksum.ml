@@ -50,18 +50,6 @@ let finish sum = lnot (fold_carries sum) land 0xffff
 let compute buf = finish (ones_complement_sum buf 0 (Bytes.length buf))
 let compute_sub buf off len = finish (ones_complement_sum buf off len)
 
-(* RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m') — update a checksum for the
-   rewrite of one 16-bit header word without touching the other words. *)
-let incremental_update ~checksum ~old_word ~new_word =
-  if checksum land 0xffff <> checksum then
-    invalid_arg "Checksum.incremental_update: checksum out of range";
-  if old_word land 0xffff <> old_word || new_word land 0xffff <> new_word then
-    invalid_arg "Checksum.incremental_update: word out of range";
-  lnot
-    (fold_carries
-       ((lnot checksum land 0xffff) + (lnot old_word land 0xffff) + new_word))
-  land 0xffff
-
 let pseudo_header_sum ~src ~dst ~protocol ~length =
   let word32 a =
     let x = Ipv4_addr.to_int32 a in

@@ -1,5 +1,4 @@
-(** The Internet checksum (RFC 1071), with word-at-a-time summing and
-    RFC 1624 incremental updates.
+(** The Internet checksum (RFC 1071), with word-at-a-time summing.
 
     Used by the IPv4 header ({!Ipv4_packet}), ICMP ({!Icmp_wire}) and, with a
     pseudo-header, by UDP and TCP ({!Udp_wire}, {!Tcp_wire}). *)
@@ -23,15 +22,6 @@ val compute : Bytes.t -> int
 
 val compute_sub : Bytes.t -> int -> int -> int
 (** Checksum of a sub-range of a buffer. *)
-
-val incremental_update : checksum:int -> old_word:int -> new_word:int -> int
-(** [incremental_update ~checksum ~old_word ~new_word] is the checksum of
-    a buffer after one aligned 16-bit word changes from [old_word] to
-    [new_word], given the buffer's previous [checksum] — RFC 1624's
-    [HC' = ~(~HC + ~m + m')], which routers use to rewrite the header
-    checksum on a TTL decrement without re-summing the header.  All three
-    arguments must be 16-bit values.
-    @raise Invalid_argument otherwise. *)
 
 val pseudo_header_sum :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:int -> length:int -> int

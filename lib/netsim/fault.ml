@@ -14,7 +14,6 @@ type stats = {
 
 type t = {
   net : Net.t;
-  plan_seed : int;
   mutable lcg : int;
   mutable down_links : string list;
   mutable partitions : (string list * string list) list;
@@ -26,8 +25,6 @@ type t = {
   mutable duplicated : int;
   mutable delayed : int;
 }
-
-let seed t = t.plan_seed
 
 let stats t =
   {
@@ -82,7 +79,6 @@ let attach ?(seed = 0xfa17) net =
   let t =
     {
       net;
-      plan_seed = seed;
       lcg = seed land 0x3fffffff;
       down_links = [];
       partitions = [];
@@ -341,22 +337,3 @@ let plan_of_json j =
 
 let plan_of_string s =
   match Json.of_string s with Error e -> Error e | Ok j -> plan_of_json j
-
-let pp_event fmt = function
-  | Flap { link; down; up } ->
-      Format.fprintf fmt "flap %s %.3g-%.3gs" link down up
-  | Partition { from_; until; a; b } ->
-      Format.fprintf fmt "partition {%s}|{%s} %.3g-%.3gs" (String.concat "," a)
-        (String.concat "," b) from_ until
-  | Latency_spike { link; from_; until; extra } ->
-      Format.fprintf fmt "latency-spike %s +%.3gs %.3g-%.3gs" link extra from_
-        until
-  | Duplicate { from_; until; rate } ->
-      Format.fprintf fmt "duplicate %.0f%% %.3g-%.3gs" (rate *. 100.0) from_
-        until
-  | Reorder { from_; until; rate; max_extra } ->
-      Format.fprintf fmt "reorder %.0f%% <=%.3gs %.3g-%.3gs" (rate *. 100.0)
-        max_extra from_ until
-  | Action { at_; kind; arg } ->
-      if arg = "" then Format.fprintf fmt "%s @%.3gs" kind at_
-      else Format.fprintf fmt "%s(%s) @%.3gs" kind arg at_

@@ -24,8 +24,6 @@ val detach : t -> unit
 (** Remove the plan's hook; scheduled window transitions still fire but no
     longer affect delivery. *)
 
-val seed : t -> int
-
 (** {1 Scripted faults}
 
     All times are absolute simulation times.  A time at or before "now"
@@ -35,11 +33,9 @@ val link_down : t -> at:float -> link:string -> unit
 (** Take a link (segment name or point-to-point link name) down: every
     frame copy on it is dropped with reason [Link_flap]. *)
 
-val link_up : t -> at:float -> link:string -> unit
-
 val flap : t -> link:string -> down:float -> up:float -> unit
-(** [flap t ~link ~down ~up] = [link_down] at [down] plus [link_up] at
-    [up].  @raise Invalid_argument if [up <= down]. *)
+(** [flap t ~link ~down ~up] = [link_down] at [down], and the link back
+    up at [up].  @raise Invalid_argument if [up <= down]. *)
 
 val partition :
   t -> from_:float -> until:float -> a:string list -> b:string list -> unit
@@ -112,16 +108,12 @@ val apply :
     @raise Invalid_argument on an ill-formed event (empty window, bad
     rate...), like the imperative API. *)
 
-val json_of_event : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
-
 val plan_to_json : plan -> Json.t
 (** Round-trips: [plan_of_json (plan_to_json p) = Ok p]. *)
 
 val plan_of_json : Json.t -> (plan, string) result
 val plan_to_string : plan -> string
 val plan_of_string : string -> (plan, string) result
-val pp_event : Format.formatter -> event -> unit
 
 (** {1 Statistics} *)
 

@@ -8,7 +8,7 @@ type matcher = {
   protocols : Ipv4_packet.protocol list;  (* empty = any *)
 }
 
-type rule = { matcher : matcher; verdict : verdict; label : string }
+type rule = { matcher : matcher; verdict : verdict }
 
 let any_matcher =
   { in_iface = None; src_in = []; src_outside = []; dst_in = None; protocols = [] }
@@ -23,13 +23,10 @@ let matches m ~in_iface (pkt : Ipv4_packet.t) =
      | Some p -> Ipv4_addr.Prefix.mem pkt.dst p)
   && (m.protocols = [] || List.mem pkt.protocol m.protocols)
 
-let rule_to_string r = r.label
-
 let ingress_source_filter ~external_iface ~inside =
   {
     matcher = { any_matcher with in_iface = Some external_iface; src_in = inside };
     verdict = Reject Trace.Ingress_filter;
-    label = Printf.sprintf "ingress-source-filter on %s" external_iface;
   }
 
 let no_transit ~internal_iface ~inside =
@@ -37,7 +34,6 @@ let no_transit ~internal_iface ~inside =
     matcher =
       { any_matcher with in_iface = Some internal_iface; src_outside = inside };
     verdict = Reject Trace.Transit_filter;
-    label = Printf.sprintf "no-transit on %s" internal_iface;
   }
 
 let firewall_allow_tunnel_to ~external_iface ~home_agent =
@@ -50,17 +46,15 @@ let firewall_allow_tunnel_to ~external_iface ~home_agent =
         protocols = Ipv4_packet.[ P_ipip; P_gre; P_minimal ];
       };
     verdict = Pass;
-    label = "firewall: allow tunnels to home agent";
   }
 
 let firewall_block_external ~external_iface ~name =
   {
     matcher = { any_matcher with in_iface = Some external_iface };
     verdict = Reject (Trace.Firewall name);
-    label = Printf.sprintf "firewall: block external (%s)" name;
   }
 
-let general ?in_iface ?src_in ?dst_in ?protocol verdict label =
+let general ?in_iface ?src_in ?dst_in ?protocol verdict =
   {
     matcher =
       {
@@ -71,14 +65,12 @@ let general ?in_iface ?src_in ?dst_in ?protocol verdict label =
         protocols = Option.to_list protocol;
       };
     verdict;
-    label;
   }
 
 let allow ?in_iface ?src_in ?dst_in ?protocol () =
-  general ?in_iface ?src_in ?dst_in ?protocol Pass "allow"
+  general ?in_iface ?src_in ?dst_in ?protocol Pass
 
-let deny ?in_iface ?src_in ?dst_in ?protocol ~reason () =
-  general ?in_iface ?src_in ?dst_in ?protocol (Reject reason) "deny"
+let deny ?in_iface ~reason () = general ?in_iface (Reject reason)
 
 type policy = { rules : rule list; default : verdict }
 
@@ -96,10 +88,3 @@ let rec first_verdict ~in_iface pkt default = function
 
 let evaluate policy ~in_iface pkt =
   first_verdict ~in_iface pkt policy.default policy.rules
-
-let rules p = p.rules
-
-let pp fmt p =
-  List.iter (fun r -> Format.fprintf fmt "%s@." r.label) p.rules;
-  Format.fprintf fmt "default: %s@."
-    (match p.default with Pass -> "pass" | Reject _ -> "reject")

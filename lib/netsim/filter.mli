@@ -23,8 +23,6 @@ type verdict = Pass | Reject of Trace.drop_reason
 
 type rule
 
-val rule_to_string : rule -> string
-
 (** {1 Rule constructors} *)
 
 val ingress_source_filter :
@@ -56,14 +54,9 @@ val allow :
   rule
 (** A general accept rule; unspecified fields match anything. *)
 
-val deny :
-  ?in_iface:string ->
-  ?src_in:Ipv4_addr.Prefix.t ->
-  ?dst_in:Ipv4_addr.Prefix.t ->
-  ?protocol:Ipv4_packet.protocol ->
-  reason:Trace.drop_reason ->
-  unit ->
-  rule
+val deny : ?in_iface:string -> reason:Trace.drop_reason -> unit -> rule
+(** A general reject rule: everything arriving on [in_iface] (default:
+    any interface). *)
 
 (** {1 Policies} *)
 
@@ -76,5 +69,3 @@ val of_rules : rule list -> policy
 val of_rules_default_deny : reason:Trace.drop_reason -> rule list -> policy
 
 val evaluate : policy -> in_iface:string -> Ipv4_packet.t -> verdict
-val rules : policy -> rule list
-val pp : Format.formatter -> policy -> unit

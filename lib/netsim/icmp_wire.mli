@@ -27,9 +27,6 @@ type t =
       lifetime : int;  (** seconds; 0 revokes the binding *)
     }
 
-val care_of_advert_type : int
-(** The ICMP type number (40) used for the care-of advertisement. *)
-
 val quote_context : Bytes.t -> Bytes.t
 (** [quote_context wire] extracts the RFC 792 error context from an encoded
     IPv4 datagram: the IP header (per its IHL field) plus the first 8 bytes
@@ -46,4 +43,3 @@ val encode : t -> Bytes.t
 val decode : Bytes.t -> (t, string) result
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_unreach_code : Format.formatter -> unreach_code -> unit

@@ -1,12 +1,10 @@
 (* The online invariant oracle: named checks evaluated while a simulation
    runs, with every violation recorded against the simulation clock.
 
-   Three check styles cover the properties the chaos harness needs:
+   Two check styles cover the properties the chaos harness needs:
 
    - polled checks run on a bounded periodic engine event (state that must
      always hold: binding lifetimes, proxy-ARP hygiene);
-   - watches run on every trace record via the per-trace observer
-     (per-packet properties);
    - final checks run once at [finish] (eventual properties: recovery
      after the last fault).
 
@@ -25,12 +23,9 @@ type t = {
   net : Net.t;
   mutable polled : check list;  (* reverse registration order *)
   mutable finals : check list;
-  mutable watches : (string * (Trace.record -> string option)) list;
-  mutable rev_violations : violation list;
-  counts : (string, int) Hashtbl.t;  (* name -> times observed *)
+  mutable rev_violations : violation list;  (* one per violated name *)
   mutable checks_run : int;
-  mutable generation : int;  (* bumps on stop/finish: stale ticks die *)
-  mutable obs_handle : Trace.observer option;
+  mutable generation : int;  (* bumps on finish: stale ticks die *)
   mutable on_violation : (violation -> unit) option;
 }
 
@@ -39,24 +34,19 @@ let create net =
     net;
     polled = [];
     finals = [];
-    watches = [];
     rev_violations = [];
-    counts = Hashtbl.create 8;
     checks_run = 0;
     generation = 0;
-    obs_handle = None;
     on_violation = None;
   }
 
-let net t = t.net
 let set_on_violation t f = t.on_violation <- f
 
+(* Keep the first violation of each invariant: a persistently-broken
+   condition is one finding, not a flood. *)
 let record_violation t ~time ~name ~detail =
-  let n = Option.value (Hashtbl.find_opt t.counts name) ~default:0 in
-  Hashtbl.replace t.counts name (n + 1);
-  (* Keep the first violation of each invariant: a persistently-broken
-     condition is one finding, not a flood. *)
-  if n = 0 then begin
+  if not (List.exists (fun v -> String.equal v.name name) t.rev_violations)
+  then begin
     let v = { name; time; detail } in
     t.rev_violations <- v :: t.rev_violations;
     match t.on_violation with Some f -> f v | None -> ()
@@ -64,23 +54,6 @@ let record_violation t ~time ~name ~detail =
 
 let add_check t ~name run = t.polled <- { c_name = name; c_run = run } :: t.polled
 let add_final t ~name run = t.finals <- { c_name = name; c_run = run } :: t.finals
-
-let install_observer t =
-  if t.obs_handle = None then
-    t.obs_handle <-
-      Some
-        (Trace.add_observer (Net.trace t.net) (fun r ->
-             List.iter
-               (fun (name, w) ->
-                 match w r with
-                 | Some detail ->
-                     record_violation t ~time:r.Trace.time ~name ~detail
-                 | None -> ())
-               t.watches))
-
-let add_watch t ~name w =
-  t.watches <- t.watches @ [ (name, w) ];
-  install_observer t
 
 let run_checks t checks =
   let now = Net.now t.net in
@@ -95,7 +68,8 @@ let run_checks t checks =
 let check_now t = run_checks t t.polled
 
 let start t ?(interval = 1.0) ?(ticks = 60) () =
-  if interval <= 0.0 then invalid_arg "Invariant.start: interval must be positive";
+  if not (interval > 0.0) then
+    invalid_arg "Invariant.start: interval must be positive";
   let eng = Net.engine t.net in
   let generation = t.generation in
   let rec tick remaining =
@@ -112,18 +86,9 @@ let start t ?(interval = 1.0) ?(ticks = 60) () =
 let finish t =
   check_now t;
   run_checks t t.finals;
-  t.generation <- t.generation + 1;
-  match t.obs_handle with
-  | Some h ->
-      t.obs_handle <- None;
-      Trace.remove_observer (Net.trace t.net) h
-  | None -> ()
+  t.generation <- t.generation + 1
 
 let violations t = List.rev t.rev_violations
 let violated t = t.rev_violations <> []
 
-let names t =
-  List.sort_uniq compare (List.map (fun v -> v.name) (violations t))
-
-let count t name = Option.value (Hashtbl.find_opt t.counts name) ~default:0
 let checks_run t = t.checks_run

@@ -50,7 +50,6 @@ let compare (a : t) (b : t) =
   Int32.unsigned_compare a b
 
 let equal (a : t) (b : t) = Int32.equal a b
-let hash (x : t) = Hashtbl.hash x
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 let any = 0l
 let broadcast = 0xffffffffl
@@ -117,6 +116,5 @@ module Prefix = struct
     | c -> c
 
   let equal a b = compare a b = 0
-  let pp fmt p = Format.pp_print_string fmt (to_string p)
   let global = { network = 0l; bits = 0 }
 end

@@ -34,7 +34,6 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val any : t
@@ -92,9 +91,7 @@ module Prefix : sig
   val broadcast_addr : t -> addr
   (** Directed broadcast address of the prefix. *)
 
-  val compare : t -> t -> int
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 
   val global : t
   (** [0.0.0.0/0], matching every address. *)

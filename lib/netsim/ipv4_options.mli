@@ -14,9 +14,6 @@
     address), then the route's addresses; the whole option is padded with
     a No-Operation byte to a multiple of four. *)
 
-val lsr_type : int
-(** 131. *)
-
 val build_lsr : via:Ipv4_addr.t list -> Bytes.t
 (** An LSR option whose remaining route is [via] (the packet's initial
     destination should be the first element; the final destination is the

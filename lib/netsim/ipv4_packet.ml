@@ -64,15 +64,6 @@ let minimal_overhead = 12
 let gre_header_length = 4
 let min_encap_header_length = 12
 
-let protocol_for_payload = function
-  | Raw _ -> P_other 253
-  | Udp _ -> P_udp
-  | Tcp _ -> P_tcp
-  | Icmp _ -> P_icmp
-  | Encap _ -> P_ipip
-  | Gre_encap _ -> P_gre
-  | Min_encap _ -> P_minimal
-
 let make ?(tos = 0) ?(ident = 0) ?(dont_fragment = false) ?(ttl = 64)
     ?(options = Bytes.empty) ~protocol ~src ~dst payload =
   let check name v limit =
@@ -212,16 +203,6 @@ let header_checksum t =
     i := !i + 2
   done;
   Checksum.finish !sum
-
-(* RFC 1624: a TTL decrement rewrites only the TTL/protocol word, so the
-   header checksum of the decremented packet follows from the old one
-   without re-summing the header.  [checksum] must be [header_checksum]
-   of [t] *before* the decrement. *)
-let decrement_ttl_checksum ~checksum t =
-  let proto = protocol_to_int t.protocol in
-  Checksum.incremental_update ~checksum
-    ~old_word:((t.ttl lsl 8) lor proto)
-    ~new_word:(((t.ttl - 1) lsl 8) lor proto)
 
 let is_fragment t = t.more_fragments || t.frag_offset > 0
 

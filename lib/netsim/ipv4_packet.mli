@@ -53,9 +53,6 @@ and payload =
           and destination are carried; other inner header fields are taken
           from the outer header on decode. *)
 
-val min_header_length : int
-(** 20 — an IPv4 header with no options. *)
-
 val ipip_overhead : int
 (** 20 — the encapsulation overhead the paper quotes (§3.3). *)
 
@@ -80,10 +77,6 @@ val make :
     [dont_fragment=false], [ttl=64], no options.
     @raise Invalid_argument on out-of-range fields or options whose length
     is not a multiple of 4. *)
-
-val protocol_for_payload : payload -> protocol
-(** The protocol number implied by a structured payload ([P_udp] for [Udp]
-    etc.).  [Raw] maps to [P_other 253] (RFC 3692 experimental). *)
 
 val header_length : t -> int
 val payload_byte_length : payload -> int
@@ -115,13 +108,6 @@ val header_checksum : t -> int
 (** The header checksum [encode] would emit for this packet, computed
     field-wise without serialising — equal to the 16-bit value at offset
     10 of [encode t]. *)
-
-val decrement_ttl_checksum : checksum:int -> t -> int
-(** [decrement_ttl_checksum ~checksum t] is [header_checksum] of [t] with
-    its TTL one lower, derived from [checksum] (the pre-decrement header
-    checksum) by RFC 1624 incremental update — the forwarding fast path,
-    no per-field re-summing.
-    @raise Invalid_argument if [checksum] is not a 16-bit value. *)
 
 val is_fragment : t -> bool
 

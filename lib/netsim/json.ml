@@ -76,8 +76,6 @@ let to_string j =
   to_buffer buf j;
   Buffer.contents buf
 
-let pp fmt j = Format.pp_print_string fmt (to_string j)
-
 (* ---------- parsing ---------- *)
 
 exception Parse_error of string
@@ -294,5 +292,4 @@ let get_float = function
   | _ -> None
 
 let get_string = function String s -> Some s | _ -> None
-let get_bool = function Bool b -> Some b | _ -> None
 let get_list = function List l -> Some l | _ -> None

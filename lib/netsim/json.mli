@@ -23,8 +23,6 @@ type t =
 val to_string : t -> string
 (** Compact one-line rendering (no spaces — suitable for JSONL). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse a single JSON value; trailing garbage is an error. *)
 
@@ -40,6 +38,4 @@ val get_float : t -> float option
 (** [Float] or [Int]. *)
 
 val get_string : t -> string option
-val get_bool : t -> bool option
 val get_list : t -> t list option
-val pp : Format.formatter -> t -> unit

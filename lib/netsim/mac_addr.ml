@@ -33,9 +33,6 @@ let to_string x =
 let broadcast = limit - 1
 let is_broadcast x = x = broadcast
 let equal = Int.equal
-let compare = Int.compare
-let hash = Hashtbl.hash
-let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let counter = ref 0
 

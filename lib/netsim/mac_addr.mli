@@ -24,9 +24,6 @@ val to_string : t -> string
 val broadcast : t
 val is_broadcast : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
-val pp : Format.formatter -> t -> unit
 
 val fresh : unit -> t
 (** A generator of distinct locally-administered unicast addresses. *)

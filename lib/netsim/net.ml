@@ -23,7 +23,6 @@ type t = {
    seeded LCG jitter so error emission is deterministic yet a packet storm
    cannot amplify into a synchronized error storm. *)
 and icmp_errors = {
-  err_min_interval : float;
   mutable err_lcg : int;
   mutable errors_sent : int;
   err_recent : (string * Ipv4_addr.t, float) Hashtbl.t;
@@ -47,7 +46,6 @@ and node = {
   arp_cache : Mac_addr.t Addr_map.t;
   arp_pending : pending Addr_map.t;
   reasm : Fragment.Reassembly.t;
-  mutable option_penalty : float;
   mutable locals : local list;
       (* Per-node services (UDP, TCP, ICMP), so each lives and dies with
          its world. *)
@@ -80,7 +78,6 @@ and segment = {
   seg_latency : float;
   seg_bandwidth : float option;
   seg_lane : Engine.lane option;
-  seg_mtu : int;
   seg_loss : loss_gen option;
   mutable members : iface list;
 }
@@ -171,23 +168,9 @@ let create () =
 
 let set_fault_hook t f = t.fault_hook <- f
 
-let enable_error_signaling ?(min_interval = 1.0) ?(seed = 0x1c3e) t =
-  if min_interval < 0.0 then
-    invalid_arg "Net: error-signaling min_interval must be >= 0";
-  let errors_sent =
-    match t.icmp_errors with Some c -> c.errors_sent | None -> 0
-  in
+let enable_error_signaling t =
   t.icmp_errors <-
-    Some
-      {
-        err_min_interval = min_interval;
-        err_lcg = seed land 0x3fffffff;
-        errors_sent;
-        err_recent = Hashtbl.create 32;
-      }
-
-let disable_error_signaling t = t.icmp_errors <- None
-let error_signaling t = t.icmp_errors <> None
+    Some { err_lcg = 0x1c3e; errors_sent = 0; err_recent = Hashtbl.create 32 }
 
 let icmp_errors_sent t =
   match t.icmp_errors with None -> 0 | Some c -> c.errors_sent
@@ -219,7 +202,6 @@ let add_node t name router =
       arp_cache = Addr_map.create ();
       arp_pending = Addr_map.create ();
       reasm = Fragment.Reassembly.create ();
-      option_penalty = (if router then 0.001 else 0.0);
       locals = [];
     }
   in
@@ -251,18 +233,19 @@ let add_host t name = add_node t name false
 let add_router t name = add_node t name true
 let find_node t name = Hashtbl.find_opt t.names name
 let node_name n = n.name
-let is_router n = n.router
 let nodes t = List.rev t.all_nodes
-let node_net n = n.net
 let node_engine n = n.net.engine
 let node_now n = Engine.now n.net.engine
 
+(* NaN fails the first test: it would otherwise read as "no loss". *)
 let make_loss_gen ?loss ?(loss_seed = 0x5eed) () =
   match loss with
-  | Some rate when rate > 0.0 ->
-      if rate >= 1.0 then invalid_arg "Net: loss rate must be < 1.0";
-      Some { rate; lcg = loss_seed land 0x3fffffff }
-  | Some _ | None -> None
+  | Some rate ->
+      if not (rate < 1.0) then invalid_arg "Net: loss rate must be < 1.0";
+      if rate < 0.0 then invalid_arg "Net: loss rate must be >= 0";
+      if rate > 0.0 then Some { rate; lcg = loss_seed land 0x3fffffff }
+      else None
+  | None -> None
 
 let loss_roll = function
   | None -> false
@@ -287,8 +270,9 @@ let link_lane t ~link ~latency ~bandwidth =
              bps);
       None
 
-let add_segment t ~name ?(latency = 0.0005) ?bandwidth ?(mtu = 1500) ?loss
-    ?loss_seed () =
+let ethernet_mtu = 1500
+
+let add_segment t ~name ?(latency = 0.0005) ?bandwidth ?loss ?loss_seed () =
   let loss = make_loss_gen ?loss ?loss_seed () in
   let lane = link_lane t ~link:name ~latency ~bandwidth in
   {
@@ -296,13 +280,9 @@ let add_segment t ~name ?(latency = 0.0005) ?bandwidth ?(mtu = 1500) ?loss
     seg_latency = latency;
     seg_bandwidth = bandwidth;
     seg_lane = lane;
-    seg_mtu = mtu;
     seg_loss = loss;
     members = [];
   }
-
-let segment_name s = s.seg_name
-let segment_mtu s = s.seg_mtu
 
 let check_fresh_iface node ifname =
   if List.exists (fun i -> i.ifname = ifname) node.node_ifaces then
@@ -322,7 +302,7 @@ let attach node segment ~ifname ~addr ~prefix =
       addr;
       prefix;
       bcast = Ipv4_addr.Prefix.broadcast_addr prefix;
-      mtu = segment.seg_mtu;
+      mtu = ethernet_mtu;
       attachment = Seg segment;
       up = true;
       proxy = [];
@@ -380,13 +360,9 @@ let p2p t ?(latency = 0.010) ?bandwidth ?(mtu = 1500) ?loss ?loss_seed ~prefix
 let iface_name i = i.ifname
 let iface_addr i = i.addr
 let iface_prefix i = i.prefix
-let iface_mtu i = i.mtu
 
 let iface_mac i =
   match i.attachment with Seg _ -> Some i.mac | Ptp _ | Detached -> None
-
-let iface_node i = i.owner
-let iface_up i = i.up
 
 let set_iface_addr i ~addr ~prefix =
   (* Only this interface's connected route: another iface may legitimately
@@ -411,7 +387,7 @@ let reattach i segment =
   | Detached -> ()
   | Seg _ | Ptp _ -> detach i);
   i.attachment <- Seg segment;
-  i.mtu <- segment.seg_mtu;
+  i.mtu <- ethernet_mtu;
   i.up <- true;
   segment.members <- i :: segment.members;
   install_connected_route i
@@ -426,7 +402,6 @@ let rec find_iface_in name = function
 let find_iface node name = find_iface_in name node.node_ifaces
 let routing node = node.table
 let set_filter node p = node.policy <- p
-let filter node = node.policy
 
 (* The per-hop address tests compare the representations that
    [Ipv4_addr.t] ([private int32]) and [Mac_addr.t] ([private int])
@@ -470,13 +445,8 @@ let set_route_override node f = node.override <- f
 let set_protocol_handler node protocol handler =
   Addr_map.replace node.handlers (Ipv4_packet.protocol_to_int protocol) handler
 
-let clear_protocol_handler node protocol =
-  Addr_map.remove node.handlers (Ipv4_packet.protocol_to_int protocol)
-
 let set_delivery_observer node f = node.observer <- f
 let set_intercept node f = node.intercept <- f
-let set_option_processing_delay node d = node.option_penalty <- d
-let option_processing_delay node = node.option_penalty
 
 let add_proxy_arp _node iface addr =
   if not (mem_addr addr iface.proxy) then
@@ -505,9 +475,6 @@ let neighbour_on_segment node addr =
       | Ptp _ | Detached -> None)
     node.node_ifaces
 
-let neighbour_mac node addr =
-  Option.map snd (neighbour_on_segment node addr)
-
 let join_group _node iface group =
   if not (Ipv4_addr.is_multicast group) then
     invalid_arg
@@ -515,9 +482,6 @@ let join_group _node iface group =
          (Ipv4_addr.to_string group));
   if not (mem_addr group iface.groups) then
     iface.groups <- group :: iface.groups
-
-let leave_group _node iface group =
-  iface.groups <- List.filter (fun g -> not (Ipv4_addr.equal g group)) iface.groups
 
 let new_flow t =
   t.next_flow <- t.next_flow + 1;
@@ -589,6 +553,15 @@ let same_segment a b =
 
 (* An ARP message for IPv4 over Ethernet (RFC 826). *)
 let arp_bytes = 28
+
+(* A router forwards a packet that carries IP options this much later:
+   "current IP routers typically handle packets with options much more
+   slowly than normal unadorned IP packets" (§4).  Experiment A1 measures
+   the consequence for loose-source-routed Mobile IP. *)
+let option_delay = 0.001
+
+(* The per-(node, offender) ICMP error hold-down, jittered up to +25%. *)
+let error_hold_down = 1.0
 
 (* A link without a bandwidth term returns its latency itself, boxed
    once in the link record, rather than a fresh sum. *)
@@ -911,11 +884,8 @@ and forward node in_iface frame pkt =
                 | None -> pkt.Ipv4_packet.dst
               in
               (* Optioned packets take the router's slow path (§4). *)
-              if
-                node.option_penalty > 0.0
-                && Ipv4_options.has_options pkt.Ipv4_packet.options
-              then
-                Engine.after node.net.engine node.option_penalty (fun () ->
+              if Ipv4_options.has_options pkt.Ipv4_packet.options then
+                Engine.after node.net.engine option_delay (fun () ->
                     ip_output node ~out ~next_hop ~flow:frame.flow
                       ~bytes:frame.bytes pkt)
               else
@@ -951,8 +921,7 @@ and send_icmp_error node ~reason ~code ~src pkt =
               cfg.err_lcg <-
                 ((cfg.err_lcg * 1103515245) + 12345) land 0x3fffffff;
               let jitter = float_of_int cfg.err_lcg /. 1073741824.0 in
-              t_now -. last
-              >= cfg.err_min_interval *. (1.0 +. (0.25 *. jitter))
+              t_now -. last >= error_hold_down *. (1.0 +. (0.25 *. jitter))
         in
         if due then begin
           Hashtbl.replace cfg.err_recent key t_now;
@@ -1046,5 +1015,5 @@ let gratuitous_arp _node iface addr =
   send_arp iface ~l2_dst:Mac_addr.broadcast
     { op = `Reply; spa = addr; sha = iface.mac; tpa = addr }
 
-let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
+let run ?until t = Engine.run ?until t.engine
 let stats t = Engine.stats t.engine

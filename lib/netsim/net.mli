@@ -55,10 +55,10 @@ val with_tap : (Trace.record -> unit) -> (unit -> 'a) -> 'a
 
 val now : t -> float
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : ?until:float -> t -> unit
 (** Run the world to quiescence, when only background events remain (or
-    to [until]): {!Engine.run} on its engine.  [max_events] (default 10M)
-    is the runaway guard. *)
+    to [until]): {!Engine.run} on its engine, with its default runaway
+    guard. *)
 
 val stats : t -> Engine.stats
 (** [Engine.stats (engine t)]. *)
@@ -89,12 +89,10 @@ val find_node : t -> string -> node option
 (** Constant time: the net indexes its nodes by name. *)
 
 val node_name : node -> string
-val is_router : node -> bool
 
 val nodes : t -> node list
 (** Every node, in the order it was added. *)
 
-val node_net : node -> t
 val node_engine : node -> Engine.t
 val node_now : node -> float
 (** The world's engine and its current time, reached from a node. *)
@@ -115,16 +113,13 @@ val set_local : node -> 'a key -> 'a -> unit
 (** Replaces any value already under that key on that node. *)
 
 val add_segment :
-  t -> name:string -> ?latency:float -> ?bandwidth:float -> ?mtu:int ->
+  t -> name:string -> ?latency:float -> ?bandwidth:float ->
   ?loss:float -> ?loss_seed:int -> unit -> segment
-(** An Ethernet broadcast domain.  Defaults: 0.5 ms latency, unlimited
-    bandwidth, MTU 1500, no loss.  [?loss] is a per-frame drop
+(** An Ethernet broadcast domain with MTU 1500.  Defaults: 0.5 ms latency,
+    unlimited bandwidth, no loss.  [?loss] is a per-frame drop
     probability in [0,1) driven by a seeded deterministic generator
     ([?loss_seed]), so lossy experiments replay identically.
-    @raise Invalid_argument if [loss >= 1.0]. *)
-
-val segment_name : segment -> string
-val segment_mtu : segment -> int
+    @raise Invalid_argument unless [0 <= loss < 1] (NaN included). *)
 
 val attach :
   node -> segment -> ifname:string -> addr:Ipv4_addr.t ->
@@ -149,19 +144,12 @@ val p2p :
 val iface_name : iface -> string
 val iface_addr : iface -> Ipv4_addr.t
 val iface_prefix : iface -> Ipv4_addr.Prefix.t
-val iface_mtu : iface -> int
 val iface_mac : iface -> Mac_addr.t option
 (** [None] on point-to-point links. *)
 
-val iface_node : iface -> node
-val iface_up : iface -> bool
 val set_iface_addr : iface -> addr:Ipv4_addr.t -> prefix:Ipv4_addr.Prefix.t -> unit
 (** Re-address an interface (mobile host arriving on a new network);
     replaces its connected route. *)
-
-val detach : iface -> unit
-(** Take the interface down and remove it from its segment and its routes
-    from the table. *)
 
 val reattach : iface -> segment -> unit
 (** Attach an existing (detached) interface to a new segment and restore
@@ -174,7 +162,6 @@ val find_iface : node -> string -> iface option
 
 val routing : node -> Routing.table
 val set_filter : node -> Filter.policy -> unit
-val filter : node -> Filter.policy
 
 val claim_address : node -> Ipv4_addr.t -> unit
 (** Declare that this node owns (accepts delivery for) an address beyond
@@ -183,15 +170,6 @@ val claim_address : node -> Ipv4_addr.t -> unit
 
 val unclaim_address : node -> Ipv4_addr.t -> unit
 val owns_address : node -> Ipv4_addr.t -> bool
-
-val set_option_processing_delay : node -> float -> unit
-(** Extra forwarding delay this router applies to packets carrying IP
-    options (default 1 ms for routers, 0 for hosts) — "current IP routers
-    typically handle packets with options much more slowly than normal
-    unadorned IP packets" (§4).  Experiment A1 measures the consequence
-    for loose-source-routed Mobile IP. *)
-
-val option_processing_delay : node -> float
 
 type override_action =
   | Resubmit of Ipv4_packet.t
@@ -215,8 +193,6 @@ val set_protocol_handler :
 (** Handler for delivered packets of the given protocol.  The [iface]
     argument is [None] for loopback deliveries.  Replaces any previous
     handler for that protocol. *)
-
-val clear_protocol_handler : node -> Ipv4_packet.protocol -> unit
 
 val set_delivery_observer : node -> (Ipv4_packet.t -> unit) option -> unit
 (** Called on every delivered packet, before the protocol handler. *)
@@ -268,15 +244,12 @@ val clear_arp : node -> unit
 (** Flush the ARP cache (a mobile host changing segments must not keep
     neighbour state from the previous network). *)
 
-val neighbour_mac : node -> Ipv4_addr.t -> Mac_addr.t option
-(** Ground truth: the MAC currently bound to an address on any segment this
-    node is attached to (what a mobile-aware host uses for In-DH once it
-    knows its peer is local). *)
-
 val neighbour_on_segment :
   node -> Ipv4_addr.t -> (iface * Mac_addr.t) option
-(** Like {!neighbour_mac} but also returns our interface on the shared
-    segment, ready for an In-DH [Via] decision. *)
+(** Ground truth: the MAC currently bound to an address on any segment this
+    node is attached to, with our interface on that segment — what a
+    mobile-aware host uses for an In-DH [Via] decision once it knows its
+    peer is local. *)
 
 (** {1 Multicast} *)
 
@@ -284,11 +257,7 @@ val join_group : node -> iface -> Ipv4_addr.t -> unit
 (** Join a multicast group on an interface; segment-local delivery only.
     @raise Invalid_argument if the address is not multicast. *)
 
-val leave_group : node -> iface -> Ipv4_addr.t -> unit
-
 (** {1 Sending} *)
-
-val new_flow : t -> int
 
 val send :
   node -> ?flow:int -> ?via:iface -> ?l2_dst:Mac_addr.t -> Ipv4_packet.t -> int
@@ -315,17 +284,11 @@ val same_segment : node -> node -> bool
     answers ICMP, unspecified, broadcast or multicast traffic.  Each
     emission is traced as {!Trace.Icmp_error} when tracing is on. *)
 
-val enable_error_signaling : ?min_interval:float -> ?seed:int -> t -> unit
-(** Turn on ICMP error signaling for this world.  [min_interval] (default
-    1.0 s) is the per-(node, offender) hold-down, jittered up to +25% by a
-    generator seeded with [seed].  Re-enabling keeps the sent counter but
-    resets the hold-down state.
-    @raise Invalid_argument if [min_interval] is negative. *)
+val enable_error_signaling : t -> unit
+(** Turn on ICMP error signaling for this world, with a 1 s
+    per-(node, offender) hold-down jittered up to +25% by a seeded
+    generator. *)
 
-val disable_error_signaling : t -> unit
-(** Back to silent drops (and the sent counter reads 0 again). *)
-
-val error_signaling : t -> bool
 val icmp_errors_sent : t -> int
 (** ICMP errors emitted since signaling was enabled (0 while disabled). *)
 

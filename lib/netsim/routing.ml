@@ -5,11 +5,6 @@ type route = {
   metric : int;
 }
 
-let pp_route fmt r =
-  Format.fprintf fmt "%a via %s dev %s metric %d" Ipv4_addr.Prefix.pp r.prefix
-    (match r.gateway with Some g -> Ipv4_addr.to_string g | None -> "direct")
-    r.iface r.metric
-
 (* Path-compressed binary trie on destination-address bits.  A node stands
    for the prefix [key/len] ([key] is the network's unsigned 32-bit image)
    and exists only where routes live or where two subtrees branch, so a
@@ -226,6 +221,3 @@ let routes t =
 let clear t =
   t.root <- empty;
   invalidate t
-
-let pp fmt t =
-  List.iter (fun r -> Format.fprintf fmt "%a@." pp_route r) (routes t)

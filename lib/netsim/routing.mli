@@ -23,8 +23,6 @@ type route = {
   metric : int;
 }
 
-val pp_route : Format.formatter -> route -> unit
-
 type table
 
 val create : unit -> table
@@ -59,4 +57,3 @@ val routes : table -> route list
 (** Current routes, most specific first. *)
 
 val clear : table -> unit
-val pp : Format.formatter -> table -> unit

@@ -32,9 +32,6 @@ type t = {
   payload : Bytes.t;
 }
 
-val header_length : int
-(** 20 bytes (options unsupported). *)
-
 val make :
   src_port:int ->
   dst_port:int ->

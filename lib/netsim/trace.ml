@@ -81,8 +81,7 @@ type observer = int
    The storage primitive lives here rather than in the observability
    layer so the emit fast path below can reach it with a direct call
    (floats unboxed, no closure dispatch), and so packing and unpacking
-   sit next to each other.  [Netobs.Recorder] wraps a ring with the
-   user-facing capture API.
+   sit next to each other.
 
    When rings are a trace's only consumers, [emit] stores each event's
    fields straight into them.  When a log or observer makes [emit] build
@@ -326,7 +325,7 @@ let ring_store_cell rg (time_cell : floatarray) kind name in_if out_if reason
     rg.ring_kept <- rg.ring_kept + 1
   end
 
-(* Boxed-float convenience entry for replay and [Recorder.note], where
+(* Boxed-float convenience entry for replay and [ring_store_record], where
    the caller holds a [float] (already boxed) rather than a clock cell. *)
 let ring_store rg time kind name in_if out_if reason id flow pkt bytes =
   Float.Array.unsafe_set rg.ring_scratch 0 time;
@@ -396,10 +395,19 @@ let ring_record_at rg i =
   in
   { time = rg.a_time.(i); event }
 
-let ring_records rg =
+let ring_tail ?last rg =
   let n = ring_length rg in
+  let k =
+    match last with
+    | None -> n
+    | Some k when k < 0 -> invalid_arg "Trace.ring_tail: negative count"
+    | Some k -> min k n
+  in
   let start = if rg.ring_kept <= rg.ring_capacity then 0 else rg.ring_next in
-  List.init n (fun i -> ring_record_at rg ((start + i) mod rg.ring_capacity))
+  List.init k (fun i ->
+      ring_record_at rg ((start + n - k + i) mod rg.ring_capacity))
+
+let ring_records rg = ring_tail rg
 
 let ring_store_record rg (r : record) =
   let time = r.time in
@@ -494,10 +502,8 @@ let set_enabled t b =
   t.enabled <- b;
   t.wants_records <- b || Array.length t.obs_fns > 0
 
-let enabled t = t.enabled
-
-(* Attached observers (invariant oracle, [--trace-json] and [--pcap]
-   taps) or rings (the flight recorder) override gating: those consumers
+(* Attached observers ([--trace-json] and [--pcap] taps) or rings (the
+   flight recorder) override gating: those consumers
    must see every event whether or not in-memory logging was turned
    off. *)
 let interested t = t.wants_records || Array.length t.rings > 0

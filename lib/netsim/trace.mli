@@ -81,8 +81,6 @@ val set_enabled : t -> bool -> unit
     interested are still logged normally; attached rings keep
     {!interested} true but do {e not} revive the unbounded log. *)
 
-val enabled : t -> bool
-
 val interested : t -> bool
 (** Whether anything wants this trace's events right now: the log is
     on, or an observer or ring is attached. *)
@@ -90,10 +88,9 @@ val interested : t -> bool
 (** {1 Observers}
 
     Observers belong to one trace and tee: any number can be attached at
-    once, each called with every record in attachment order.  The
-    invariant oracle, the flight recorder and the [--trace-json] and
-    [--pcap] taps of [Net.with_tap] all coexist.  An observer must not
-    call back into the trace it is observing. *)
+    once, each called with every record in attachment order, such as the
+    [--trace-json] and [--pcap] taps of [Net.with_tap].  An observer must
+    not call back into the trace it is observing. *)
 
 type observer
 (** Handle for one attached observer. *)
@@ -122,10 +119,7 @@ val remove_observer : t -> observer -> unit
 
     Rings are per-trace, like observers: a ring attached to one trace
     sees that world's events and no other's, however many worlds the
-    process builds.
-
-    This is the storage primitive behind [Netobs.Recorder], which adds
-    the user-facing capture API (install, tail, JSONL/pcap dumps). *)
+    process builds. *)
 
 type ring
 
@@ -153,6 +147,11 @@ val ring_store_record : ring -> record -> unit
 val ring_records : ring -> record list
 (** Rebuild the ring's contents as structurally identical records,
     oldest first — at most [capacity] of them.  Cold path. *)
+
+val ring_tail : ?last:int -> ring -> record list
+(** The newest [last] of {!ring_records} (default: all of them), oldest
+    first.
+    @raise Invalid_argument on a negative [last]. *)
 
 val ring_sampled : ring -> int -> bool
 (** Whether a flow id passes the ring's sampling filter. *)
@@ -246,6 +245,5 @@ val path : t -> flow:int -> string list
 (** Nodes the flow visited, in order: origin, forwarders
     (encapsulation/decapsulation points included), final deliveries. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_record : Format.formatter -> record -> unit
 val dump : Format.formatter -> t -> unit

@@ -6,9 +6,6 @@
 
 type t = { src_port : int; dst_port : int; payload : Bytes.t }
 
-val header_length : int
-(** 8 bytes. *)
-
 val make : src_port:int -> dst_port:int -> Bytes.t -> t
 (** @raise Invalid_argument if a port is outside [0..65535]. *)
 

@@ -246,41 +246,3 @@ let read_trace_jsonl ic =
 let sink_to_channel oc r =
   output_string oc (line_of_record r);
   output_char oc '\n'
-
-(* ---------- spans and engine stats ---------- *)
-
-let json_of_span (s : Span.t) =
-  let opt_time = function
-    | Some t -> Json.Float t
-    | None -> Json.Null
-  in
-  Json.Obj
-    [
-      ("flow", Json.Int s.Span.flow);
-      ("send_time", opt_time s.Span.send_time);
-      ("deliver_time", opt_time s.Span.deliver_time);
-      ("latency", opt_time s.Span.latency);
-      ("transmissions", Json.Int s.Span.transmissions);
-      ("wire_bytes", Json.Int s.Span.wire_bytes);
-      ("encap_depth", Json.Int s.Span.encap_depth);
-      ( "drops",
-        Json.List
-          (List.map
-             (fun (node, reason) ->
-               Json.Obj
-                 (("node", Json.String node) :: drop_reason_fields reason))
-             s.Span.drops) );
-      ( "delivered_to",
-        Json.List (List.map (fun n -> Json.String n) s.Span.delivered_to) );
-    ]
-
-let json_of_engine_stats (s : Engine.stats) =
-  Json.Obj
-    [
-      ("executed", Json.Int s.Engine.executed);
-      ("pending", Json.Int s.Engine.pending);
-      ("max_pending", Json.Int s.Engine.max_pending);
-      ("cancelled", Json.Int s.Engine.cancelled);
-      ("truncated", Json.Int s.Engine.truncated);
-      ("sim_time", Json.Float s.Engine.sim_time);
-    ]

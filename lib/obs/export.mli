@@ -6,7 +6,6 @@
     checksums included — alongside the human-oriented summary fields
     ([src], [dst], [proto], [len]) that make the JSONL greppable. *)
 
-val json_of_record : Netsim.Trace.record -> Netsim.Json.t
 val record_of_json : Netsim.Json.t -> (Netsim.Trace.record, string) result
 val line_of_record : Netsim.Trace.record -> string
 (** One JSONL line, no trailing newline. *)
@@ -25,7 +24,5 @@ val sink_to_channel : out_channel -> Netsim.Trace.record -> unit
     which streams telemetry from worlds the caller never sees (e.g.
     inside experiment runners). *)
 
-val json_of_span : Span.t -> Netsim.Json.t
-val json_of_engine_stats : Netsim.Engine.stats -> Netsim.Json.t
 val hex_of_bytes : Bytes.t -> string
 val bytes_of_hex : string -> (Bytes.t, string) result

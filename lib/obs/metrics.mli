@@ -26,14 +26,10 @@ val gauge : registry -> ?help:string -> string -> gauge
 val histogram : registry -> ?help:string -> ?buckets:float array -> string -> histogram
 (** [buckets] are inclusive upper bounds, strictly increasing; values
     above the last bound land in an overflow bucket.  The default is
-    {!default_latency_buckets_ms}.  [buckets] is only consulted on first
-    creation.
+    1, 2, 5, 10, 20, 50, 100, 200, 500 and 1000 (latency in ms).
+    [buckets] is only consulted on first creation.
     @raise Invalid_argument on empty or non-increasing bounds, or a kind
     clash. *)
-
-val default_latency_buckets_ms : float array
-(** [1; 2; 5; 10; 20; 50; 100; 200; 500; 1000] — suited to the
-    simulator's millisecond-scale one-way latencies. *)
 
 (** {1 Updates — all O(1) (histograms are O(#buckets), a constant)} *)
 

@@ -12,10 +12,6 @@
     written little-endian on every host, so output is byte-for-byte
     deterministic. *)
 
-val linktype_raw : int
-val global_header_length : int
-val record_header_length : int
-
 val file_header : unit -> Bytes.t
 (** The 24-byte global header. *)
 
@@ -36,13 +32,11 @@ val sink_to_channel : out_channel -> Netsim.Trace.record -> unit
     {!Netsim.Net.with_tap}.  The caller writes the file header first
     ({!write_header}) and owns the channel. *)
 
-val write_records : out_channel -> Netsim.Trace.record list -> int
-(** Header plus every [Transmit] record; returns the packet count. *)
-
 val write_file : string -> Netsim.Trace.record list -> int
-(** {!write_records} to a fresh binary file. *)
+(** Write the file header and then every [Transmit] record, as
+    {!packet_of_record} frames it, to a fresh binary file; returns the
+    number of packets written. *)
 
-val read_channel : in_channel -> ((float * Bytes.t) list, string) result
 val read_file : string -> ((float * Bytes.t) list, string) result
 (** Parse a capture this module wrote: [(timestamp, payload)] per packet,
     in file order.  Rejects foreign magic, versions and linktypes, and a

@@ -1,9 +1,6 @@
 (** Whole-trace aggregates: per-link byte accounting, drop and delivery
     statistics.  Each function folds the record list once. *)
 
-val link_bytes : Netsim.Trace.t -> (string * int) list
-(** Total bytes transmitted per link, sorted by link name. *)
-
 val total_bytes : Netsim.Trace.t -> int
 
 val backbone_bytes : Netsim.Trace.t -> int

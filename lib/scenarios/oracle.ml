@@ -3,7 +3,7 @@ open Netsim
 type t = {
   world : Topo.t;
   inv : Invariant.t;
-  mutable recorder : Netobs.Recorder.t option;
+  mutable recorder : Trace.ring option;
   mutable tail : Trace.record list;
       (* snapshot of the recorder at the first violation: the last-K
          events leading up to the failure, frozen before the run moves
@@ -18,23 +18,22 @@ let create world =
     tail = [];
   }
 
-let world t = t.world
 let inv t = t.inv
 
-let attach_recorder ?(capacity = 512) ?sample_every ?seed ?last t =
+let attach_recorder t =
   if t.recorder = None then begin
-    let r = Netobs.Recorder.create ?sample_every ?seed ~capacity () in
+    let r = Trace.make_ring ~capacity:512 () in
     t.recorder <- Some r;
-    Netobs.Recorder.install r (Net.trace t.world.Topo.net);
+    Trace.attach_ring (Net.trace t.world.Topo.net) r;
     Invariant.set_on_violation t.inv
-      (Some (fun _ -> if t.tail = [] then t.tail <- Netobs.Recorder.tail ?last r))
+      (Some (fun _ -> if t.tail = [] then t.tail <- Trace.ring_tail r))
   end
 
 let recorder_tail t = t.tail
 
 let detach_recorder t =
   Option.iter
-    (fun r -> Netobs.Recorder.uninstall r (Net.trace t.world.Topo.net))
+    (fun r -> Trace.detach_ring (Net.trace t.world.Topo.net) r)
     t.recorder;
   Invariant.set_on_violation t.inv None
 
@@ -158,8 +157,11 @@ let add_selector_discipline t =
    (a) the two agents never proxy-ARP for the same address at the same
    time (the failback ordering guarantees this), and (b) a crashed
    primary does not stay uncovered — the standby must take over within
-   [grace] of the crash becoming observable.  No-op without a standby. *)
-let add_ha_failover ?(grace = 10.0) t =
+   [grace] of the crash becoming observable: 10 s, wider than the default
+   detection timeout of 5 s plus two 2 s detection intervals.  No-op
+   without a standby. *)
+let add_ha_failover t =
+  let grace = 10.0 in
   let w = t.world in
   match w.Topo.ha_standby with
   | None -> ()
@@ -224,7 +226,7 @@ let add_recovery ~after t =
                 last scripted fault"
                now (now -. after)))
 
-let add_tcp_stream ?(name = "tcp-stream") ~expected t conn =
+let add_tcp_stream ~expected t conn =
   let error = ref None in
   let offset = ref 0 in
   Transport.Tcp.on_receive conn (fun data ->
@@ -241,7 +243,7 @@ let add_tcp_stream ?(name = "tcp-stream") ~expected t conn =
                    pos c want))
         data;
       offset := !offset + Bytes.length data);
-  Invariant.add_check t.inv ~name (fun () -> !error)
+  Invariant.add_check t.inv ~name:"tcp-stream" (fun () -> !error)
 
 let install_standard ?recovery_after t =
   add_binding_lifetime t;
@@ -261,8 +263,7 @@ let finish t =
      gets whatever the ring holds now. *)
   (match t.recorder with
   | Some r when Invariant.violated t.inv && t.tail = [] ->
-      t.tail <- Netobs.Recorder.tail r
+      t.tail <- Trace.ring_tail r
   | _ -> ());
   detach_recorder t
 let violations t = Invariant.violations t.inv
-let violated t = Invariant.violated t.inv

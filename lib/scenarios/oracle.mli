@@ -17,7 +17,7 @@
       outgoing method its selector has recorded as failed;
     - {e ha-failover-recovery}: with a standby home agent paired, the two
       agents never proxy-ARP for the same address simultaneously, and a
-      crashed primary is covered by the standby within a grace period;
+      crashed primary is covered by the standby within 10 s;
     - {e eventual-recovery}: once the last scripted fault is over, the
       mobile host ends the run registered (or home);
     - {e tcp-stream}: application bytes arrive in order, without
@@ -34,9 +34,8 @@ val create : Topo.t -> t
 (** An oracle over the world's network.  Installs nothing: callers pick
     invariants with the [add_*] functions or {!install_standard}. *)
 
-val world : t -> Topo.t
 val inv : t -> Netsim.Invariant.t
-(** The underlying generic oracle (for [add_watch], [checks_run]...). *)
+(** The underlying generic oracle (for {!Netsim.Invariant.checks_run}). *)
 
 val add_binding_lifetime : ?grace:float -> t -> unit
 (** Polled.  Default [grace] 45 s — wider than the default
@@ -55,15 +54,6 @@ val add_proxy_arp : ?grace:float -> t -> unit
 val add_selector_discipline : t -> unit
 (** Polled.  No-op until a selector is installed on the mobile host. *)
 
-val add_ha_failover : ?grace:float -> t -> unit
-(** Polled; no-op unless the world was built with a standby home agent.
-    Violated when (a) primary and standby proxy-ARP for the same address
-    at the same instant (the failback ordering must prevent this), or
-    (b) the primary has been observably down for more than [grace]
-    (default 10 s — wider than the default detection timeout of 5 s plus
-    two 2 s detection intervals) while the healthy standby has still not
-    taken over. *)
-
 val add_recovery : after:float -> t -> unit
 (** Final.  [after] is when the last scripted fault ends
     ({!Netsim.Fault.plan_end}); the bound is the run itself — by the time
@@ -72,14 +62,10 @@ val add_recovery : after:float -> t -> unit
     recover. *)
 
 val add_tcp_stream :
-  ?name:string ->
-  expected:(int -> char) ->
-  t ->
-  Transport.Tcp.conn ->
-  unit
-(** Check every byte the connection delivers against [expected offset].
-    Owns the connection's [on_receive] callback.  [?name] (default
-    ["tcp-stream"]) distinguishes multiple monitored connections. *)
+  expected:(int -> char) -> t -> Transport.Tcp.conn -> unit
+(** Check every byte the connection delivers against [expected offset],
+    as the invariant ["tcp-stream"].  Owns the connection's [on_receive]
+    callback. *)
 
 val install_standard : ?recovery_after:float -> t -> unit
 (** The polled invariants above (the failover one arms itself only in
@@ -89,15 +75,13 @@ val install_standard : ?recovery_after:float -> t -> unit
 
 (** {1 Flight recorder} *)
 
-val attach_recorder :
-  ?capacity:int -> ?sample_every:int -> ?seed:int -> ?last:int -> t -> unit
-(** Install a {!Netobs.Recorder} (default capacity 512, no sampling) on
-    the world's trace, as a ring: it sees every event of this world and
-    no other's, and a world with its in-memory log off keeps the
-    allocation-free path.  At the {e first} invariant violation the
-    recorder's newest [last] events (default: the whole ring) are
-    snapshotted — the events leading up to the failure, frozen before
-    the ring wraps past them — and exposed through {!recorder_tail}.
+val attach_recorder : t -> unit
+(** Attach a 512-event {!Netsim.Trace.ring}, unsampled, to the world's
+    trace: it sees every event of this world and no other's, and a world
+    with its in-memory log off keeps the allocation-free path.  At the
+    {e first} invariant violation the whole ring is snapshotted — the
+    events leading up to the failure, frozen before the ring wraps past
+    them — and exposed through {!recorder_tail}.
     Idempotent; {!finish} detaches the recorder (and, if the run ended
     violated before the snapshot fired, grabs the final ring contents
     instead). *)
@@ -115,4 +99,3 @@ val start : ?interval:float -> ?ticks:int -> t -> unit
 val check_now : t -> unit
 val finish : t -> unit
 val violations : t -> Netsim.Invariant.violation list
-val violated : t -> bool

@@ -76,9 +76,9 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     ?(filtering = no_filtering)
     ?(ch_capability = Mobileip.Correspondent.Conventional)
     ?(notify_correspondents = false) ?(with_dns = false)
-    ?(encap = Mobileip.Encap.Ipip) ?(link_latency = 0.010)
-    ?(with_cellular = false) ?(mh_lifetime = 300) ?(mh_retry_base = 1.0)
-    ?(mh_retry_cap = 8.0) ?(mh_retry_limit = 6) ?(with_standby_ha = false)
+    ?(encap = Mobileip.Encap.Ipip) ?(with_cellular = false)
+    ?(mh_lifetime = 300) ?(mh_retry_base = 1.0) ?(mh_retry_cap = 8.0)
+    ?(mh_retry_limit = 6) ?(with_standby_ha = false)
     ?(standby_detect_interval = 2.0) ?(standby_detect_timeout = 5.0) () =
   if backbone_hops < 2 then invalid_arg "Topo.build: need >= 2 backbone hops";
   let net = Net.create () in
@@ -101,7 +101,7 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
   let right_end = Array.map (fun p -> Ipv4_addr.Prefix.host p 2) links in
   for i = 0 to n - 2 do
     ignore
-      (Net.p2p net ~latency:link_latency ~prefix:links.(i)
+      (Net.p2p net ~prefix:links.(i)
          (backbone_arr.(i), rname.(i), left_end.(i))
          (backbone_arr.(i + 1), lname.(i + 1), right_end.(i)))
   done;
@@ -109,7 +109,7 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
   (* Home domain off b0. *)
   let home_router = Net.add_router net "hr" in
   ignore
-    (Net.p2p net ~latency:link_latency ~prefix:hr_wan
+    (Net.p2p net ~prefix:hr_wan
        (home_router, "wan", stub_side hr_wan)
        (backbone_arr.(0), "home", backbone_side hr_wan));
   let home_segment = Net.add_segment net ~name:"home-lan" () in
@@ -156,7 +156,7 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
   (* Visited domain off b(n-1). *)
   let visited_router = Net.add_router net "vr" in
   ignore
-    (Net.p2p net ~latency:link_latency ~prefix:vr_wan
+    (Net.p2p net ~prefix:vr_wan
        (visited_router, "wan", stub_side vr_wan)
        (backbone_arr.(n - 1), "visited", backbone_side vr_wan));
   let visited_segment = Net.add_segment net ~name:"visited-lan" () in
@@ -203,7 +203,7 @@ let build ?(backbone_hops = 4) ?(ch_position = Remote)
     | Remote | Near_visited ->
         let cr = Net.add_router net "cr" in
         ignore
-          (Net.p2p net ~latency:link_latency ~prefix:cr_wan
+          (Net.p2p net ~prefix:cr_wan
              (cr, "wan", stub_side cr_wan)
              (backbone_arr.(ch_attach_index), "corr", backbone_side cr_wan));
         let ch_segment = Net.add_segment net ~name:"ch-lan" () in
@@ -395,10 +395,9 @@ let roam t ?(on_registered = fun _ -> ()) () =
   Mobileip.Mobile_host.move_to_dhcp t.mh t.visited_segment ~on_registered ();
   run t
 
-let roam_static t ?(on_registered = fun _ -> ()) () =
+let roam_static t () =
   Mobileip.Mobile_host.move_to_static t.mh t.visited_segment
-    ~addr:static_care_of ~prefix:t.visited_prefix ~gateway:visited_gw
-    ~on_registered ();
+    ~addr:static_care_of ~prefix:t.visited_prefix ~gateway:visited_gw ();
   run t
 
 let roam_cellular t ?(on_registered = fun _ -> ()) () =

@@ -82,7 +82,6 @@ val build :
   ?notify_correspondents:bool ->
   ?with_dns:bool ->
   ?encap:Mobileip.Encap.mode ->
-  ?link_latency:float ->
   ?with_cellular:bool ->
   ?mh_lifetime:int ->
   ?mh_retry_base:float ->
@@ -121,7 +120,7 @@ val roam : t -> ?on_registered:(bool -> unit) -> unit -> unit
 (** Move the mobile host to the visited segment (DHCP attachment) and
     register; run the network until the registration completes. *)
 
-val roam_static : t -> ?on_registered:(bool -> unit) -> unit -> unit
+val roam_static : t -> unit -> unit
 (** Like {!roam} but with a statically assigned care-of address, avoiding
     the DHCP exchange (useful when traces must stay minimal). *)
 

@@ -41,16 +41,15 @@ let tcp_echo_session ~net ~client ~server_addr ~port ?src ?(messages = 5)
     elapsed = Net.now net -. t0;
   }
 
-let install_http_server node ?(object_size = 2048) () =
+let install_http_server node () =
   let tcp = Transport.Tcp.get node in
   (* Web servers pipeline: a window of 4 segments (see Transport.Tcp). *)
   Transport.Tcp.listen tcp ~window:4 ~port:Transport.Well_known.http (fun conn ->
       Transport.Tcp.on_receive conn (fun _request ->
-          Transport.Tcp.send_data conn (Bytes.make object_size 'w');
+          Transport.Tcp.send_data conn (Bytes.make 2048 'w');
           Transport.Tcp.close conn))
 
-let http_fetch ~net ~client ~server_addr ?src ?(object_size = 2048) () =
-  ignore object_size;
+let http_fetch ~net ~client ~server_addr ?src () =
   let tcp = Transport.Tcp.get client in
   let t0 = Net.now net in
   let conn =
@@ -70,15 +69,14 @@ let http_fetch ~net ~client ~server_addr ?src ?(object_size = 2048) () =
   Net.run net;
   (!got > 0, Net.now net -. t0)
 
-let udp_request_response ~net ~client ~server ~server_addr ~port ?src
-    ?(request_size = 64) ?(response_size = 256) () =
+let udp_request_response ~net ~client ~server ~server_addr ~port ?src () =
   let server_udp = Transport.Udp_service.get server in
   Transport.Udp_service.listen server_udp ~port (fun svc dgram ->
       ignore
         (Transport.Udp_service.send svc ~src:dgram.Transport.Udp_service.dst
            ~dst:dgram.Transport.Udp_service.src ~src_port:port
            ~dst_port:dgram.Transport.Udp_service.src_port
-           (Bytes.make response_size 'r')));
+           (Bytes.make 256 'r')));
   let client_udp = Transport.Udp_service.get client in
   let my_port = Transport.Udp_service.ephemeral_port client_udp in
   let t0 = Net.now net in
@@ -90,6 +88,6 @@ let udp_request_response ~net ~client ~server ~server_addr ~port ?src
   ignore
     (Transport.Udp_service.send client_udp ?src ~dst:server_addr
        ~src_port:my_port ~dst_port:port
-       (Bytes.make request_size 'q'));
+       (Bytes.make 64 'q'));
   Net.run net;
   (!answered, !rtt)

@@ -32,14 +32,14 @@ val http_fetch :
   client:Netsim.Net.node ->
   server_addr:Netsim.Ipv4_addr.t ->
   ?src:Netsim.Ipv4_addr.t ->
-  ?object_size:int ->
   unit ->
   bool * float
 (** One short-lived HTTP-like exchange on port 80 (request, response,
     close).  Returns (completed, elapsed).  The server side is installed on
     first use per node. *)
 
-val install_http_server : Netsim.Net.node -> ?object_size:int -> unit -> unit
+val install_http_server : Netsim.Net.node -> unit -> unit
+(** Serve a 2048-byte object to each connection on port 80, then close. *)
 
 val udp_request_response :
   net:Netsim.Net.t ->
@@ -48,8 +48,7 @@ val udp_request_response :
   server_addr:Netsim.Ipv4_addr.t ->
   port:int ->
   ?src:Netsim.Ipv4_addr.t ->
-  ?request_size:int ->
-  ?response_size:int ->
   unit ->
   bool * float
-(** One NFS/DNS-style datagram transaction; returns (answered, rtt). *)
+(** One NFS/DNS-style datagram transaction, a 64-byte request and a
+    256-byte response; returns (answered, rtt). *)

@@ -36,12 +36,13 @@ let get_addr buf off =
     (Char.code (Bytes.get buf (off + 3)))
 
 module Server = struct
+  let lease_time = 3600
+
   type t = {
     pool : Ipv4_addr.Prefix.t;
     first_host : int;
     last_host : int;
     gateway : Ipv4_addr.t;
-    lease_time : int;
     mutable next : int;
     mutable lease_table : (Mac_addr.t * Ipv4_addr.t) list;
   }
@@ -73,8 +74,8 @@ module Server = struct
           put_addr reply 7 a;
           Bytes.set reply 11 (Char.chr (Ipv4_addr.Prefix.bits t.pool));
           put_addr reply 12 t.gateway;
-          Bytes.set reply 16 (Char.chr ((t.lease_time lsr 8) land 0xff));
-          Bytes.set reply 17 (Char.chr (t.lease_time land 0xff));
+          Bytes.set reply 16 (Char.chr ((lease_time lsr 8) land 0xff));
+          Bytes.set reply 17 (Char.chr (lease_time land 0xff));
           let via = dgram.Udp_service.in_iface in
           ignore
             (Udp_service.send udp ?via ~src:t.gateway
@@ -82,15 +83,13 @@ module Server = struct
                ~dst_port:Well_known.dhcp_client reply)
     end
 
-  let create node ~pool ~first_host ~last_host ~gateway ?(lease_time = 3600) ()
-      =
+  let create node ~pool ~first_host ~last_host ~gateway () =
     let t =
       {
         pool;
         first_host;
         last_host;
         gateway;
-        lease_time;
         next = first_host;
         lease_table = [];
       }
@@ -100,7 +99,6 @@ module Server = struct
         handle t svc dgram);
     t
 
-  let leases t = t.lease_table
   let outstanding t = List.length t.lease_table
 end
 

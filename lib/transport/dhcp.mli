@@ -16,14 +16,12 @@ module Server : sig
     first_host:int ->
     last_host:int ->
     gateway:Netsim.Ipv4_addr.t ->
-    ?lease_time:int ->
     unit ->
     t
   (** Serve addresses [host pool first_host .. host pool last_host].
-      Leases are per client MAC and stable across repeated requests.
-      Default lease 3600 s. *)
+      Leases are per client MAC and stable across repeated requests, and
+      last 3600 s. *)
 
-  val leases : t -> (Netsim.Mac_addr.t * Netsim.Ipv4_addr.t) list
   val outstanding : t -> int
 end
 

@@ -14,7 +14,6 @@ type t = {
     original:(Ipv4_addr.t * Ipv4_addr.t) option ->
     unit)
     option;
-  mutable answered : int;
 }
 
 let key : t Net.key = Net.new_key ()
@@ -24,7 +23,6 @@ let handle_icmp t node _in_iface (pkt : Ipv4_packet.t) =
   | Ipv4_packet.Icmp msg -> (
       match msg with
       | Icmp_wire.Echo_request { ident; seq; payload } ->
-          t.answered <- t.answered + 1;
           let reply = Icmp_wire.Echo_reply { ident; seq; payload } in
           let out =
             Ipv4_packet.make ~protocol:Ipv4_packet.P_icmp ~src:pkt.dst
@@ -64,23 +62,19 @@ let get node =
           next_ident = 1;
           care_of_listener = None;
           unreachable_listener = None;
-          answered = 0;
         }
       in
       Net.set_local node key t;
       Net.set_protocol_handler node Ipv4_packet.P_icmp (handle_icmp t);
       t
 
-let node t = t.svc_node
-
-let ping t ?src ?(payload_size = 56) ~dst on_reply =
+let ping t ~dst on_reply =
   let ident = t.next_ident in
   t.next_ident <- t.next_ident + 1;
-  let payload = Bytes.make payload_size 'p' in
+  let payload = Bytes.make 56 'p' in
   let req = Icmp_wire.Echo_request { ident; seq = 1; payload } in
-  let src = Option.value src ~default:Ipv4_addr.any in
   let pkt =
-    Ipv4_packet.make ~protocol:Ipv4_packet.P_icmp ~src ~dst
+    Ipv4_packet.make ~protocol:Ipv4_packet.P_icmp ~src:Ipv4_addr.any ~dst
       (Ipv4_packet.Icmp req)
   in
   t.pings <-
@@ -97,5 +91,3 @@ let send_care_of_advert t ~src ~dst ~home ~care_of ~lifetime =
       (Ipv4_packet.Icmp msg)
   in
   ignore (Net.send t.svc_node pkt)
-
-let echo_requests_answered t = t.answered

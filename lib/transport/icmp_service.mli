@@ -10,17 +10,11 @@
 type t
 
 val get : Netsim.Net.node -> t
-val node : t -> Netsim.Net.node
 
-val ping :
-  t ->
-  ?src:Netsim.Ipv4_addr.t ->
-  ?payload_size:int ->
-  dst:Netsim.Ipv4_addr.t ->
-  (rtt:float -> unit) ->
-  unit
-(** Send an echo request; the callback fires when the matching reply
-    arrives (it may never fire if the path drops packets). *)
+val ping : t -> dst:Netsim.Ipv4_addr.t -> (rtt:float -> unit) -> unit
+(** Send an echo request with 56 payload bytes, its source left for the
+    route to fill; the callback fires when the matching reply arrives (it
+    may never fire if the path drops packets). *)
 
 val on_care_of_advert :
   t ->
@@ -56,6 +50,3 @@ val send_care_of_advert :
   lifetime:int ->
   unit
 (** Used by the home agent (§3.2, first discovery mechanism). *)
-
-val echo_requests_answered : t -> int
-(** Number of echo requests this node has replied to (test visibility). *)

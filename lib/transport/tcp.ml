@@ -76,12 +76,10 @@ and t = {
 
 let key : t Net.key = Net.new_key ()
 
-let node t = t.tcp_node
 let set_feedback t f = t.feedback_cb <- f
 let listen t ?(window = 1) ~port cb = Hashtbl.replace t.listeners port (window, cb)
 let unlisten t ~port = Hashtbl.remove t.listeners port
 let state c = c.st
-let local_endpoint c = (c.local_addr, c.local_port)
 let remote_endpoint c = (c.remote_addr, c.remote_port)
 let retransmissions c = c.total_retx
 let bytes_delivered c = c.delivered

@@ -43,8 +43,6 @@ val get : Netsim.Net.node -> t
 (** The node's stack, kept on the node ({!Netsim.Net.local}) and created
     on first call. *)
 
-val node : t -> Netsim.Net.node
-
 val set_feedback : t -> (feedback -> unit) option -> unit
 (** Install the IP-layer feedback listener (the mobility software's
     selector subscribes here). *)
@@ -87,7 +85,6 @@ val on_receive : conn -> (Bytes.t -> unit) -> unit
 val on_state_change : conn -> (state -> unit) -> unit
 
 val state : conn -> state
-val local_endpoint : conn -> Netsim.Ipv4_addr.t * int
 val remote_endpoint : conn -> Netsim.Ipv4_addr.t * int
 val retransmissions : conn -> int
 (** Total retransmitted segments over the connection's life. *)

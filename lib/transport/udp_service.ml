@@ -51,11 +51,10 @@ let get node =
       Net.set_protocol_handler node Ipv4_packet.P_udp (handle_udp t);
       t
 
-let node t = t.svc_node
 let listen t ~port f = Hashtbl.replace t.listeners port f
 let unlisten t ~port = Hashtbl.remove t.listeners port
 
-let send t ?src ?via ?l2_dst ?flow ~dst ~src_port ~dst_port payload =
+let send t ?src ?via ?l2_dst ~dst ~src_port ~dst_port payload =
   let src = Option.value src ~default:Ipv4_addr.any in
   let udp = Udp_wire.make ~src_port ~dst_port payload in
   let ident = t.next_ident in
@@ -64,7 +63,7 @@ let send t ?src ?via ?l2_dst ?flow ~dst ~src_port ~dst_port payload =
     Ipv4_packet.make ~ident ~protocol:Ipv4_packet.P_udp ~src ~dst
       (Ipv4_packet.Udp udp)
   in
-  Net.send t.svc_node ?flow ?via ?l2_dst pkt
+  Net.send t.svc_node ?via ?l2_dst pkt
 
 let ephemeral_port t =
   let p = t.next_port in

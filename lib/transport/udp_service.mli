@@ -13,8 +13,6 @@ type t
 val get : Netsim.Net.node -> t
 (** The node's UDP service, installing the protocol handler on first call. *)
 
-val node : t -> Netsim.Net.node
-
 type datagram = {
   src : Netsim.Ipv4_addr.t;
   dst : Netsim.Ipv4_addr.t;
@@ -34,7 +32,6 @@ val send :
   ?src:Netsim.Ipv4_addr.t ->
   ?via:Netsim.Net.iface ->
   ?l2_dst:Netsim.Mac_addr.t ->
-  ?flow:int ->
   dst:Netsim.Ipv4_addr.t ->
   src_port:int ->
   dst_port:int ->

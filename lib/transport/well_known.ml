@@ -1,10 +1,8 @@
-let echo = 7
 let telnet = 23
 let dns = 53
 let dhcp_server = 67
 let dhcp_client = 68
 let http = 80
-let pop3 = 110
 let nfs = 2049
 let mip_registration = 434
 let ephemeral_base = 49152

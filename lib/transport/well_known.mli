@@ -8,13 +8,11 @@
     Values: echo 7, telnet 23, dns 53, dhcp 67/68, http 80, pop3 110,
     nfs 2049, Mobile IP registration 434, ephemeral range from 49152. *)
 
-val echo : int
 val telnet : int
 val dns : int
 val dhcp_server : int
 val dhcp_client : int
 val http : int
-val pop3 : int
 val nfs : int
 val mip_registration : int
 val ephemeral_base : int

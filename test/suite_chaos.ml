@@ -607,6 +607,59 @@ let test_tcp_retx_abort_counter () =
     "none on the receiver" 0
     (Transport.Tcp.retx_aborts tcp_d)
 
+(* A bad interval, NaN included, is rejected before any check runs, not
+   by the engine after the first round. *)
+let test_invariant_start_rejects () =
+  let net = Net.create () in
+  let inv = Invariant.create net in
+  Invariant.add_check inv ~name:"ran" (fun () -> Some "ran");
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises (Printf.sprintf "interval %g" interval)
+        (Invalid_argument "Invariant.start: interval must be positive")
+        (fun () -> Invariant.start inv ~interval ()))
+    [ 0.0; -1.0; Float.nan ];
+  Alcotest.(check int) "no check ran" 0 (Invariant.checks_run inv);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending (Net.engine net))
+
+(* [Soak.fly] flies the recorder only when [Trace.interested] says the
+   world is observed, so the oracle it installs must not observe the
+   trace itself: otherwise every unobserved soak run would build
+   records. *)
+let test_oracle_leaves_trace_uninterested () =
+  let topo = Scenarios.Topo.build () in
+  let net = topo.Scenarios.Topo.net in
+  let trace = Net.trace net in
+  Net.set_tracing net false;
+  let interested = ref false in
+  let probe () = if Trace.interested trace then interested := true in
+  Scenarios.Topo.roam_static topo ();
+  let oracle = Scenarios.Oracle.create topo in
+  Scenarios.Oracle.install_standard ~recovery_after:5.0 oracle;
+  probe ();
+  let port = 40100 in
+  Transport.Tcp.listen (Transport.Tcp.get topo.Scenarios.Topo.ch_node) ~port
+    (fun conn ->
+      Scenarios.Oracle.add_tcp_stream ~expected:(fun _ -> 'x') oracle conn;
+      probe ());
+  let conn =
+    Transport.Tcp.connect
+      (Transport.Tcp.get topo.Scenarios.Topo.mh_node)
+      ~dst:topo.Scenarios.Topo.ch_addr ~dst_port:port ()
+  in
+  Transport.Tcp.send_data conn (Bytes.make 64 'x');
+  Invariant.add_check (Scenarios.Oracle.inv oracle) ~name:"probe" (fun () ->
+      probe ();
+      None);
+  Scenarios.Oracle.start ~interval:1.0 ~ticks:10 oracle;
+  probe ();
+  Net.run net;
+  Scenarios.Oracle.finish oracle;
+  probe ();
+  Alcotest.(check bool) "never interested" false !interested;
+  Alcotest.(check int) "nothing logged" 0 (Trace.length trace);
+  Alcotest.(check (list string)) "clean" [] (names oracle)
+
 let suites =
   [
     ( "chaos",
@@ -662,5 +715,9 @@ let suites =
           test_accepts_actions;
         Alcotest.test_case "tcp: retx-abort counter" `Quick
           test_tcp_retx_abort_counter;
+        Alcotest.test_case "invariant: start rejects a bad interval" `Quick
+          test_invariant_start_rejects;
+        Alcotest.test_case "soak: the oracle leaves the trace uninterested"
+          `Quick test_oracle_leaves_trace_uninterested;
       ] );
   ]

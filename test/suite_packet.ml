@@ -243,17 +243,6 @@ let prop_header_checksum_matches_encode =
       Ipv4_packet.header_checksum pkt
       = Bytes.get_uint16_be (Ipv4_packet.encode pkt) 10)
 
-let prop_ttl_decrement_checksum =
-  QCheck.Test.make ~name:"rfc 1624 ttl decrement = recomputed checksum"
-    ~count:300 arb_packet (fun pkt ->
-      QCheck.assume (pkt.Ipv4_packet.ttl > 1);
-      let csum = Ipv4_packet.header_checksum pkt in
-      match Ipv4_packet.decrement_ttl pkt with
-      | exception Ipv4_packet.Ttl_expired -> false
-      | p ->
-          Ipv4_packet.decrement_ttl_checksum ~checksum:csum pkt
-          = Ipv4_packet.header_checksum p)
-
 let suites =
   [
     ( "packet",
@@ -281,7 +270,6 @@ let suites =
           test_header_checksum_matches_encode;
         QCheck_alcotest.to_alcotest prop_encode_decode;
         QCheck_alcotest.to_alcotest prop_header_checksum_matches_encode;
-        QCheck_alcotest.to_alcotest prop_ttl_decrement_checksum;
         QCheck_alcotest.to_alcotest prop_tunnel_roundtrip;
         QCheck_alcotest.to_alcotest prop_wire_tunnel_roundtrip;
       ] );

@@ -39,30 +39,30 @@ let deliver ?(flow = 0) ?(time = 0.0) i =
 let ids t =
   List.map
     (fun r -> (Trace.frame_of r.Trace.event).Trace.id)
-    (Netobs.Recorder.records t)
+    (Trace.ring_records t)
 
 let test_ring_basics () =
-  let r = Netobs.Recorder.create ~capacity:4 () in
+  let r = Trace.make_ring ~capacity:4 () in
   Alcotest.(check (list int)) "empty" [] (ids r);
-  List.iter (fun i -> Netobs.Recorder.note r (transmit i)) [ 0; 1; 2 ];
+  List.iter (fun i -> Trace.ring_store_record r (transmit i)) [ 0; 1; 2 ];
   Alcotest.(check (list int)) "partial fill keeps order" [ 0; 1; 2 ] (ids r);
-  List.iter (fun i -> Netobs.Recorder.note r (transmit i)) [ 3; 4; 5 ];
+  List.iter (fun i -> Trace.ring_store_record r (transmit i)) [ 3; 4; 5 ];
   Alcotest.(check (list int)) "wraps to the most recent" [ 2; 3; 4; 5 ] (ids r);
-  Alcotest.(check int) "seen counts everything" 6 (Netobs.Recorder.seen r);
-  Alcotest.(check int) "kept counts stores" 6 (Netobs.Recorder.kept r);
-  Alcotest.(check int) "length is capped" 4 (Netobs.Recorder.length r);
+  Alcotest.(check int) "seen counts everything" 6 (Trace.ring_seen r);
+  Alcotest.(check int) "kept counts stores" 6 (Trace.ring_kept r);
+  Alcotest.(check int) "length is capped" 4 (Trace.ring_length r);
   Alcotest.(check (list int))
     "tail takes the last k" [ 4; 5 ]
     (List.map
        (fun r -> (Trace.frame_of r.Trace.event).Trace.id)
-       (Netobs.Recorder.tail ~last:2 r));
-  Netobs.Recorder.clear r;
+       (Trace.ring_tail ~last:2 r));
+  Trace.ring_clear r;
   Alcotest.(check (list int)) "clear empties" [] (ids r)
 
 let test_ring_sampling () =
-  let r = Netobs.Recorder.create ~sample_every:3 ~seed:7 ~capacity:64 () in
+  let r = Trace.make_ring ~sample_every:3 ~seed:7 ~capacity:64 () in
   for i = 0 to 99 do
-    Netobs.Recorder.note r (transmit ~flow:(i mod 10) i)
+    Trace.ring_store_record r (transmit ~flow:(i mod 10) i)
   done;
   (* whole flows are in or out: every surviving record's flow passes the
      same predicate [sampled] exposes *)
@@ -70,19 +70,19 @@ let test_ring_sampling () =
     "kept records come from sampled flows only" true
     (List.for_all
        (fun rec_ ->
-         Netobs.Recorder.sampled r (Trace.frame_of rec_.Trace.event).Trace.flow)
-       (Netobs.Recorder.records r));
+         Trace.ring_sampled r (Trace.frame_of rec_.Trace.event).Trace.flow)
+       (Trace.ring_records r));
   Alcotest.(check bool)
     "sampling dropped something" true
-    (Netobs.Recorder.kept r < Netobs.Recorder.seen r)
+    (Trace.ring_kept r < Trace.ring_seen r)
 
 let prop_ring_wraparound =
   QCheck.Test.make ~name:"ring keeps exactly the last capacity records"
     ~count:200
     QCheck.(pair (1 -- 20) (list_of_size Gen.(0 -- 60) (0 -- 1000)))
     (fun (capacity, xs) ->
-      let r = Netobs.Recorder.create ~capacity () in
-      List.iteri (fun i _ -> Netobs.Recorder.note r (transmit i)) xs;
+      let r = Trace.make_ring ~capacity () in
+      List.iteri (fun i _ -> Trace.ring_store_record r (transmit i)) xs;
       let n = List.length xs in
       let expect = List.init (min n capacity) (fun i -> n - min n capacity + i) in
       ids r = expect)
@@ -92,9 +92,9 @@ let prop_sampling_deterministic =
     ~count:200
     QCheck.(pair (0 -- 1_000_000) (0 -- 1_000_000))
     (fun (seed, flow) ->
-      let a = Netobs.Recorder.create ~sample_every:4 ~seed ~capacity:1 () in
-      let b = Netobs.Recorder.create ~sample_every:4 ~seed ~capacity:1 () in
-      Netobs.Recorder.sampled a flow = Netobs.Recorder.sampled b flow)
+      let a = Trace.make_ring ~sample_every:4 ~seed ~capacity:1 () in
+      let b = Trace.make_ring ~sample_every:4 ~seed ~capacity:1 () in
+      Trace.ring_sampled a flow = Trace.ring_sampled b flow)
 
 (* ---------- the one emit ---------- *)
 
@@ -251,14 +251,14 @@ let test_tee_identity () =
   Alcotest.(check int) "removed observers see nothing" 2 (List.length !seen_a)
 
 let test_recorder_as_sink () =
-  let r = Netobs.Recorder.create ~capacity:8 () in
+  let r = Trace.make_ring ~capacity:8 () in
   let t = Trace.create () in
-  Netobs.Recorder.install r t;
-  Netobs.Recorder.install r t;
+  Trace.attach_ring t r;
+  Trace.attach_ring t r;
   (* idempotent: one attachment, one store per record *)
   Trace.record t ~time:1.0 (transmit 3).Trace.event;
   Alcotest.(check (list int)) "ring captured via the tee" [ 3 ] (ids r);
-  Netobs.Recorder.uninstall r t;
+  Trace.detach_ring t r;
   Trace.record t ~time:2.0 (transmit 4).Trace.event;
   Alcotest.(check (list int)) "uninstall detaches" [ 3 ] (ids r)
 
@@ -315,13 +315,13 @@ let test_ring_path_matches_record_path () =
   let ring_only = live_world () in
   let ring_trace = Net.trace ring_only.Scenarios.Topo.net in
   Net.set_tracing ring_only.Scenarios.Topo.net false;
-  let a = Netobs.Recorder.create ~capacity:4096 () in
-  Netobs.Recorder.install a ring_trace;
+  let a = Trace.make_ring ~capacity:4096 () in
+  Trace.attach_ring ring_trace a;
   drive ring_only;
   let logged = live_world () in
   let logged_trace = Net.trace logged.Scenarios.Topo.net in
-  let b = Netobs.Recorder.create ~capacity:4096 () in
-  ignore (Trace.add_observer logged_trace (Netobs.Recorder.note b));
+  let b = Trace.make_ring ~capacity:4096 () in
+  ignore (Trace.add_observer logged_trace (Trace.ring_store_record b));
   drive logged;
   Alcotest.(check int) "ring-only world logs nothing" 0
     (Trace.length ring_trace);
@@ -334,28 +334,28 @@ let test_ring_path_matches_record_path () =
       "icmp-error"; "send"; "transmit";
     ]
     (List.sort_uniq String.compare
-       (List.map kind_name (Netobs.Recorder.records a)));
+       (List.map kind_name (Trace.ring_records a)));
   Alcotest.(check bool) "nothing wrapped" true
-    (Netobs.Recorder.seen a < Netobs.Recorder.capacity a);
-  Alcotest.(check int) "same events seen" (Netobs.Recorder.seen b)
-    (Netobs.Recorder.seen a);
+    (Trace.ring_seen a < Trace.ring_capacity a);
+  Alcotest.(check int) "same events seen" (Trace.ring_seen b)
+    (Trace.ring_seen a);
   Alcotest.(check bool) "identical records" true
-    (Netobs.Recorder.records a = Netobs.Recorder.records b)
+    (Trace.ring_records a = Trace.ring_records b)
 
 (* Two worlds in one process: a recorder installed on the first world's
    trace sees nothing of the second world's run. *)
 let test_ring_is_per_trace () =
   let mine = live_world () in
-  let r = Netobs.Recorder.create ~capacity:64 () in
-  Netobs.Recorder.install r (Net.trace mine.Scenarios.Topo.net);
+  let r = Trace.make_ring ~capacity:64 () in
+  Trace.attach_ring (Net.trace mine.Scenarios.Topo.net) r;
   let other = live_world () in
   Net.set_tracing other.Scenarios.Topo.net false;
   drive other;
   Alcotest.(check int) "no events from the other world" 0
-    (Netobs.Recorder.seen r);
+    (Trace.ring_seen r);
   drive mine;
   Alcotest.(check bool) "its own world's events arrive" true
-    (Netobs.Recorder.seen r > 0)
+    (Trace.ring_seen r > 0)
 
 (* ---------- pcap ---------- *)
 
@@ -554,9 +554,9 @@ let test_counts_ignore_consumers () =
   let ringed =
     E18.workload ~flows:8
       ~install:(fun net ->
-        let r = Netobs.Recorder.create ~capacity:64 () in
-        Netobs.Recorder.install r (Net.trace net);
-        fun () -> Netobs.Recorder.uninstall r (Net.trace net))
+        let r = Trace.make_ring ~capacity:64 () in
+        Trace.attach_ring (Net.trace net) r;
+        fun () -> Trace.detach_ring (Net.trace net) r)
       ()
   in
   let counts = Alcotest.(list (pair string int)) in

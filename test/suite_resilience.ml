@@ -57,15 +57,28 @@ let test_loss_drops_traced () =
   Alcotest.(check bool) "link-loss drops recorded" true
     (match losses with Some n -> n > 0 | None -> false)
 
+(* A negative or NaN rate would otherwise build a lossless link. *)
 let test_loss_rate_validated () =
   let net = Net.create () in
   let s = Net.add_host net "s" in
   let d = Net.add_host net "d" in
-  Alcotest.check_raises "rate 1.0 rejected"
-    (Invalid_argument "Net: loss rate must be < 1.0") (fun () ->
-      ignore
-        (Net.p2p net ~loss:1.0 ~prefix:(p "10.0.0.0/30")
-           (s, "if0", a "10.0.0.1") (d, "if0", a "10.0.0.2")))
+  List.iter
+    (fun (loss, msg) ->
+      Alcotest.check_raises (Printf.sprintf "p2p rate %g rejected" loss)
+        (Invalid_argument msg) (fun () ->
+          ignore
+            (Net.p2p net ~loss ~prefix:(p "10.0.0.0/30")
+               (s, "if0", a "10.0.0.1") (d, "if0", a "10.0.0.2")));
+      Alcotest.check_raises (Printf.sprintf "segment rate %g rejected" loss)
+        (Invalid_argument msg) (fun () ->
+          ignore (Net.add_segment net ~name:"lan" ~loss ())))
+    [
+      (1.0, "Net: loss rate must be < 1.0");
+      (Float.nan, "Net: loss rate must be < 1.0");
+      (-0.1, "Net: loss rate must be >= 0");
+    ];
+  Alcotest.(check int) "no interface was made" 0
+    (List.length (Net.ifaces s) + List.length (Net.ifaces d))
 
 let test_tcp_survives_lossy_path () =
   (* Retransmission makes a 20%-lossy path usable — the reliability
