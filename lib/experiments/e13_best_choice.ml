@@ -5,6 +5,10 @@
 
 open Mobileip
 
+(* Nothing reads [ch_capability] yet: [run_case] builds every world with a
+   mobile-aware correspondent.  Building each case with the capability it
+   names moves E13's pinned output, so it waits for ROADMAP item 4, and
+   warning 69 is off for this one type until then. *)
 type env_case = {
   name : string;
   env : Grid.environment;
@@ -12,6 +16,7 @@ type env_case = {
   filtering : Scenarios.Topo.filtering;
   ch_capability : Correspondent.capability;
 }
+[@@warning "-69"]
 
 let base = Grid.default_environment
 

@@ -108,21 +108,12 @@ let run_cell (cell : Grid.cell) =
   let ch_udp = Transport.Udp_service.get (Correspondent.node ch) in
   (* Each probe carries its sequence number; both ends deduplicate, so a
      frame the duplication window copied still counts as one probe. *)
-  let seq_of payload =
-    (Char.code (Bytes.get payload 0) lsl 8) lor Char.code (Bytes.get payload 1)
-  in
-  let probe_payload k =
-    let b = Bytes.make 32 'p' in
-    Bytes.set b 0 (Char.chr ((k lsr 8) land 0xff));
-    Bytes.set b 1 (Char.chr (k land 0xff));
-    b
-  in
   let seen_mh = Hashtbl.create 128 in
   let seen_ch = Hashtbl.create 128 in
   let delivery_times = ref [] in
   Transport.Udp_service.listen mh_udp ~port:probe_port (fun svc dgram ->
       let payload = dgram.Transport.Udp_service.payload in
-      let k = seq_of payload in
+      let k = Bytes.get_uint16_be payload 0 in
       if not (Hashtbl.mem seen_mh k) then begin
         Hashtbl.replace seen_mh k ();
         delivery_times := Netsim.Engine.now eng :: !delivery_times;
@@ -137,15 +128,17 @@ let run_cell (cell : Grid.cell) =
       end);
   Transport.Udp_service.listen ch_udp ~port:echo_port (fun _ dgram ->
       Hashtbl.replace seen_ch
-        (seq_of dgram.Transport.Udp_service.payload)
+        (Bytes.get_uint16_be dgram.Transport.Udp_service.payload 0)
         ());
   for k = 0 to probe_count - 1 do
     Netsim.Engine.schedule eng
       ~at:(t0 +. (probe_interval *. float_of_int k))
       (fun () ->
+        let payload = Bytes.make 32 'p' in
+        Bytes.set_uint16_be payload 0 k;
         ignore
           (Transport.Udp_service.send ch_udp ~dst:home
-             ~src_port:(41000 + k) ~dst_port:probe_port (probe_payload k)))
+             ~src_port:(41000 + k) ~dst_port:probe_port payload))
   done;
   Netsim.Net.run net;
 

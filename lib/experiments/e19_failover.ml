@@ -123,19 +123,10 @@ let run_failover ~standby () =
      the receiver deduplicates. *)
   let mh_udp = Transport.Udp_service.get topo.Topo.mh_node in
   let ch_udp = Transport.Udp_service.get topo.Topo.ch_node in
-  let seq_of payload =
-    (Char.code (Bytes.get payload 0) lsl 8) lor Char.code (Bytes.get payload 1)
-  in
-  let probe_payload k =
-    let b = Bytes.make 32 'f' in
-    Bytes.set b 0 (Char.chr ((k lsr 8) land 0xff));
-    Bytes.set b 1 (Char.chr (k land 0xff));
-    b
-  in
   let seen = Hashtbl.create 128 in
   let delivery_times = ref [] in
   Transport.Udp_service.listen mh_udp ~port:probe_port (fun _ dgram ->
-      let k = seq_of dgram.Transport.Udp_service.payload in
+      let k = Bytes.get_uint16_be dgram.Transport.Udp_service.payload 0 in
       if not (Hashtbl.mem seen k) then begin
         Hashtbl.replace seen k ();
         delivery_times := Netsim.Engine.now eng :: !delivery_times
@@ -144,9 +135,11 @@ let run_failover ~standby () =
     Netsim.Engine.schedule eng
       ~at:(t0 +. (probe_interval *. float_of_int k))
       (fun () ->
+        let payload = Bytes.make 32 'f' in
+        Bytes.set_uint16_be payload 0 k;
         ignore
           (Transport.Udp_service.send ch_udp ~dst:topo.Topo.mh_home_addr
-             ~src_port:(42000 + k) ~dst_port:probe_port (probe_payload k)))
+             ~src_port:(42000 + k) ~dst_port:probe_port payload))
   done;
   Netsim.Net.run net;
   Oracle.finish oracle;

@@ -10,27 +10,6 @@ let op_query = 1
 let op_response = 2
 let op_update = 3
 
-let put_addr buf off a =
-  let o1, o2, o3, o4 = Ipv4_addr.to_octets a in
-  Bytes.set buf off (Char.chr o1);
-  Bytes.set buf (off + 1) (Char.chr o2);
-  Bytes.set buf (off + 2) (Char.chr o3);
-  Bytes.set buf (off + 3) (Char.chr o4)
-
-let get_addr buf off =
-  Ipv4_addr.of_octets
-    (Char.code (Bytes.get buf off))
-    (Char.code (Bytes.get buf (off + 1)))
-    (Char.code (Bytes.get buf (off + 2)))
-    (Char.code (Bytes.get buf (off + 3)))
-
-let put_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
 let check_name name =
   if String.length name = 0 || String.length name > 255 then
     invalid_arg "Dns_ext: name must be 1..255 bytes"
@@ -51,8 +30,8 @@ let encode_update ~name ~care_of ~ttl =
   Bytes.set buf 0 (Char.chr op_update);
   Bytes.set buf 1 (Char.chr n);
   Bytes.blit_string name 0 buf 2 n;
-  put_addr buf (2 + n) care_of;
-  put_u16 buf (6 + n) ttl;
+  Ipv4_addr.write buf (2 + n) care_of;
+  Bytes.set_uint16_be buf (6 + n) ttl;
   buf
 
 let decode_name buf =
@@ -73,11 +52,11 @@ let encode_response ~name ~permanent ~temporary =
     lor match temporary with Some _ -> 2 | None -> 0
   in
   Bytes.set buf (2 + n) (Char.chr flags);
-  (match permanent with Some a -> put_addr buf (3 + n) a | None -> ());
+  (match permanent with Some a -> Ipv4_addr.write buf (3 + n) a | None -> ());
   (match temporary with
   | Some (a, ttl) ->
-      put_addr buf (7 + n) a;
-      put_u16 buf (11 + n) ttl
+      Ipv4_addr.write buf (7 + n) a;
+      Bytes.set_uint16_be buf (11 + n) ttl
   | None -> ());
   buf
 
@@ -90,11 +69,12 @@ let decode_response buf =
       else
         let flags = Char.code (Bytes.get buf (2 + n)) in
         let permanent =
-          if flags land 1 <> 0 then Some (get_addr buf (3 + n)) else None
+          if flags land 1 <> 0 then Some (Ipv4_addr.read buf (3 + n)) else None
         in
         let temporary =
           if flags land 2 <> 0 then
-            Some (get_addr buf (7 + n), get_u16 buf (11 + n))
+            let ttl = Bytes.get_uint16_be buf (11 + n) in
+            Some (Ipv4_addr.read buf (7 + n), ttl)
           else None
         in
         Some (name, permanent, temporary)
@@ -158,8 +138,8 @@ module Server = struct
               let n = String.length name in
               if Bytes.length payload >= 2 + n + 6 then begin
                 t.updates <- t.updates + 1;
-                let care_of = get_addr payload (2 + n) in
-                let ttl = get_u16 payload (6 + n) in
+                let care_of = Ipv4_addr.read payload (2 + n) in
+                let ttl = Bytes.get_uint16_be payload (6 + n) in
                 let r = record_for t name in
                 if ttl = 0 then r.temporary <- None
                 else

@@ -19,23 +19,14 @@ let packets_delivered t = t.delivered
 let registrations_relayed t = t.relayed
 
 let advert_payload fa_addr =
-  let buf = Bytes.make 5 '\000' in
+  let buf = Bytes.create 5 in
   Bytes.set buf 0 (Char.chr 9);
-  let a, b, c, d = Ipv4_addr.to_octets fa_addr in
-  Bytes.set buf 1 (Char.chr a);
-  Bytes.set buf 2 (Char.chr b);
-  Bytes.set buf 3 (Char.chr c);
-  Bytes.set buf 4 (Char.chr d);
+  Ipv4_addr.write buf 1 fa_addr;
   buf
 
-let advert_addr payload =
+let advert_agent_address payload =
   if Bytes.length payload = 5 && Char.code (Bytes.get payload 0) = 9 then
-    Some
-      (Ipv4_addr.of_octets
-         (Char.code (Bytes.get payload 1))
-         (Char.code (Bytes.get payload 2))
-         (Char.code (Bytes.get payload 3))
-         (Char.code (Bytes.get payload 4)))
+    Some (Ipv4_addr.read payload 1)
   else None
 
 let visitor_mac t home =
@@ -142,12 +133,10 @@ let crash t =
 let restart t = t.up <- true
 let is_up t = t.up
 
-let advert_agent_address = advert_addr
-
 let on_advert node callback =
   let udp = Transport.Udp_service.get node in
   Transport.Udp_service.listen udp ~port:advert_port (fun svc dgram ->
-      match advert_addr dgram.Transport.Udp_service.payload with
+      match advert_agent_address dgram.Transport.Udp_service.payload with
       | Some fa_addr ->
           Transport.Udp_service.unlisten svc ~port:advert_port;
           callback ~fa_addr

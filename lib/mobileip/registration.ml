@@ -40,24 +40,6 @@ let digest ~key buf len =
 
 let authenticator ~key body = digest ~key body (Bytes.length body)
 
-let put_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let put_u32 buf off v =
-  put_u16 buf off ((v lsr 16) land 0xffff);
-  put_u16 buf (off + 2) (v land 0xffff)
-
-let get_u32 buf off = (get_u16 buf off lsl 16) lor get_u16 buf (off + 2)
-
-let put_addr buf off a = put_u32 buf off (Int32.to_int (Ipv4_addr.to_int32 a) land 0xffffffff)
-
-let get_addr buf off =
-  Ipv4_addr.of_int32 (Int32.of_int (get_u32 buf off))
-
 let op_request = 1
 let op_reply = 3
 
@@ -76,13 +58,12 @@ let reply_length = 18
 let encode_request ~key r =
   let buf = Bytes.make request_length '\000' in
   Bytes.set buf 0 (Char.chr op_request);
-  put_addr buf 1 r.home;
-  put_addr buf 5 r.home_agent;
-  put_addr buf 9 r.care_of;
-  put_u16 buf 13 r.lifetime;
-  put_u16 buf 15 r.sequence;
-  let auth = digest ~key buf 17 in
-  put_u32 buf 17 auth;
+  Ipv4_addr.write buf 1 r.home;
+  Ipv4_addr.write buf 5 r.home_agent;
+  Ipv4_addr.write buf 9 r.care_of;
+  Bytes.set_uint16_be buf 13 r.lifetime;
+  Bytes.set_uint16_be buf 15 r.sequence;
+  Bytes.set_int32_be buf 17 (Int32.of_int (digest ~key buf 17));
   buf
 
 let decode_request ~key buf =
@@ -90,17 +71,17 @@ let decode_request ~key buf =
   else if Char.code (Bytes.get buf 0) <> op_request then
     Error "registration: not a request"
   else
-    let auth = get_u32 buf 17 in
+    let auth = Int32.to_int (Bytes.get_int32_be buf 17) land 0xffff_ffff in
     if auth <> digest ~key buf 17 then
       Error "registration: authenticator mismatch"
     else
       Ok
         {
-          home = get_addr buf 1;
-          home_agent = get_addr buf 5;
-          care_of = get_addr buf 9;
-          lifetime = get_u16 buf 13;
-          sequence = get_u16 buf 15;
+          home = Ipv4_addr.read buf 1;
+          home_agent = Ipv4_addr.read buf 5;
+          care_of = Ipv4_addr.read buf 9;
+          lifetime = Bytes.get_uint16_be buf 13;
+          sequence = Bytes.get_uint16_be buf 15;
         }
 
 let is_request buf =
@@ -109,21 +90,22 @@ let is_request buf =
 let is_reply buf =
   Bytes.length buf = reply_length && Char.code (Bytes.get buf 0) = op_reply
 
-let peek_request_home buf = if is_request buf then Some (get_addr buf 1) else None
+let peek_request_home buf =
+  if is_request buf then Some (Ipv4_addr.read buf 1) else None
 let peek_request_home_agent buf =
-  if is_request buf then Some (get_addr buf 5) else None
-let peek_reply_home buf = if is_reply buf then Some (get_addr buf 1) else None
+  if is_request buf then Some (Ipv4_addr.read buf 5) else None
+let peek_reply_home buf =
+  if is_reply buf then Some (Ipv4_addr.read buf 1) else None
 
 let encode_reply ~key r =
   let buf = Bytes.make reply_length '\000' in
   Bytes.set buf 0 (Char.chr op_reply);
-  put_addr buf 1 r.r_home;
-  put_addr buf 5 r.r_care_of;
-  put_u16 buf 9 r.r_lifetime;
-  put_u16 buf 11 r.r_sequence;
+  Ipv4_addr.write buf 1 r.r_home;
+  Ipv4_addr.write buf 5 r.r_care_of;
+  Bytes.set_uint16_be buf 9 r.r_lifetime;
+  Bytes.set_uint16_be buf 11 r.r_sequence;
   Bytes.set buf 13 (Char.chr (Types.reg_code_to_int r.r_code));
-  let auth = digest ~key buf 14 in
-  put_u32 buf 14 auth;
+  Bytes.set_int32_be buf 14 (Int32.of_int (digest ~key buf 14));
   buf
 
 let decode_reply ~key buf =
@@ -131,7 +113,7 @@ let decode_reply ~key buf =
   else if Char.code (Bytes.get buf 0) <> op_reply then
     Error "registration: not a reply"
   else
-    let auth = get_u32 buf 14 in
+    let auth = Int32.to_int (Bytes.get_int32_be buf 14) land 0xffff_ffff in
     if auth <> digest ~key buf 14 then
       Error "registration: authenticator mismatch"
     else
@@ -140,9 +122,9 @@ let decode_reply ~key buf =
       | Some r_code ->
           Ok
             {
-              r_home = get_addr buf 1;
-              r_care_of = get_addr buf 5;
-              r_lifetime = get_u16 buf 9;
-              r_sequence = get_u16 buf 11;
+              r_home = Ipv4_addr.read buf 1;
+              r_care_of = Ipv4_addr.read buf 5;
+              r_lifetime = Bytes.get_uint16_be buf 9;
+              r_sequence = Bytes.get_uint16_be buf 11;
               r_code;
             }

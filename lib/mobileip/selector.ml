@@ -24,7 +24,7 @@ type dst_state = {
   mutable failures : int;
   mutable switch_count : int;
   mutable failed : Grid.out_method list;
-  mutable probing_enabled : bool;
+  probing_enabled : bool;
       (* false = pinned (pessimistic rule): never escalate *)
   mutable last_used : int;
       (* recency stamp for LRU eviction; bumped on every lookup *)

@@ -50,17 +50,14 @@ let fragment ~mtu pkt =
     end
 
 module Reassembly = struct
-  type key = {
-    src : Ipv4_addr.t;
-    dst : Ipv4_addr.t;
-    protocol : int;
-    ident : int;
-  }
+  (* Source, destination, protocol number and identification: the fields
+     that name a datagram (RFC 791). *)
+  type key = Ipv4_addr.t * Ipv4_addr.t * int * int
 
   type datagram = {
     mutable pieces : (int * Bytes.t) list;  (* byte offset, data *)
     mutable total : int option;  (* known once the last fragment arrives *)
-    mutable first_seen : float;
+    first_seen : float;
     mutable template : Ipv4_packet.t;  (* header fields from offset 0 *)
   }
 
@@ -80,13 +77,8 @@ module Reassembly = struct
 
   let create () = { table = None; oldest = infinity }
 
-  let key_of (p : Ipv4_packet.t) =
-    {
-      src = p.src;
-      dst = p.dst;
-      protocol = Ipv4_packet.protocol_to_int p.protocol;
-      ident = p.ident;
-    }
+  let key_of (p : Ipv4_packet.t) : key =
+    (p.src, p.dst, Ipv4_packet.protocol_to_int p.protocol, p.ident)
 
   let complete d =
     match d.total with

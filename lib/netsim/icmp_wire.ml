@@ -39,23 +39,6 @@ let byte_length = function
       8 + Bytes.length context
   | Care_of_advert _ -> 8 + 8
 
-let set_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set_addr buf off a =
-  let x = Ipv4_addr.to_int32 a in
-  set_u16 buf off (Int32.to_int (Int32.shift_right_logical x 16) land 0xffff);
-  set_u16 buf (off + 2) (Int32.to_int x land 0xffff)
-
-let get_addr buf off =
-  let hi = get_u16 buf off and lo = get_u16 buf (off + 2) in
-  Ipv4_addr.of_int32
-    (Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo))
-
 let encode t =
   let len = byte_length t in
   let buf = Bytes.make len '\000' in
@@ -66,13 +49,13 @@ let encode t =
   (match t with
   | Echo_request { ident; seq; payload } ->
       set_type_code 8 0;
-      set_u16 buf 4 ident;
-      set_u16 buf 6 seq;
+      Bytes.set_uint16_be buf 4 ident;
+      Bytes.set_uint16_be buf 6 seq;
       Bytes.blit payload 0 buf 8 (Bytes.length payload)
   | Echo_reply { ident; seq; payload } ->
       set_type_code 0 0;
-      set_u16 buf 4 ident;
-      set_u16 buf 6 seq;
+      Bytes.set_uint16_be buf 4 ident;
+      Bytes.set_uint16_be buf 6 seq;
       Bytes.blit payload 0 buf 8 (Bytes.length payload)
   | Dest_unreachable { code; context } ->
       set_type_code 3 (unreach_code_to_int code);
@@ -82,11 +65,11 @@ let encode t =
       Bytes.blit context 0 buf 8 (Bytes.length context)
   | Care_of_advert { home; care_of; lifetime } ->
       set_type_code care_of_advert_type 0;
-      set_u16 buf 6 (lifetime land 0xffff);
-      set_addr buf 8 home;
-      set_addr buf 12 care_of);
+      Bytes.set_uint16_be buf 6 lifetime;
+      Ipv4_addr.write buf 8 home;
+      Ipv4_addr.write buf 12 care_of);
   let csum = Checksum.compute buf in
-  set_u16 buf 2 csum;
+  Bytes.set_uint16_be buf 2 csum;
   buf
 
 let decode buf =
@@ -98,10 +81,13 @@ let decode buf =
     let code = Char.code (Bytes.get buf 1) in
     let rest off = Bytes.sub buf off (n - off) in
     match ty with
-    | 8 ->
-        Ok (Echo_request { ident = get_u16 buf 4; seq = get_u16 buf 6; payload = rest 8 })
-    | 0 ->
-        Ok (Echo_reply { ident = get_u16 buf 4; seq = get_u16 buf 6; payload = rest 8 })
+    | 8 | 0 ->
+        let ident = Bytes.get_uint16_be buf 4
+        and seq = Bytes.get_uint16_be buf 6
+        and payload = rest 8 in
+        Ok
+          (if ty = 8 then Echo_request { ident; seq; payload }
+           else Echo_reply { ident; seq; payload })
     | 3 ->
         Result.map
           (fun code -> Dest_unreachable { code; context = rest 8 })
@@ -113,9 +99,9 @@ let decode buf =
           Ok
             (Care_of_advert
                {
-                 home = get_addr buf 8;
-                 care_of = get_addr buf 12;
-                 lifetime = get_u16 buf 6;
+                 home = Ipv4_addr.read buf 8;
+                 care_of = Ipv4_addr.read buf 12;
+                 lifetime = Bytes.get_uint16_be buf 6;
                })
     | t -> Error (Printf.sprintf "icmp: unknown type %d" t)
 
@@ -128,7 +114,7 @@ let quote_context wire =
 
 let context_original ctx =
   if Bytes.length ctx < 20 then None
-  else Some (get_addr ctx 12, get_addr ctx 16)
+  else Some (Ipv4_addr.read ctx 12, Ipv4_addr.read ctx 16)
 
 let equal a b =
   match (a, b) with

@@ -23,6 +23,9 @@ let to_octets x =
   let d = Int32.to_int x land 0xff in
   (u, b, c, d)
 
+let read buf off = Bytes.get_int32_be buf off
+let write buf off x = Bytes.set_int32_be buf off x
+
 let of_string_opt s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] -> (

@@ -24,6 +24,16 @@ val of_octets : int -> int -> int -> int -> t
 
 val to_octets : t -> int * int * int * int
 
+val read : Bytes.t -> int -> t
+(** [read buf off] is the address in the four bytes at [off], in network
+    (big-endian) order: the one wire codec for an address.
+    @raise Invalid_argument if they do not lie within [buf]. *)
+
+val write : Bytes.t -> int -> t -> unit
+(** [write buf off a] stores [a] in the four bytes at [off], in network
+    order.
+    @raise Invalid_argument if they do not lie within [buf]. *)
+
 val of_string : string -> t
 (** Parse dotted-quad notation.
     @raise Invalid_argument on malformed input. *)

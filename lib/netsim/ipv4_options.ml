@@ -1,20 +1,6 @@
 let lsr_type = 131
 let nop = 1
 
-let put_addr buf off a =
-  let o1, o2, o3, o4 = Ipv4_addr.to_octets a in
-  Bytes.set buf off (Char.chr o1);
-  Bytes.set buf (off + 1) (Char.chr o2);
-  Bytes.set buf (off + 2) (Char.chr o3);
-  Bytes.set buf (off + 3) (Char.chr o4)
-
-let get_addr buf off =
-  Ipv4_addr.of_octets
-    (Char.code (Bytes.get buf off))
-    (Char.code (Bytes.get buf (off + 1)))
-    (Char.code (Bytes.get buf (off + 2)))
-    (Char.code (Bytes.get buf (off + 3)))
-
 let build_lsr ~via =
   let n = List.length via in
   if n = 0 || n > 9 then
@@ -25,7 +11,7 @@ let build_lsr ~via =
   Bytes.set buf 0 (Char.chr lsr_type);
   Bytes.set buf 1 (Char.chr opt_len);
   Bytes.set buf 2 (Char.chr 4) (* pointer: first address, 1-based *);
-  List.iteri (fun i a -> put_addr buf (3 + (4 * i)) a) via;
+  List.iteri (fun i a -> Ipv4_addr.write buf (3 + (4 * i)) a) via;
   buf
 
 (* Scan the options buffer for an LSR option; returns its byte offset. *)
@@ -46,40 +32,47 @@ let find_lsr buf =
   in
   scan 0
 
-let parse_lsr buf =
+(* The LSR option's offset, length and pointer, if its pointer is
+   well-formed.  The pointer is the 1-based offset within the option of
+   the next address to visit: address k (0-based) lives at offset 4+4k,
+   so RFC 791's pointer starts at 4 and moves in steps of 4.  Any other
+   pointer leaves the option without a route. *)
+let find_route buf =
   match find_lsr buf with
   | None -> None
   | Some (off, len) ->
       let pointer = Char.code (Bytes.get buf (off + 2)) in
-      let count = (len - 3) / 4 in
+      if pointer < 4 || pointer land 3 <> 0 then None
+      else Some (off, len, pointer)
+
+let parse_lsr buf =
+  match find_route buf with
+  | None -> None
+  | Some (off, len, pointer) ->
       let addresses =
-        List.init count (fun i -> get_addr buf (off + 3 + (4 * i)))
+        List.init ((len - 3) / 4) (fun i ->
+            Ipv4_addr.read buf (off + 3 + (4 * i)))
       in
-      (* Pointer is a 1-based byte offset within the option; address k
-         (0-based) lives at offset 4+4k. *)
-      let index = (pointer - 4) / 4 in
-      Some (index, addresses)
+      Some ((pointer - 4) / 4, addresses)
 
 let lsr_next_hop buf =
-  match parse_lsr buf with
-  | Some (index, addresses) when index < List.length addresses ->
-      Some (List.nth addresses index)
-  | Some _ | None -> None
+  match find_route buf with
+  | Some (off, len, pointer) when pointer + 3 <= len ->
+      Some (Ipv4_addr.read buf (off + pointer - 1))
+  | Some _ (* exhausted *) | None -> None
 
 let advance_lsr buf ~here =
-  match find_lsr buf with
-  | None -> None
-  | Some (off, len) ->
-      let pointer = Char.code (Bytes.get buf (off + 2)) in
-      if pointer + 3 > len then None (* exhausted *)
-      else begin
-        let buf' = Bytes.copy buf in
-        (* Record the address of the node doing the rewriting where the
-           just-consumed hop was, and move the pointer on. *)
-        put_addr buf' (off + pointer - 1) here;
-        Bytes.set buf' (off + 2) (Char.chr (pointer + 4));
-        Some buf'
-      end
+  match find_route buf with
+  | Some (off, len, pointer) when pointer + 3 <= len ->
+      let buf' = Bytes.copy buf in
+      (* Record the address of the node doing the rewriting where the
+         just-consumed hop was, and move the pointer on.  Only an option
+         longer than any IPv4 header can hold moves it past 255; it then
+         wraps to 0, which reads as no route. *)
+      Ipv4_addr.write buf' (off + pointer - 1) here;
+      Bytes.set_uint8 buf' (off + 2) (pointer + 4);
+      Some buf'
+  | Some _ (* exhausted *) | None -> None
 
 (* Every router hop asks, so the scan recurses directly: [Bytes.exists]
    would allocate its loop closure on each call. *)

@@ -26,16 +26,19 @@ val build_lsr : via:Ipv4_addr.t list -> Bytes.t
 val parse_lsr : Bytes.t -> (int * Ipv4_addr.t list) option
 (** [parse_lsr options] finds an LSR option and returns
     [(pointer_index, addresses)] where [pointer_index] is the 0-based
-    index of the next address still to visit ([= List.length addresses]
-    when the route is exhausted).  [None] if no LSR option is present. *)
+    index of the next address still to visit (at least
+    [List.length addresses] when the route is exhausted).  [None] if no
+    LSR option is present, or if its pointer is not one RFC 791 allows:
+    4, 8, 12 and so on. *)
 
 val lsr_next_hop : Bytes.t -> Ipv4_addr.t option
-(** The next address to visit, if the route is not exhausted. *)
+(** The next address to visit, if [parse_lsr] finds a route that is not
+    exhausted. *)
 
 val advance_lsr : Bytes.t -> here:Ipv4_addr.t -> Bytes.t option
 (** Advance the pointer past the next address, recording [here] in its
-    place (the visited-route recording of RFC 791).  [None] when the
-    route is exhausted. *)
+    place (the visited-route recording of RFC 791).  [None] exactly when
+    [lsr_next_hop] is [None]. *)
 
 val has_options : Bytes.t -> bool
 (** True when the buffer contains at least one non-NOP option byte. *)

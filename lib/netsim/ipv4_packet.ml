@@ -103,23 +103,6 @@ let rec payload_byte_length = function
 
 and byte_length t = header_length t + payload_byte_length t.payload
 
-let set_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set_addr buf off a =
-  let x = Ipv4_addr.to_int32 a in
-  set_u16 buf off (Int32.to_int (Int32.shift_right_logical x 16) land 0xffff);
-  set_u16 buf (off + 2) (Int32.to_int x land 0xffff)
-
-let get_addr buf off =
-  let hi = get_u16 buf off and lo = get_u16 buf (off + 2) in
-  Ipv4_addr.of_int32
-    (Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo))
-
 let rec encode_payload t =
   match t.payload with
   | Raw b -> b
@@ -131,7 +114,7 @@ let rec encode_payload t =
       let body = encode inner in
       let buf = Bytes.make (gre_header_length + Bytes.length body) '\000' in
       (* Flags and version all zero: no checksum, key or sequence fields. *)
-      set_u16 buf 2 0x0800;
+      Bytes.set_uint16_be buf 2 0x0800;
       Bytes.blit body 0 buf gre_header_length (Bytes.length body);
       buf
   | Min_encap inner ->
@@ -140,10 +123,10 @@ let rec encode_payload t =
       Bytes.set buf 0 (Char.chr (protocol_to_int inner.protocol));
       (* S bit set: we always carry the original source address. *)
       Bytes.set buf 1 (Char.chr 0x80);
-      set_addr buf 4 inner.dst;
-      set_addr buf 8 inner.src;
+      Ipv4_addr.write buf 4 inner.dst;
+      Ipv4_addr.write buf 8 inner.src;
       let csum = Checksum.compute_sub buf 0 min_encap_header_length in
-      set_u16 buf 2 csum;
+      Bytes.set_uint16_be buf 2 csum;
       Bytes.blit body 0 buf min_encap_header_length (Bytes.length body);
       buf
 
@@ -156,21 +139,21 @@ and encode t =
   let buf = Bytes.make total '\000' in
   Bytes.set buf 0 (Char.chr ((4 lsl 4) lor (hlen / 4)));
   Bytes.set buf 1 (Char.chr t.tos);
-  set_u16 buf 2 total;
-  set_u16 buf 4 t.ident;
+  Bytes.set_uint16_be buf 2 total;
+  Bytes.set_uint16_be buf 4 t.ident;
   let flags =
     (if t.dont_fragment then 0x4000 else 0)
     lor (if t.more_fragments then 0x2000 else 0)
     lor (t.frag_offset land 0x1fff)
   in
-  set_u16 buf 6 flags;
+  Bytes.set_uint16_be buf 6 flags;
   Bytes.set buf 8 (Char.chr t.ttl);
   Bytes.set buf 9 (Char.chr (protocol_to_int t.protocol));
-  set_addr buf 12 t.src;
-  set_addr buf 16 t.dst;
+  Ipv4_addr.write buf 12 t.src;
+  Ipv4_addr.write buf 16 t.dst;
   Bytes.blit t.options 0 buf 20 (Bytes.length t.options);
   let csum = Checksum.compute_sub buf 0 hlen in
-  set_u16 buf 10 csum;
+  Bytes.set_uint16_be buf 10 csum;
   Bytes.blit body 0 buf hlen (Bytes.length body);
   buf
 
@@ -199,7 +182,7 @@ let header_checksum t =
   let n = Bytes.length t.options in
   let i = ref 0 in
   while !i < n do
-    sum := !sum + get_u16 t.options !i;
+    sum := !sum + Bytes.get_uint16_be t.options !i;
     i := !i + 2
   done;
   Checksum.finish !sum
@@ -220,8 +203,10 @@ let rec decode_payload ~outer body =
     | P_ipip -> Result.map (fun p -> Encap p) (decode body)
     | P_gre ->
         if Bytes.length body < gre_header_length then Error "gre: truncated"
-        else if get_u16 body 0 <> 0 then Error "gre: unsupported flags"
-        else if get_u16 body 2 <> 0x0800 then Error "gre: not IPv4 payload"
+        else if Bytes.get_uint16_be body 0 <> 0 then
+          Error "gre: unsupported flags"
+        else if Bytes.get_uint16_be body 2 <> 0x0800 then
+          Error "gre: not IPv4 payload"
         else
           let inner =
             Bytes.sub body gre_header_length
@@ -233,17 +218,12 @@ let rec decode_payload ~outer body =
           Error "minenc: truncated"
         else if Char.code (Bytes.get body 1) land 0x80 = 0 then
           Error "minenc: missing original source (S=0 unsupported)"
-        else if
-          Checksum.compute_sub body 0 min_encap_header_length <> 0
-          && not
-               (Checksum.ones_complement_sum body 0 min_encap_header_length
-                land 0xffff
-               = 0xffff)
-        then Error "minenc: bad checksum"
+        else if Checksum.compute_sub body 0 min_encap_header_length <> 0 then
+          Error "minenc: bad checksum"
         else
           let inner_protocol = protocol_of_int (Char.code (Bytes.get body 0)) in
-          let inner_dst = get_addr body 4 in
-          let inner_src = get_addr body 8 in
+          let inner_dst = Ipv4_addr.read body 4 in
+          let inner_src = Ipv4_addr.read body 8 in
           let inner_body =
             Bytes.sub body min_encap_header_length
               (Bytes.length body - min_encap_header_length)
@@ -275,22 +255,22 @@ and decode buf =
       Error "ipv4: bad header length"
     else if Checksum.compute_sub buf 0 hlen <> 0 then Error "ipv4: bad checksum"
     else
-      let total = get_u16 buf 2 in
+      let total = Bytes.get_uint16_be buf 2 in
       if total <> n then
         Error (Printf.sprintf "ipv4: total length %d <> buffer %d" total n)
       else
-        let flags = get_u16 buf 6 in
+        let flags = Bytes.get_uint16_be buf 6 in
         let shell =
           {
             tos = Char.code (Bytes.get buf 1);
-            ident = get_u16 buf 4;
+            ident = Bytes.get_uint16_be buf 4;
             dont_fragment = flags land 0x4000 <> 0;
             more_fragments = flags land 0x2000 <> 0;
             frag_offset = flags land 0x1fff;
             ttl = Char.code (Bytes.get buf 8);
             protocol = protocol_of_int (Char.code (Bytes.get buf 9));
-            src = get_addr buf 12;
-            dst = get_addr buf 16;
+            src = Ipv4_addr.read buf 12;
+            dst = Ipv4_addr.read buf 16;
             options = Bytes.sub buf 20 (hlen - 20);
             payload = Raw Bytes.empty;
           }

@@ -30,6 +30,15 @@ let to_string x =
     ((x lsr 8) land 0xff)
     (x land 0xff)
 
+(* Six bytes, network order: the top 16 bits, then the low 32. *)
+let read buf off =
+  let low = Int32.to_int (Bytes.get_int32_be buf (off + 2)) land 0xffff_ffff in
+  (Bytes.get_uint16_be buf off lsl 32) lor low
+
+let write buf off x =
+  Bytes.set_int32_be buf (off + 2) (Int32.of_int x);
+  Bytes.set_uint16_be buf off (x lsr 32)
+
 let broadcast = limit - 1
 let is_broadcast x = x = broadcast
 let equal = Int.equal

@@ -21,6 +21,17 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
+
+val read : Bytes.t -> int -> t
+(** [read buf off] is the address in the six bytes at [off], in network
+    (big-endian) order: the one wire codec for a MAC address.
+    @raise Invalid_argument if they do not lie within [buf]. *)
+
+val write : Bytes.t -> int -> t -> unit
+(** [write buf off a] stores [a] in the six bytes at [off], in network
+    order.
+    @raise Invalid_argument if they do not lie within [buf]. *)
+
 val broadcast : t
 val is_broadcast : t -> bool
 val equal : t -> t -> bool

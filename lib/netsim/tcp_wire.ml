@@ -61,19 +61,6 @@ let make ~src_port ~dst_port ~seq ~ack_n ~flags ?(window = 65535) payload =
 
 let byte_length t = header_length + Bytes.length t.payload
 
-let set_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
-let set_u32 buf off v =
-  set_u16 buf off ((v lsr 16) land 0xffff);
-  set_u16 buf (off + 2) (v land 0xffff)
-
-let get_u32 buf off = (get_u16 buf off lsl 16) lor get_u16 buf (off + 2)
-
 let flags_byte f =
   (if f.urg then 0x20 else 0)
   lor (if f.ack then 0x10 else 0)
@@ -95,20 +82,18 @@ let flags_of_byte b =
 let encode ~src ~dst t =
   let len = byte_length t in
   let buf = Bytes.make len '\000' in
-  set_u16 buf 0 t.src_port;
-  set_u16 buf 2 t.dst_port;
-  set_u32 buf 4 t.seq;
-  set_u32 buf 8 t.ack_n;
+  Bytes.set_uint16_be buf 0 t.src_port;
+  Bytes.set_uint16_be buf 2 t.dst_port;
+  Bytes.set_int32_be buf 4 (Int32.of_int t.seq);
+  Bytes.set_int32_be buf 8 (Int32.of_int t.ack_n);
   (* Data offset: 5 32-bit words, no options. *)
   Bytes.set buf 12 (Char.chr (5 lsl 4));
   Bytes.set buf 13 (Char.chr (flags_byte t.flags));
-  set_u16 buf 14 t.window;
-  set_u16 buf 16 0;
-  set_u16 buf 18 0;
+  Bytes.set_uint16_be buf 14 t.window;
   Bytes.blit t.payload 0 buf 20 (Bytes.length t.payload);
   let pseudo = Checksum.pseudo_header_sum ~src ~dst ~protocol:6 ~length:len in
   let sum = Checksum.ones_complement_sum ~initial:pseudo buf 0 len in
-  set_u16 buf 16 (Checksum.finish sum);
+  Bytes.set_uint16_be buf 16 (Checksum.finish sum);
   buf
 
 let decode ~src ~dst buf =
@@ -127,12 +112,12 @@ let decode ~src ~dst buf =
       else
         Ok
           {
-            src_port = get_u16 buf 0;
-            dst_port = get_u16 buf 2;
-            seq = get_u32 buf 4;
-            ack_n = get_u32 buf 8;
+            src_port = Bytes.get_uint16_be buf 0;
+            dst_port = Bytes.get_uint16_be buf 2;
+            seq = Int32.to_int (Bytes.get_int32_be buf 4) land 0xffff_ffff;
+            ack_n = Int32.to_int (Bytes.get_int32_be buf 8) land 0xffff_ffff;
             flags = flags_of_byte (Char.code (Bytes.get buf 13));
-            window = get_u16 buf 14;
+            window = Bytes.get_uint16_be buf 14;
             payload = Bytes.sub buf data_offset (n - data_offset);
           }
 

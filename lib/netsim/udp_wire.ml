@@ -13,20 +13,13 @@ let make ~src_port ~dst_port payload =
 
 let byte_length t = header_length + Bytes.length t.payload
 
-let set_u16 buf off v =
-  Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set buf (off + 1) (Char.chr (v land 0xff))
-
-let get_u16 buf off =
-  (Char.code (Bytes.get buf off) lsl 8) lor Char.code (Bytes.get buf (off + 1))
-
 let encode ~src ~dst t =
   let len = byte_length t in
   let buf = Bytes.create len in
-  set_u16 buf 0 t.src_port;
-  set_u16 buf 2 t.dst_port;
-  set_u16 buf 4 len;
-  set_u16 buf 6 0;
+  Bytes.set_uint16_be buf 0 t.src_port;
+  Bytes.set_uint16_be buf 2 t.dst_port;
+  Bytes.set_uint16_be buf 4 len;
+  Bytes.set_uint16_be buf 6 0;
   Bytes.blit t.payload 0 buf 8 (Bytes.length t.payload);
   let pseudo =
     Checksum.pseudo_header_sum ~src ~dst ~protocol:17 ~length:len
@@ -34,17 +27,17 @@ let encode ~src ~dst t =
   let sum = Checksum.ones_complement_sum ~initial:pseudo buf 0 len in
   let csum = Checksum.finish sum in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
-  set_u16 buf 6 (if csum = 0 then 0xffff else csum);
+  Bytes.set_uint16_be buf 6 (if csum = 0 then 0xffff else csum);
   buf
 
 let decode ~src ~dst buf =
   let n = Bytes.length buf in
   if n < header_length then Error "udp: truncated header"
   else
-    let len = get_u16 buf 4 in
+    let len = Bytes.get_uint16_be buf 4 in
     if len <> n then Error (Printf.sprintf "udp: length field %d <> %d" len n)
     else
-      let csum_field = get_u16 buf 6 in
+      let csum_field = Bytes.get_uint16_be buf 6 in
       let checksum_ok =
         (* A zero checksum field means the sender did not compute one. *)
         csum_field = 0
@@ -59,8 +52,8 @@ let decode ~src ~dst buf =
       else
         Ok
           {
-            src_port = get_u16 buf 0;
-            dst_port = get_u16 buf 2;
+            src_port = Bytes.get_uint16_be buf 0;
+            dst_port = Bytes.get_uint16_be buf 2;
             payload = Bytes.sub buf 8 (n - 8);
           }
 

@@ -48,6 +48,84 @@ let test_nop_padding_scanned () =
   Alcotest.(check bool) "found after NOPs" true
     (Ipv4_options.lsr_next_hop padded <> None)
 
+(* An LSR option with [pointer], one route address (10.0.2.2) and a NOP:
+   [131; 7; pointer; 10; 0; 2; 2; 1]. *)
+let lsr_with_pointer pointer =
+  let opt = Ipv4_options.build_lsr ~via:[ a "10.0.2.2" ] in
+  Bytes.set opt 2 (Char.chr pointer);
+  opt
+
+(* RFC 791's pointer is 4, 8, 12...  Any other value names no address, so
+   the option reads as no route: no lookup indexes before the first
+   address, and no advance writes over the option's own bytes or across
+   two addresses. *)
+let test_malformed_pointer () =
+  List.iter
+    (fun pointer ->
+      List.iter
+        (fun (where, opt) ->
+          let name what =
+            Printf.sprintf "pointer %d %s: %s" pointer where what
+          in
+          Alcotest.(check bool) (name "parse_lsr") true
+            (Ipv4_options.parse_lsr opt = None);
+          Alcotest.(check bool) (name "lsr_next_hop") true
+            (Ipv4_options.lsr_next_hop opt = None);
+          Alcotest.(check bool) (name "advance_lsr") true
+            (Ipv4_options.advance_lsr opt ~here:(a "9.9.9.9") = None))
+        [
+          ("at offset 0", lsr_with_pointer pointer);
+          ( "after NOPs",
+            Bytes.cat (Bytes.make 4 '\001') (lsr_with_pointer pointer) );
+        ])
+    [ 0; 1; 3; 5; 6; 7 ]
+
+(* A packet carrying a malformed route is an ordinary packet for the host
+   it is addressed to. *)
+let test_malformed_pointer_delivered () =
+  List.iter
+    (fun pointer ->
+      let net = Net.create () in
+      let s = Net.add_host net "a" in
+      let d = Net.add_host net "b" in
+      let seg = Net.add_segment net ~name:"lan" () in
+      let p = Ipv4_addr.Prefix.of_string "10.0.0.0/24" in
+      ignore (Net.attach s seg ~ifname:"eth0" ~addr:(a "10.0.0.1") ~prefix:p);
+      ignore (Net.attach d seg ~ifname:"eth0" ~addr:(a "10.0.0.2") ~prefix:p);
+      let pkt =
+        Ipv4_packet.make ~options:(lsr_with_pointer pointer)
+          ~protocol:Ipv4_packet.P_udp ~src:(a "10.0.0.1") ~dst:(a "10.0.0.2")
+          (Ipv4_packet.Udp
+             (Udp_wire.make ~src_port:1 ~dst_port:2 (Bytes.make 8 'x')))
+      in
+      let flow = Net.send s pkt in
+      Net.run net;
+      Alcotest.(check bool)
+        (Printf.sprintf "pointer %d: delivered to b" pointer)
+        true
+        (Trace.delivered (Net.trace net) ~flow ~node:"b"))
+    [ 0; 5 ]
+
+(* Every route [build_lsr] can write parses back whole, and each advance
+   records the rewriting node and moves the pointer one address on. *)
+let prop_build_parse_roundtrip =
+  let arb_addr = QCheck.map Ipv4_addr.of_int32 QCheck.int32 in
+  QCheck.Test.make ~name:"build_lsr/parse_lsr roundtrip" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 9) arb_addr) arb_addr)
+    (fun (via, here) ->
+      let rec walk opt k =
+        let route = List.mapi (fun i x -> if i < k then here else x) via in
+        Ipv4_options.parse_lsr opt = Some (k, route)
+        && Option.equal Ipv4_addr.equal
+             (Ipv4_options.lsr_next_hop opt)
+             (List.nth_opt via k)
+        &&
+        match Ipv4_options.advance_lsr opt ~here with
+        | Some opt' -> walk opt' (k + 1)
+        | None -> k = List.length via
+      in
+      walk (Ipv4_options.build_lsr ~via) 0)
+
 (* Live: a packet source-routed through an intermediate host reaches the
    final destination, with the detour visible in the trace. *)
 let test_lsr_forwarding_live () =
@@ -153,5 +231,10 @@ let suites =
           test_option_slow_path_costs_latency;
         Alcotest.test_case "lsr does not evade filters" `Quick
           test_lsr_does_not_evade_filters;
+        Alcotest.test_case "malformed pointer: no route" `Quick
+          test_malformed_pointer;
+        Alcotest.test_case "malformed pointer: delivered" `Quick
+          test_malformed_pointer_delivered;
+        QCheck_alcotest.to_alcotest prop_build_parse_roundtrip;
       ] );
   ]

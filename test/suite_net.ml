@@ -211,6 +211,56 @@ let test_dhcp_lease () =
       Alcotest.(check string) "address from pool" "192.168.1.100"
         (Ipv4_addr.to_string offer.Transport.Dhcp.Client.addr)
 
+(* An ACK whose prefix length no address has (40) reaches the requesting
+   client before the server's ACK: the client ignores it, as it ignores
+   any ACK it cannot use, and takes the server's lease. *)
+let test_dhcp_bad_prefix_ack_ignored () =
+  let net = Net.create () in
+  let server = Net.add_host net "dhcpd" in
+  let rogue = Net.add_host net "rogue" in
+  let client = Net.add_host net "mh" in
+  let seg = Net.add_segment net ~name:"visited" () in
+  let lan = prefix "192.168.1.0/24" in
+  let _ =
+    Net.attach server seg ~ifname:"eth0" ~addr:(addr "192.168.1.1") ~prefix:lan
+  in
+  let ir =
+    Net.attach rogue seg ~ifname:"eth0" ~addr:(addr "192.168.1.9") ~prefix:lan
+  in
+  let ic =
+    Net.attach client seg ~ifname:"eth0" ~addr:Ipv4_addr.any ~prefix:lan
+  in
+  let _server =
+    Transport.Dhcp.Server.create server ~pool:lan ~first_host:100
+      ~last_host:200 ~gateway:(addr "192.168.1.1") ()
+  in
+  let offers = ref [] in
+  Transport.Dhcp.Client.request client ~via:ic (fun offer ->
+      offers := (Net.node_now client, offer) :: !offers);
+  let ack = Bytes.make 18 '\000' in
+  Bytes.set ack 0 '\002';
+  Mac_addr.write ack 1 (Option.get (Net.iface_mac ic));
+  Ipv4_addr.write ack 7 (addr "192.168.1.66");
+  Bytes.set ack 11 (Char.chr 40);
+  Ipv4_addr.write ack 12 (addr "192.168.1.9");
+  Bytes.set_uint16_be ack 16 3600;
+  let bad =
+    Transport.Udp_service.send (Transport.Udp_service.get rogue) ~via:ir
+      ~dst:Ipv4_addr.broadcast ~src_port:Transport.Well_known.dhcp_server
+      ~dst_port:Transport.Well_known.dhcp_client ack
+  in
+  Net.run net;
+  match (!offers, Trace.delivery_time (Net.trace net) ~flow:bad ~node:"mh") with
+  | [ (taken_at, offer) ], Some bad_at ->
+      Alcotest.(check bool) "the bad ACK came first" true (bad_at < taken_at);
+      Alcotest.(check string) "the server's address" "192.168.1.100"
+        (Ipv4_addr.to_string offer.Transport.Dhcp.Client.addr);
+      Alcotest.(check int) "the server's prefix length" 24
+        (Ipv4_addr.Prefix.bits offer.Transport.Dhcp.Client.prefix)
+  | offers, bad_at ->
+      Alcotest.failf "%d offers taken; bad ACK delivered: %b"
+        (List.length offers) (bad_at <> None)
+
 let test_fragmentation_on_path () =
   (* A p2p link with a small MTU forces fragmentation; the far host must
      reassemble and deliver the whole datagram once. *)
@@ -756,5 +806,7 @@ let suites =
           test_carried_length;
         Alcotest.test_case "directed broadcast follows re-addressing" `Quick
           test_directed_broadcast_follows_readdressing;
+        Alcotest.test_case "dhcp ignores a bad prefix ack" `Quick
+          test_dhcp_bad_prefix_ack_ignored;
       ] );
   ]

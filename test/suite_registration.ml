@@ -246,6 +246,33 @@ let prop_codec_roundtrip =
       | Ok r' -> r = r'
       | Error _ -> false)
 
+let prop_reply_codec_roundtrip =
+  let arb_addr = QCheck.map Ipv4_addr.of_int32 QCheck.int32 in
+  QCheck.Test.make ~name:"registration reply codec roundtrip" ~count:200
+    QCheck.(
+      pair
+        (quad arb_addr arb_addr (0 -- 65535) (0 -- 65535))
+        (pair
+           (oneofl
+              Mobileip.Types.[ Reg_accepted; Reg_denied_auth; Reg_denied_stale ])
+           (string_of_size Gen.(1 -- 16))))
+    (fun ((r_home, r_care_of, r_lifetime, r_sequence), (r_code, key)) ->
+      let r =
+        {
+          Mobileip.Registration.r_home;
+          r_care_of;
+          r_lifetime;
+          r_sequence;
+          r_code;
+        }
+      in
+      match
+        Mobileip.Registration.decode_reply ~key
+          (Mobileip.Registration.encode_reply ~key r)
+      with
+      | Ok r' -> r = r'
+      | Error _ -> false)
+
 (* ---- 16-bit sequence wrap ---- *)
 
 let test_sequence_serial_order () =
@@ -341,5 +368,6 @@ let suites =
         Alcotest.test_case "mobile host sequence wrap" `Quick
           test_mobile_host_sequence_wrap;
         QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+        QCheck_alcotest.to_alcotest prop_reply_codec_roundtrip;
       ] );
   ]

@@ -131,10 +131,66 @@ let test_icmp_truncated () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted truncated message"
 
+(* ---- address codecs ---- *)
+
+let test_address_codecs () =
+  let buf = Bytes.make 8 '\000' in
+  Ipv4_addr.write buf 4 (Ipv4_addr.of_string "131.7.0.100");
+  Alcotest.(check string) "ipv4 in network order" "\x83\x07\x00\x64"
+    (Bytes.sub_string buf 4 4);
+  Mac_addr.write buf 2 (Mac_addr.of_string "02:00:00:ab:cd:ef");
+  Alcotest.(check string) "mac in network order" "\x02\x00\x00\xab\xcd\xef"
+    (Bytes.sub_string buf 2 6);
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "index out of bounds") f
+  in
+  raises "ipv4 read past the end" (fun () -> ignore (Ipv4_addr.read buf 5));
+  raises "ipv4 write past the end" (fun () ->
+      Ipv4_addr.write buf 5 Ipv4_addr.any);
+  raises "ipv4 read before the start" (fun () ->
+      ignore (Ipv4_addr.read buf (-1)));
+  raises "mac read past the end" (fun () -> ignore (Mac_addr.read buf 3));
+  raises "mac write past the end" (fun () ->
+      Mac_addr.write buf 3 Mac_addr.broadcast);
+  raises "mac read before the start" (fun () ->
+      ignore (Mac_addr.read buf (-1)))
+
 (* ---- properties ---- *)
 
 let arb_payload = QCheck.map Bytes.of_string QCheck.(string_of_size Gen.(0 -- 200))
 let arb_port = QCheck.(0 -- 65535)
+let arb_addr = QCheck.map Ipv4_addr.of_int32 QCheck.int32
+
+(* [write] into a filled buffer changes exactly the bytes at [off], to the
+   address's octets in printed order, and [read] gives the address back. *)
+let prop_address_codecs_roundtrip =
+  QCheck.Test.make ~name:"address read/write roundtrip" ~count:300
+    QCheck.(triple arb_addr (0 -- 0xffff_ffff_ffff) (0 -- 16))
+    (fun (ip, m, off) ->
+      let mac = Mac_addr.of_int m in
+      let written write octets =
+        let buf = Bytes.make (off + 10) '\xa5' in
+        let expected = Bytes.copy buf in
+        write buf off;
+        List.iteri (fun i o -> Bytes.set expected (off + i) (Char.chr o)) octets;
+        (Bytes.equal buf expected, buf)
+      in
+      let octets sep ~base s =
+        List.map (fun o -> int_of_string (base ^ o)) (String.split_on_char sep s)
+      in
+      let ip_ok, b4 =
+        written
+          (fun b o -> Ipv4_addr.write b o ip)
+          (octets '.' ~base:"" (Ipv4_addr.to_string ip))
+      in
+      let mac_ok, b6 =
+        written
+          (fun b o -> Mac_addr.write b o mac)
+          (octets ':' ~base:"0x" (Mac_addr.to_string mac))
+      in
+      ip_ok && mac_ok
+      && Ipv4_addr.equal (Ipv4_addr.read b4 off) ip
+      && Mac_addr.equal (Mac_addr.read b6 off) mac)
 
 let prop_udp_roundtrip =
   QCheck.Test.make ~name:"udp roundtrip" ~count:300
@@ -158,14 +214,36 @@ let prop_tcp_roundtrip =
       | Ok t' -> Tcp_wire.equal t t'
       | Error _ -> false)
 
+let icmp_roundtrips m =
+  match Icmp_wire.decode (Icmp_wire.encode m) with
+  | Ok m' -> Icmp_wire.equal m m'
+  | Error _ -> false
+
 let prop_icmp_echo_roundtrip =
   QCheck.Test.make ~name:"icmp echo roundtrip" ~count:300
     QCheck.(triple (0 -- 65535) (0 -- 65535) arb_payload)
     (fun (ident, seq, payload) ->
-      let m = Icmp_wire.Echo_request { ident; seq; payload } in
-      match Icmp_wire.decode (Icmp_wire.encode m) with
-      | Ok m' -> Icmp_wire.equal m m'
-      | Error _ -> false)
+      icmp_roundtrips (Icmp_wire.Echo_request { ident; seq; payload }))
+
+let prop_icmp_care_of_roundtrip =
+  QCheck.Test.make ~name:"icmp care-of advert roundtrip" ~count:300
+    QCheck.(triple arb_addr arb_addr (0 -- 65535))
+    (fun (home, care_of, lifetime) ->
+      icmp_roundtrips (Icmp_wire.Care_of_advert { home; care_of; lifetime }))
+
+let prop_icmp_unreachable_roundtrip =
+  QCheck.Test.make ~name:"icmp dest-unreachable roundtrip" ~count:300
+    QCheck.(
+      pair
+        (oneofl
+           Icmp_wire.
+             [
+               Net_unreachable; Host_unreachable; Protocol_unreachable;
+               Port_unreachable; Fragmentation_needed; Admin_prohibited;
+             ])
+        arb_payload)
+    (fun (code, context) ->
+      icmp_roundtrips (Icmp_wire.Dest_unreachable { code; context }))
 
 let suites =
   [
@@ -191,5 +269,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_udp_roundtrip;
         QCheck_alcotest.to_alcotest prop_tcp_roundtrip;
         QCheck_alcotest.to_alcotest prop_icmp_echo_roundtrip;
+        Alcotest.test_case "address codecs" `Quick test_address_codecs;
+        QCheck_alcotest.to_alcotest prop_address_codecs_roundtrip;
+        QCheck_alcotest.to_alcotest prop_icmp_care_of_roundtrip;
+        QCheck_alcotest.to_alcotest prop_icmp_unreachable_roundtrip;
       ] );
   ]
