@@ -97,7 +97,7 @@ let forward_world_ring =
     (let net, a = make_forward_world () in
      Netsim.Net.set_tracing net false;
      Netsim.Trace.attach_ring (Netsim.Net.trace net)
-       (Netsim.Trace.make_ring ~capacity:4096 ());
+       (Netsim.Trace.make_ring ~capacity:4096);
      (net, a))
 
 let forward_pkt =
@@ -114,25 +114,6 @@ let forwarding_hop_ring () =
   let net, a = Lazy.force forward_world_ring in
   ignore (Netsim.Net.send a forward_pkt);
   Netsim.Net.run net
-
-(* A ring's per-record cost alone (sampling decision + ring store),
-   without any simulation around it. *)
-let bench_ring = lazy (Netsim.Trace.make_ring ~capacity:4096 ())
-
-let sample_record =
-  {
-    Netsim.Trace.time = 0.0125;
-    event =
-      Netsim.Trace.Transmit
-        {
-          link = "a-r";
-          frame = { Netsim.Trace.id = 7; flow = 5; pkt = sample_packet };
-          bytes = Bytes.length sample_wire;
-        };
-  }
-
-let recorder_note () =
-  Netsim.Trace.ring_store_record (Lazy.force bench_ring) sample_record
 
 let grid_env =
   {
@@ -314,23 +295,13 @@ let micro_tests =
         (Staged.stage (fun () ->
              Netsim.Ipv4_packet.header_checksum sample_packet));
       Test.make ~name:"forwarding-hop" (Staged.stage forwarding_hop);
-      (* Replaces forwarding-hop-recorded, which turned tracing on and fed
-         the ring from an observer, so each hop built records and grew the
-         log and its per-flow table for the whole run; the gate treats the
-         rename as [gone]/[new], never fatal. *)
+      (* forwarding-hop with a flight-recorder ring attached: its excess
+         over forwarding-hop is the ring stores of one hop's events. *)
       Test.make ~name:"forwarding-hop-ring"
         (Staged.stage forwarding_hop_ring);
-      (* The -x64 renames retire three baselines whose fits were junk
-         (r^2 of -1.25 .. 0.25 in BENCH_results.json): at 50-400 ns/run
-         the OLS line was fit through clock-read noise.  Running the
-         subject 64x per measured run lifts the per-run time into the
-         microseconds, where the fit is sound; the gate treats the
-         renamed cases as [gone]/[new], never fatal. *)
-      Test.make ~name:"recorder-note-512B-x64"
-        (Staged.stage (fun () ->
-             for _ = 1 to 64 do
-               recorder_note ()
-             done));
+      (* The -x64 cases run a 50-400 ns subject 64x per measured run,
+         lifting the per-run time into the microseconds, where the OLS
+         fit is sound rather than fit through clock-read noise. *)
       Test.make ~name:"grid-best-cell-x64"
         (Staged.stage (fun () ->
              for _ = 1 to 64 do

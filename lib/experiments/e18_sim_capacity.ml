@@ -22,6 +22,7 @@ type run = {
   route_lookups : int;
   hook_calls : int;
   cpu_s : float;
+  minor_words : float;
 }
 
 let nothing (_ : Net.t) () = ()
@@ -73,7 +74,9 @@ let workload ?record_rtt ~flows ~install () =
   let lookups0 = Net.route_lookups net in
   let hooks0 = Net.hook_calls net in
   let c0 = Sys.time () in
+  let w0 = Gc.minor_words () in
   Net.run net;
+  let minor_words = Gc.minor_words () -. w0 in
   let cpu_s = Sys.time () -. c0 in
   teardown ();
   {
@@ -83,6 +86,7 @@ let workload ?record_rtt ~flows ~install () =
     route_lookups = Net.route_lookups net - lookups0;
     hook_calls = Net.hook_calls net - hooks0;
     cpu_s;
+    minor_words;
   }
 
 let profile ?(flows = 128) () =

@@ -12,6 +12,9 @@ type run = {
   route_lookups : int;  (** {!Netsim.Net.route_lookups} over that run *)
   hook_calls : int;  (** {!Netsim.Net.hook_calls} over that run *)
   cpu_s : float;  (** host CPU seconds of that run, read with [Sys.time] *)
+  minor_words : float;
+      (** minor-heap words allocated over that run, read with
+          [Gc.minor_words] *)
 }
 
 val workload :
@@ -27,7 +30,8 @@ val workload :
     telemetry consumers and returns their teardown, called after the
     run.  [record_rtt] receives each exchange's simulated round trip in
     ms; its stamping is not free, so timed runs leave it out.  Every
-    count in the result is the same whatever [install] attaches. *)
+    count in the result is the same whatever [install] attaches; the CPU
+    time and the minor words include what the attached consumers cost. *)
 
 val nothing : Netsim.Net.t -> unit -> unit
 (** The [install] that attaches nothing. *)

@@ -2,19 +2,23 @@
    costs on the E18 capacity workload (128 concurrent UDP ping-pong flows
    over the roamed world, per-packet tracing gated off).  Rungs:
 
-     off               nothing installed — the E18 baseline
-     recorder          flight recorder, every flow
-     recorder-sampled  flight recorder, 1-in-8 flow sampling
-     jsonl             full JSONL export streaming to a file
-     pcap              pcap export streaming to a file
+     off       nothing installed — the E18 baseline
+     recorder  flight recorder: a ring on the world's trace
+     jsonl     full JSONL export streaming to a file
+     pcap      pcap export streaming to a file
 
-   The recorder rungs take [Trace.emit]'s allocation-free ring path (no
-   event construction at all); jsonl and pcap are observers on the world
-   they measure, so they pay record/event allocation plus their own
-   serialisation.  The ladder separates the price of *knowing*
-   (recorder) from the price of *exporting* (jsonl, pcap).  Each rung's
-   cost is the host CPU time it adds per delivered packet over
-   tracing-off.  That cost belongs to the consumer; its share of
+   The recorder rides [Trace.emit]'s ring stores (no event construction
+   at all); jsonl and pcap are observers on the world they measure, so
+   they pay record/event allocation plus their own serialisation.  The
+   ladder separates the price of *knowing* (recorder) from the price of
+   *exporting* (jsonl, pcap).
+
+   Each rung is measured two ways.  Exactly: the minor-heap words the
+   workload's [Net.run] allocates per delivered packet and, for the two
+   exports, the bytes written per delivered packet — the same on every
+   host and every run, so the [recorder] test suite pins them at 8
+   flows.  In host time: the CPU time the rung adds per delivered packet
+   over tracing-off.  That cost belongs to the consumer; its share of
    tracing-off's own time per packet also depends on the host and on
    the engine, and grows as the simulator gets faster.
 
@@ -30,44 +34,71 @@ open Netsim
 let flows = 128
 let attempts = 5
 let recorder_capacity = 4096
-let sample_every = 8
-
-let workload = E18_sim_capacity.workload ~flows
 
 let packets_per_sec (r : E18_sim_capacity.run) =
   if r.cpu_s > 0.0 then float_of_int r.delivered /. r.cpu_s else 0.0
 
-let ns_per_packet (r : E18_sim_capacity.run) =
-  if r.delivered > 0 then r.cpu_s *. 1e9 /. float_of_int r.delivered else 0.0
+let per_packet (r : E18_sim_capacity.run) x =
+  if r.delivered > 0 then x /. float_of_int r.delivered else 0.0
 
-let rung_recorder ?sample_every () net =
-  let r = Trace.make_ring ?sample_every ~capacity:recorder_capacity () in
+let ns_per_packet (r : E18_sim_capacity.run) = per_packet r (r.cpu_s *. 1e9)
+
+(* A rung attaches its consumer to the world it measures and returns the
+   teardown; a rung that writes a file sets [written] to its size. *)
+let rung_recorder (_ : int ref) net =
+  let r = Trace.make_ring ~capacity:recorder_capacity in
   let trace = Net.trace net in
   Trace.attach_ring trace r;
   fun () -> Trace.detach_ring trace r
 
-let rung_to_file make_observer net =
+let rung_to_file make_observer written net =
   let path = Filename.temp_file "e20" ".out" in
   let oc = open_out_bin path in
   let trace = Net.trace net in
   let observer = Trace.add_observer trace (make_observer oc) in
   fun () ->
     Trace.remove_observer trace observer;
+    written := pos_out oc;
     close_out oc;
     Sys.remove path
 
-let rung_jsonl net = rung_to_file Netobs.Export.sink_to_channel net
+let rung_jsonl = rung_to_file Netobs.Export.sink_to_channel
 
-let rung_pcap net =
-  rung_to_file
-    (fun oc ->
+let rung_pcap =
+  rung_to_file (fun oc ->
       Netobs.Pcap.write_header oc;
       Netobs.Pcap.sink_to_channel oc)
-    net
 
-type rung = {
-  name : string;
+let ladder =
+  [
+    ("off", fun _ -> E18_sim_capacity.nothing);
+    ("recorder", rung_recorder);
+    ("jsonl", rung_jsonl);
+    ("pcap", rung_pcap);
+  ]
+
+type exact = {
+  rung : string;
+  words_per_packet : float;
+  bytes_per_packet : float;
+}
+
+(* One run of a rung: the workload's counts and time, and its exact row. *)
+let measure ~flows (name, rung) =
+  let written = ref 0 in
+  let r = E18_sim_capacity.workload ~flows ~install:(rung written) () in
+  ( r,
+    {
+      rung = name;
+      words_per_packet = per_packet r r.minor_words;
+      bytes_per_packet = per_packet r (float_of_int !written);
+    } )
+
+let exact ~flows = List.map (fun rung -> snd (measure ~flows rung)) ladder
+
+type row = {
   stats : E18_sim_capacity.run;
+  exact : exact;
   added_ns : float;  (* CPU ns per delivered packet over tracing-off *)
   vs_off : float;  (* packets/sec against tracing-off, percent *)
 }
@@ -83,7 +114,7 @@ let rtt_percentiles () =
       ~help:"end-to-end request/reply round trip, simulated ms" "e20.rtt_ms"
   in
   ignore
-    (workload ~record_rtt:(Netobs.Metrics.observe h)
+    (E18_sim_capacity.workload ~flows ~record_rtt:(Netobs.Metrics.observe h)
        ~install:E18_sim_capacity.nothing ());
   List.find_map
     (fun s ->
@@ -98,15 +129,6 @@ let rtt_percentiles () =
     (Netobs.Metrics.snapshot reg)
 
 let run_ladder () =
-  let ladder =
-    [|
-      ("off", E18_sim_capacity.nothing);
-      ("recorder", fun net -> rung_recorder () net);
-      ("recorder-sampled", fun net -> rung_recorder ~sample_every () net);
-      ("jsonl", rung_jsonl);
-      ("pcap", rung_pcap);
-    |]
-  in
   (* Interleaved attempts: pass k runs every rung once, back-to-back, so
      each pass samples every rung under the same host conditions; each
      run starts from a compacted heap so an allocation-heavy rung
@@ -116,45 +138,42 @@ let run_ladder () =
      the minute-scale load drift of a shared host that makes absolute
      rates from different passes incomparable, and the median discards
      the odd pass that caught a load burst mid-ladder.  A rung's added
-     ns per packet is the median of within-pass differences, likewise. *)
+     ns per packet is the median of within-pass differences, likewise.
+     The exact columns come from the last pass, after the first has paid
+     any one-time set-up. *)
   let passes =
     Array.init attempts (fun _ ->
-        Array.map
-          (fun (_, install) ->
-            Gc.compact ();
-            workload ~install ())
-          ladder)
+        Array.of_list
+          (List.map
+             (fun rung ->
+               Gc.compact ();
+               measure ~flows rung)
+             ladder))
   in
-  let median l =
-    let sorted = List.sort compare l in
-    List.nth sorted (List.length sorted / 2)
-  in
+  let middle cmp l = List.nth (List.sort cmp l) (List.length l / 2) in
   let stats i =
-    let by_pps =
-      List.sort
-        (fun a b -> compare (packets_per_sec a) (packets_per_sec b))
-        (Array.to_list (Array.map (fun pass -> pass.(i)) passes))
-    in
-    List.nth by_pps (List.length by_pps / 2)
+    middle
+      (fun a b -> compare (packets_per_sec a) (packets_per_sec b))
+      (Array.to_list (Array.map (fun pass -> fst pass.(i)) passes))
   in
   let within_pass f i =
-    median (Array.to_list (Array.map (fun pass -> f pass.(0) pass.(i)) passes))
+    middle compare
+      (Array.to_list (Array.map (fun p -> f (fst p.(0)) (fst p.(i))) passes))
   in
   let rel off r =
     let off = packets_per_sec off in
     if off > 0.0 then 100.0 *. ((packets_per_sec r /. off) -. 1.0) else 0.0
   in
   let added off r = ns_per_packet r -. ns_per_packet off in
-  Array.to_list
-    (Array.mapi
-       (fun i (name, _) ->
-         {
-           name;
-           stats = stats i;
-           added_ns = within_pass added i;
-           vs_off = within_pass rel i;
-         })
-       ladder)
+  List.mapi
+    (fun i _ ->
+      {
+        stats = stats i;
+        exact = snd passes.(attempts - 1).(i);
+        added_ns = within_pass added i;
+        vs_off = within_pass rel i;
+      })
+    ladder
 
 let run () =
   let rungs = run_ladder () in
@@ -170,14 +189,19 @@ let run () =
     | None -> "workload RTT histogram was empty"
   in
   let row r =
+    let off = r.exact.rung = "off" in
     [
-      r.name;
+      r.exact.rung;
       Printf.sprintf "%d/%d" r.stats.delivered r.stats.expected;
+      Printf.sprintf "%.3f" r.exact.words_per_packet;
+      (if r.exact.bytes_per_packet > 0.0 then
+         Printf.sprintf "%.1f" r.exact.bytes_per_packet
+       else "-");
       Printf.sprintf "%.1f" (r.stats.cpu_s *. 1e3);
       Printf.sprintf "%.0f" (packets_per_sec r.stats);
       Printf.sprintf "%.0f" (ns_per_packet r.stats);
-      (if r.name = "off" then "-" else Printf.sprintf "%+.0f" r.added_ns);
-      (if r.name = "off" then "-" else Printf.sprintf "%+.1f%%" r.vs_off);
+      (if off then "-" else Printf.sprintf "%+.0f" r.added_ns);
+      (if off then "-" else Printf.sprintf "%+.1f%%" r.vs_off);
     ]
   in
   {
@@ -196,6 +220,8 @@ let run () =
       [
         "rung";
         "delivered";
+        "words/packet";
+        "bytes/packet";
         "cpu ms";
         "packets/sec";
         "ns/packet";
@@ -206,15 +232,14 @@ let run () =
     notes =
       [
         Printf.sprintf
-          "same workload as E18's %d-flow level; recorder rungs ride the \
-           allocation-free emit fast path, jsonl/pcap are observers on the \
-           measured world and pay record construction plus serialisation"
-          flows;
-        Printf.sprintf
-          "recorder: %d-slot ring; recorder-sampled keeps 1 flow in %d \
-           (deterministic per seed); jsonl/pcap stream to a file and the \
-           file is deleted"
-          recorder_capacity sample_every;
+          "same workload as E18's %d-flow level; the recorder is a %d-slot \
+           ring on the allocation-free emit fast path; jsonl/pcap are \
+           observers on the measured world, pay record construction plus \
+           serialisation, and stream to a file that is then deleted"
+          flows recorder_capacity;
+        "words/packet: minor-heap words the workload's Net.run allocates \
+         per delivered packet; bytes/packet: bytes written per delivered \
+         packet; both exact (the same on any host), from the last pass";
         Printf.sprintf
           "cpu ms is host CPU time of the workload's Net.run; %d \
            interleaved passes, heap compacted before each run; \

@@ -50,13 +50,13 @@ let finish sum = lnot (fold_carries sum) land 0xffff
 let compute buf = finish (ones_complement_sum buf 0 (Bytes.length buf))
 let compute_sub buf off len = finish (ones_complement_sum buf off len)
 
+let address_sum (a : Ipv4_addr.t) =
+  let x = (a :> int32) in
+  (Int32.to_int (Int32.shift_right_logical x 16) land 0xffff)
+  + (Int32.to_int x land 0xffff)
+
 let pseudo_header_sum ~src ~dst ~protocol ~length =
-  let word32 a =
-    let x = Ipv4_addr.to_int32 a in
-    (Int32.to_int (Int32.shift_right_logical x 16) land 0xffff)
-    + (Int32.to_int x land 0xffff)
-  in
-  fold_carries (word32 src + word32 dst + protocol + length)
+  fold_carries (address_sum src + address_sum dst + protocol + length)
 
 let valid buf =
   fold_carries (ones_complement_sum buf 0 (Bytes.length buf)) = 0xffff

@@ -23,6 +23,9 @@ val compute : Bytes.t -> int
 val compute_sub : Bytes.t -> int -> int -> int
 (** Checksum of a sub-range of a buffer. *)
 
+val address_sum : Ipv4_addr.t -> int
+(** An address's share of a header sum: its two 16-bit halves, unfolded. *)
+
 val pseudo_header_sum :
   src:Ipv4_addr.t -> dst:Ipv4_addr.t -> protocol:int -> length:int -> int
 (** Partial sum of the IPv4 pseudo-header used by TCP and UDP checksums. *)

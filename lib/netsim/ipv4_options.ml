@@ -14,36 +14,42 @@ let build_lsr ~via =
   List.iteri (fun i a -> Ipv4_addr.write buf (3 + (4 * i)) a) via;
   buf
 
-(* Scan the options buffer for an LSR option; returns its byte offset. *)
-let find_lsr buf =
-  let n = Bytes.length buf in
-  let rec scan off =
-    if off >= n then None
+(* RFC 791's option walk, for [find_lsr] and [copied_options]: the
+   offset of the next option at or after [off] that has a length byte
+   (all but NOP and end-of-list), or -1 at end-of-list, at a length
+   below 2, or at an option that runs past the buffer. *)
+let rec next_option buf off =
+  if off >= Bytes.length buf then -1
+  else
+    let ty = Bytes.get_uint8 buf off in
+    if ty = nop then next_option buf (off + 1)
+    else if ty = 0 || off + 1 >= Bytes.length buf then -1
     else
-      let ty = Char.code (Bytes.get buf off) in
-      if ty = nop then scan (off + 1)
-      else if ty = 0 then None (* end of options *)
-      else if off + 1 >= n then None
-      else
-        let len = Char.code (Bytes.get buf (off + 1)) in
-        if len < 3 || off + len > n then None
-        else if ty = lsr_type then Some (off, len)
-        else scan (off + len)
-  in
-  scan 0
+      let len = Bytes.get_uint8 buf (off + 1) in
+      if len < 2 || off + len > Bytes.length buf then -1 else off
+
+let option_length buf off = Bytes.get_uint8 buf (off + 1)
+
+(* The offset of the first LSR option the walk reaches, or -1. *)
+let rec find_lsr buf off =
+  let off = next_option buf off in
+  if off < 0 || Bytes.get_uint8 buf off = lsr_type then off
+  else find_lsr buf (off + option_length buf off)
 
 (* The LSR option's offset, length and pointer, if its pointer is
    well-formed.  The pointer is the 1-based offset within the option of
    the next address to visit: address k (0-based) lives at offset 4+4k,
    so RFC 791's pointer starts at 4 and moves in steps of 4.  Any other
-   pointer leaves the option without a route. *)
+   pointer, or an option too short to hold one, leaves it without a
+   route. *)
 let find_route buf =
-  match find_lsr buf with
-  | None -> None
-  | Some (off, len) ->
-      let pointer = Char.code (Bytes.get buf (off + 2)) in
-      if pointer < 4 || pointer land 3 <> 0 then None
-      else Some (off, len, pointer)
+  let off = find_lsr buf 0 in
+  if off < 0 then None
+  else
+    let len = option_length buf off in
+    let pointer = if len < 3 then 0 else Bytes.get_uint8 buf (off + 2) in
+    if pointer < 4 || pointer land 3 <> 0 then None
+    else Some (off, len, pointer)
 
 let parse_lsr buf =
   match find_route buf with
@@ -89,25 +95,18 @@ let has_options buf = option_from buf 0
    travel only in the first fragment. *)
 let copied_flag = 0x80
 
+let rec copy_from buf out off =
+  let off = next_option buf off in
+  if off >= 0 then begin
+    let len = option_length buf off in
+    if Bytes.get_uint8 buf off land copied_flag <> 0 then
+      Buffer.add_subbytes out buf off len;
+    copy_from buf out (off + len)
+  end
+
 let copied_options buf =
-  let n = Bytes.length buf in
-  let out = Buffer.create n in
-  let rec scan off =
-    if off < n then
-      let ty = Char.code (Bytes.get buf off) in
-      if ty = nop then scan (off + 1)
-      else if ty = 0 then ()
-      else if off + 1 >= n then ()
-      else
-        let len = Char.code (Bytes.get buf (off + 1)) in
-        if len < 2 || off + len > n then ()
-        else begin
-          if ty land copied_flag <> 0 then
-            Buffer.add_subbytes out buf off len;
-          scan (off + len)
-        end
-  in
-  scan 0;
+  let out = Buffer.create (Bytes.length buf) in
+  copy_from buf out 0;
   let kept = Buffer.length out in
   let padded = (kept + 3) / 4 * 4 in
   Buffer.add_string out (String.make (padded - kept) (Char.chr nop));

@@ -162,11 +162,6 @@ and encode t =
    [Checksum.compute_sub buf 0 hlen] with the checksum field zero. *)
 let header_checksum t =
   let hlen = header_length t in
-  let addr_sum a =
-    let x = Ipv4_addr.to_int32 a in
-    (Int32.to_int (Int32.shift_right_logical x 16) land 0xffff)
-    + (Int32.to_int x land 0xffff)
-  in
   let flags =
     (if t.dont_fragment then 0x4000 else 0)
     lor (if t.more_fragments then 0x2000 else 0)
@@ -177,7 +172,8 @@ let header_checksum t =
       (((((4 lsl 4) lor (hlen / 4)) lsl 8) lor t.tos)
       + byte_length t + t.ident + flags
       + ((t.ttl lsl 8) lor protocol_to_int t.protocol)
-      + addr_sum t.src + addr_sum t.dst)
+      + Checksum.address_sum t.src
+      + Checksum.address_sum t.dst)
   in
   let n = Bytes.length t.options in
   let i = ref 0 in

@@ -64,8 +64,9 @@ type t
 val create : unit -> t
 val record : t -> time:float -> event -> unit
 (** Write one record: into the log when it is on or an observer is
-    attached, then to every observer and ring.  The data plane goes
-    through {!emit}; this entry is for records built by hand. *)
+    attached, then to every observer.  Rings see only what {!emit}
+    stores.  The data plane goes through {!emit}; this entry is for
+    records built by hand. *)
 
 val records : t -> record list
 (** All records, oldest first. *)
@@ -107,15 +108,11 @@ val remove_observer : t -> observer -> unit
 
     Observers receive allocated {!record} values, so any one of them
     makes the data plane build the frame/event/record graph for every
-    traced event.  A {e ring} is a preallocated fixed-capacity last-K
-    event store fed field by field: when rings are a trace's only
-    consumers, {!emit} writes slot arrays straight from the emit site
-    and allocates nothing.  This is what lets the flight recorder stay
-    attached during capacity runs at a few percent of throughput.  An
-    attached ring sees every event exactly once, whichever path it took
-    — records that a log or observer made {!emit} build, and records
-    written by hand with {!record}, are replayed into rings by
-    destructuring.
+    traced event.  A {e ring} keeps the last [capacity] events in one
+    preallocated array per field of {!emit}, and {!emit} is the only way
+    into it: with rings a trace's only consumers, it stores each event's
+    fields and allocates nothing.  This is what lets the flight recorder
+    stay attached during capacity runs.  {!record} does not reach rings.
 
     Rings are per-trace, like observers: a ring attached to one trace
     sees that world's events and no other's, however many worlds the
@@ -123,50 +120,25 @@ val remove_observer : t -> observer -> unit
 
 type ring
 
-val make_ring : ?sample_every:int -> ?seed:int -> capacity:int -> unit -> ring
-(** A ring holding the last [capacity] events.  [sample_every] (default
-    1 — keep everything) records roughly one flow in N, decided by a
-    deterministic hash of [(flow, seed)] so sampled captures keep whole
-    conversations and replay identically; [seed] (default 0) varies
-    which flows are kept.
-    @raise Invalid_argument unless [capacity] and [sample_every] are
-    positive. *)
+val make_ring : capacity:int -> ring
+(** A ring holding the last [capacity] events.
+    @raise Invalid_argument unless [capacity] is positive. *)
 
 val attach_ring : t -> ring -> unit
-(** Feed the ring every event of {e this} trace from now on (idempotent).
-    Composes with the trace's observers; a ring attached to several
-    traces records all of them. *)
+(** Feed the ring every event {!emit} traces on {e this} trace from now
+    on (idempotent).  Composes with the trace's log and observers; a ring
+    attached to several traces records all of them. *)
 
 val detach_ring : t -> ring -> unit
 (** Detaching a ring not attached to the trace is a no-op. *)
 
-val ring_store_record : ring -> record -> unit
-(** Offer a record's fields to the ring: the sampling decision, then the
-    slot stores — for feeding a ring from an observer. *)
+val ring_tail : ring -> record list
+(** The events the ring holds, at most [capacity] of them, oldest first,
+    rebuilt as records structurally equal to the ones {!emit} gives an
+    observer.  Cold path. *)
 
-val ring_records : ring -> record list
-(** Rebuild the ring's contents as structurally identical records,
-    oldest first — at most [capacity] of them.  Cold path. *)
-
-val ring_tail : ?last:int -> ring -> record list
-(** The newest [last] of {!ring_records} (default: all of them), oldest
-    first.
-    @raise Invalid_argument on a negative [last]. *)
-
-val ring_sampled : ring -> int -> bool
-(** Whether a flow id passes the ring's sampling filter. *)
-
-val ring_capacity : ring -> int
 val ring_seen : ring -> int
-(** Events offered, sampled-out ones included. *)
-
-val ring_kept : ring -> int
-(** Events that passed sampling and entered the ring (cumulative). *)
-
-val ring_length : ring -> int
-(** Events currently held: [min kept capacity]. *)
-
-val ring_clear : ring -> unit
+(** Events stored since the ring was made, overwritten ones included. *)
 
 (** {1 Emitting events} *)
 
@@ -210,11 +182,10 @@ val emit :
     interfaces of anything but a forward, the reason of anything but a
     drop or an ICMP error, the bytes of anything but a transmit.
 
-    It decides once per event what to do.  With the log on or an
-    observer attached, it {!record}s the event.  With only rings
-    attached, it stores the fields into them and allocates nothing.
-    With nothing attached, it returns.  Every trace site of the data
-    plane and the mobility agents calls it. *)
+    With the log on or an observer attached, it {!record}s the event.
+    Then it stores the fields into every attached ring, allocating
+    nothing.  With nothing attached, it returns.  Every trace site of
+    the data plane and the mobility agents calls it. *)
 
 (** {1 Flow queries}
 

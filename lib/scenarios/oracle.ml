@@ -22,7 +22,7 @@ let inv t = t.inv
 
 let attach_recorder t =
   if t.recorder = None then begin
-    let r = Trace.make_ring ~capacity:512 () in
+    let r = Trace.make_ring ~capacity:512 in
     t.recorder <- Some r;
     Trace.attach_ring (Net.trace t.world.Topo.net) r;
     Invariant.set_on_violation t.inv

@@ -76,9 +76,9 @@ val install_standard : ?recovery_after:float -> t -> unit
 (** {1 Flight recorder} *)
 
 val attach_recorder : t -> unit
-(** Attach a 512-event {!Netsim.Trace.ring}, unsampled, to the world's
-    trace: it sees every event of this world and no other's, and a world
-    with its in-memory log off keeps the allocation-free path.  At the
+(** Attach a 512-event {!Netsim.Trace.ring} to the world's trace: it
+    keeps every event of this world and no other's, and a world with its
+    in-memory log off keeps the allocation-free path.  At the
     {e first} invariant violation the whole ring is snapshotted — the
     events leading up to the failure, frozen before the ring wraps past
     them — and exposed through {!recorder_tail}.

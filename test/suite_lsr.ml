@@ -126,6 +126,28 @@ let prop_build_parse_roundtrip =
       in
       walk (Ipv4_options.build_lsr ~via) 0)
 
+(* RFC 791 allows an option of length 2 (type and length only).  An LSR
+   after one is still found, as [copied_options] finds it for the later
+   fragments; an LSR of length 2 has no pointer, so it names no route. *)
+let test_lsr_after_two_byte_option () =
+  let route = Ipv4_options.build_lsr ~via:[ a "10.0.2.2" ] in
+  let opt = Bytes.cat (Bytes.of_string "\x44\x02\x01\x01") route in
+  Alcotest.(check (option string))
+    "next hop" (Some "10.0.2.2")
+    (Option.map Ipv4_addr.to_string (Ipv4_options.lsr_next_hop opt));
+  Alcotest.(check bool)
+    "parsed route" true
+    (Ipv4_options.parse_lsr opt = Some (0, [ a "10.0.2.2" ]));
+  Alcotest.(check bool)
+    "copied for later fragments" true
+    (Bytes.equal (Ipv4_options.copied_options opt) route);
+  let short = Bytes.of_string "\x83\x02\x01\x01" in
+  Alcotest.(check bool)
+    "a two-byte LSR names no route" true
+    (Ipv4_options.parse_lsr short = None
+    && Ipv4_options.lsr_next_hop short = None
+    && Ipv4_options.advance_lsr short ~here:(a "9.9.9.9") = None)
+
 (* Live: a packet source-routed through an intermediate host reaches the
    final destination, with the detour visible in the trace. *)
 let test_lsr_forwarding_live () =
@@ -236,5 +258,7 @@ let suites =
         Alcotest.test_case "malformed pointer: delivered" `Quick
           test_malformed_pointer_delivered;
         QCheck_alcotest.to_alcotest prop_build_parse_roundtrip;
+        Alcotest.test_case "lsr after a two-byte option" `Quick
+          test_lsr_after_two_byte_option;
       ] );
   ]

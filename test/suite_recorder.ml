@@ -36,65 +36,57 @@ let deliver ?(flow = 0) ?(time = 0.0) i =
 
 (* ---------- recorder ring ---------- *)
 
-let ids t =
+let ids r =
   List.map
     (fun r -> (Trace.frame_of r.Trace.event).Trace.id)
-    (Trace.ring_records t)
+    (Trace.ring_tail r)
+
+(* A trace with its log off and a ring of [capacity] attached: [emit]'s
+   ring-only path. *)
+let ringed capacity =
+  let t = Trace.create () in
+  Trace.set_enabled t false;
+  let r = Trace.make_ring ~capacity in
+  Trace.attach_ring t r;
+  (t, r)
+
+(* [emit] the transmit that [transmit i] writes out as a record. *)
+let emit_transmit t i =
+  Trace.emit t Trace.k_transmit "a-b" ~in_iface:"" ~out_iface:""
+    ~reason:Trace.no_reason ~id:i ~flow:0 ~bytes:32 (mk_pkt i)
 
 let test_ring_basics () =
-  let r = Trace.make_ring ~capacity:4 () in
+  let t, r = ringed 4 in
   Alcotest.(check (list int)) "empty" [] (ids r);
-  List.iter (fun i -> Trace.ring_store_record r (transmit i)) [ 0; 1; 2 ];
+  List.iter (emit_transmit t) [ 0; 1; 2 ];
   Alcotest.(check (list int)) "partial fill keeps order" [ 0; 1; 2 ] (ids r);
-  List.iter (fun i -> Trace.ring_store_record r (transmit i)) [ 3; 4; 5 ];
+  List.iter (emit_transmit t) [ 3; 4; 5 ];
   Alcotest.(check (list int)) "wraps to the most recent" [ 2; 3; 4; 5 ] (ids r);
   Alcotest.(check int) "seen counts everything" 6 (Trace.ring_seen r);
-  Alcotest.(check int) "kept counts stores" 6 (Trace.ring_kept r);
-  Alcotest.(check int) "length is capped" 4 (Trace.ring_length r);
-  Alcotest.(check (list int))
-    "tail takes the last k" [ 4; 5 ]
-    (List.map
-       (fun r -> (Trace.frame_of r.Trace.event).Trace.id)
-       (Trace.ring_tail ~last:2 r));
-  Trace.ring_clear r;
-  Alcotest.(check (list int)) "clear empties" [] (ids r)
+  Alcotest.(check bool)
+    "the tail rebuilds the records" true
+    (Trace.ring_tail r = List.map transmit [ 2; 3; 4; 5 ]);
+  Alcotest.(check int) "the log stays empty" 0 (Trace.length t)
 
-let test_ring_sampling () =
-  let r = Trace.make_ring ~sample_every:3 ~seed:7 ~capacity:64 () in
-  for i = 0 to 99 do
-    Trace.ring_store_record r (transmit ~flow:(i mod 10) i)
-  done;
-  (* whole flows are in or out: every surviving record's flow passes the
-     same predicate [sampled] exposes *)
-  Alcotest.(check bool)
-    "kept records come from sampled flows only" true
-    (List.for_all
-       (fun rec_ ->
-         Trace.ring_sampled r (Trace.frame_of rec_.Trace.event).Trace.flow)
-       (Trace.ring_records r));
-  Alcotest.(check bool)
-    "sampling dropped something" true
-    (Trace.ring_kept r < Trace.ring_seen r)
+let test_ring_capacity_positive () =
+  List.iter
+    (fun capacity ->
+      Alcotest.check_raises
+        (Printf.sprintf "capacity %d" capacity)
+        (Invalid_argument "Trace.make_ring: capacity must be positive")
+        (fun () -> ignore (Trace.make_ring ~capacity)))
+    [ 0; -1 ]
 
 let prop_ring_wraparound =
   QCheck.Test.make ~name:"ring keeps exactly the last capacity records"
     ~count:200
     QCheck.(pair (1 -- 20) (list_of_size Gen.(0 -- 60) (0 -- 1000)))
     (fun (capacity, xs) ->
-      let r = Trace.make_ring ~capacity () in
-      List.iteri (fun i _ -> Trace.ring_store_record r (transmit i)) xs;
+      let t, r = ringed capacity in
+      List.iteri (fun i _ -> emit_transmit t i) xs;
       let n = List.length xs in
       let expect = List.init (min n capacity) (fun i -> n - min n capacity + i) in
-      ids r = expect)
-
-let prop_sampling_deterministic =
-  QCheck.Test.make ~name:"flow sampling is a pure function of (flow, seed)"
-    ~count:200
-    QCheck.(pair (0 -- 1_000_000) (0 -- 1_000_000))
-    (fun (seed, flow) ->
-      let a = Trace.make_ring ~sample_every:4 ~seed ~capacity:1 () in
-      let b = Trace.make_ring ~sample_every:4 ~seed ~capacity:1 () in
-      Trace.ring_sampled a flow = Trace.ring_sampled b flow)
+      ids r = expect && Trace.ring_seen r = n)
 
 (* ---------- the one emit ---------- *)
 
@@ -160,11 +152,29 @@ let gen_emit_case =
          (quad gen_reason (0 -- 100_000) (0 -- 100_000)
             (pair (0 -- 65_535) (float_bound_inclusive 1000.0)))))
 
+let case_pkt c = mk_pkt (c.id mod 1000)
+
+let emit_case t c =
+  Trace.set_time_source t (Float.Array.make 1 c.time);
+  Trace.emit t kinds.(c.k) c.name ~in_iface:c.in_iface ~out_iface:c.out_iface
+    ~reason:c.reason ~id:c.id ~flow:c.flow ~bytes:c.bytes (case_pkt c)
+
+let quiet () =
+  let t = Trace.create () in
+  Trace.set_enabled t false;
+  t
+
+let observed t =
+  let seen = ref [] in
+  ignore (Trace.add_observer t (fun r -> seen := r :: !seen));
+  seen
+
 (* The three paths of [Trace.emit], for all eight kinds.  With an
    observer attached it hands the observer exactly the record
-   [Trace.record] would, stamped from the time cell; with only a ring,
-   the ring holds that record and the log stays empty; with nothing
-   attached, nothing is logged or stored. *)
+   [Trace.record] would, stamped from the time cell, and a ring beside
+   the observer holds that record; with only a ring, the ring holds it
+   and the log stays empty; with nothing attached, nothing is logged or
+   stored. *)
 let prop_emit_paths =
   QCheck.Test.make ~name:"emit: observer, ring-only and idle paths"
     ~count:300
@@ -174,57 +184,55 @@ let prop_emit_paths =
            c.name c.in_iface c.out_iface c.id c.flow c.bytes c.time)
        gen_emit_case)
     (fun c ->
-      let pkt = mk_pkt (c.id mod 1000) in
-      let frame = { Trace.id = c.id; flow = c.flow; pkt } in
+      let frame = { Trace.id = c.id; flow = c.flow; pkt = case_pkt c } in
       let event =
         expected_event c.k ~name:c.name ~in_iface:c.in_iface
           ~out_iface:c.out_iface ~reason:c.reason ~bytes:c.bytes frame
       in
-      let emit t =
-        Trace.set_time_source t (Float.Array.make 1 c.time);
-        Trace.emit t kinds.(c.k) c.name ~in_iface:c.in_iface
-          ~out_iface:c.out_iface ~reason:c.reason ~id:c.id ~flow:c.flow
-          ~bytes:c.bytes pkt
-      in
-      let quiet () =
-        let t = Trace.create () in
-        Trace.set_enabled t false;
-        t
-      in
-      let observed t =
-        let seen = ref [] in
-        ignore (Trace.add_observer t (fun r -> seen := r :: !seen));
-        seen
-      in
-      (* observer path, against [Trace.record] *)
+      let expected = [ { Trace.time = c.time; event } ] in
+      (* observer path, against [Trace.record], with a ring beside *)
       let by_emit = quiet () and by_record = quiet () in
       let seen_emit = observed by_emit and seen_record = observed by_record in
-      emit by_emit;
+      let beside = Trace.make_ring ~capacity:4 in
+      Trace.attach_ring by_emit beside;
+      emit_case by_emit c;
       Trace.record by_record ~time:c.time event;
       let observer_ok =
-        !seen_emit = [ { Trace.time = c.time; event } ]
+        !seen_emit = expected
         && !seen_emit = !seen_record
+        && Trace.ring_tail beside = expected
       in
       (* ring-only path *)
-      let t = quiet () in
-      let ring = Trace.make_ring ~capacity:4 () in
-      Trace.attach_ring t ring;
-      emit t;
-      let ring_ok =
-        Trace.ring_records ring = [ { Trace.time = c.time; event } ]
-        && Trace.length t = 0
-      in
+      let t, ring = ringed 4 in
+      emit_case t c;
+      let ring_ok = Trace.ring_tail ring = expected && Trace.length t = 0 in
       (* idle path *)
       let t = quiet () in
-      let detached = Trace.make_ring ~capacity:4 () in
+      let detached = Trace.make_ring ~capacity:4 in
       Trace.attach_ring t detached;
       Trace.detach_ring t detached;
-      emit t;
+      emit_case t c;
       let idle_ok =
         Trace.length t = 0 && Trace.records t = []
         && Trace.ring_seen detached = 0
       in
       observer_ok && ring_ok && idle_ok)
+
+(* A small ring fed every kind in turn: each slot is reused by events
+   of other kinds, and the tail still equals the last records an
+   observer got, so no field of an overwritten event shows through. *)
+let prop_ring_mixed_kinds =
+  QCheck.Test.make ~name:"ring tail equals the observer's last records"
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(pair (1 -- 8) (list_size (0 -- 30) gen_emit_case)))
+    (fun (capacity, cases) ->
+      let t, ring = ringed capacity in
+      let seen = observed t in
+      List.iter (emit_case t) cases;
+      let n = List.length cases in
+      let last = List.filteri (fun i _ -> i < capacity) !seen in
+      Trace.ring_tail ring = List.rev last && Trace.ring_seen ring = n)
 
 (* ---------- trace tee ---------- *)
 
@@ -251,15 +259,19 @@ let test_tee_identity () =
   Alcotest.(check int) "removed observers see nothing" 2 (List.length !seen_a)
 
 let test_recorder_as_sink () =
-  let r = Trace.make_ring ~capacity:8 () in
+  let r = Trace.make_ring ~capacity:8 in
   let t = Trace.create () in
   Trace.attach_ring t r;
   Trace.attach_ring t r;
-  (* idempotent: one attachment, one store per record *)
-  Trace.record t ~time:1.0 (transmit 3).Trace.event;
-  Alcotest.(check (list int)) "ring captured via the tee" [ 3 ] (ids r);
+  (* idempotent: one attachment, one store per event *)
+  emit_transmit t 3;
+  Alcotest.(check (list int)) "ring captured beside the log" [ 3 ] (ids r);
+  (* a record written by hand reaches the log and observers only *)
+  Trace.record t ~time:1.0 (transmit 9).Trace.event;
+  Alcotest.(check (list int)) "record does not reach the ring" [ 3 ] (ids r);
+  Alcotest.(check int) "both reach the log" 2 (Trace.length t);
   Trace.detach_ring t r;
-  Trace.record t ~time:2.0 (transmit 4).Trace.event;
+  emit_transmit t 4;
   Alcotest.(check (list int)) "uninstall detaches" [ 3 ] (ids r)
 
 (* ---------- per-trace rings on a live world ---------- *)
@@ -306,47 +318,46 @@ let kind_name (r : Trace.record) =
   | Decapsulate _ -> "decapsulate"
   | Icmp_error _ -> "icmp-error"
 
-(* The same world and traffic twice: once with the recorder installed on
-   a trace whose log is off (the [emit_*] ring fast path, plus [record]'s
-   replay for the other kinds), once fed by an observer on a logging
-   trace (every event through [Trace.record]).  Both must capture the
-   same events. *)
+(* The same world and traffic twice, a ring on each: once with the log
+   off, where [Trace.emit] only stores fields (the ring-only path), once
+   with the log on, where [emit] builds each record before the store.
+   Both rings must hold the same events, and those must be the records
+   the log got. *)
 let test_ring_path_matches_record_path () =
+  let capacity = 4096 in
   let ring_only = live_world () in
   let ring_trace = Net.trace ring_only.Scenarios.Topo.net in
   Net.set_tracing ring_only.Scenarios.Topo.net false;
-  let a = Trace.make_ring ~capacity:4096 () in
+  let a = Trace.make_ring ~capacity in
   Trace.attach_ring ring_trace a;
   drive ring_only;
   let logged = live_world () in
   let logged_trace = Net.trace logged.Scenarios.Topo.net in
-  let b = Trace.make_ring ~capacity:4096 () in
-  ignore (Trace.add_observer logged_trace (Trace.ring_store_record b));
+  let b = Trace.make_ring ~capacity in
+  Trace.attach_ring logged_trace b;
   drive logged;
   Alcotest.(check int) "ring-only world logs nothing" 0
     (Trace.length ring_trace);
-  Alcotest.(check bool) "observed world logs" true
-    (Trace.length logged_trace > 0);
   Alcotest.(check (list string))
     "every event kind occurs"
     [
       "decapsulate"; "deliver"; "drop"; "encapsulate"; "forward";
       "icmp-error"; "send"; "transmit";
     ]
-    (List.sort_uniq String.compare
-       (List.map kind_name (Trace.ring_records a)));
-  Alcotest.(check bool) "nothing wrapped" true
-    (Trace.ring_seen a < Trace.ring_capacity a);
+    (List.sort_uniq String.compare (List.map kind_name (Trace.ring_tail a)));
+  Alcotest.(check bool) "nothing wrapped" true (Trace.ring_seen a < capacity);
   Alcotest.(check int) "same events seen" (Trace.ring_seen b)
     (Trace.ring_seen a);
   Alcotest.(check bool) "identical records" true
-    (Trace.ring_records a = Trace.ring_records b)
+    (Trace.ring_tail a = Trace.ring_tail b);
+  Alcotest.(check bool) "the logged world's ring holds its log" true
+    (Trace.ring_tail b = Trace.records logged_trace)
 
 (* Two worlds in one process: a recorder installed on the first world's
    trace sees nothing of the second world's run. *)
 let test_ring_is_per_trace () =
   let mine = live_world () in
-  let r = Trace.make_ring ~capacity:64 () in
+  let r = Trace.make_ring ~capacity:64 in
   Trace.attach_ring (Net.trace mine.Scenarios.Topo.net) r;
   let other = live_world () in
   Net.set_tracing other.Scenarios.Topo.net false;
@@ -554,7 +565,7 @@ let test_counts_ignore_consumers () =
   let ringed =
     E18.workload ~flows:8
       ~install:(fun net ->
-        let r = Trace.make_ring ~capacity:64 () in
+        let r = Trace.make_ring ~capacity:64 in
         Trace.attach_ring (Net.trace net) r;
         fun () -> Trace.detach_ring (Net.trace net) r)
       ()
@@ -590,14 +601,50 @@ let test_counts_at_8_flows () =
     ]
     p.Netobs.Profile.counts
 
+module E20 = Experiments.E20_obs_overhead
+
+(* E20's exact rows at 8 flows: the minor words each rung's [Net.run]
+   allocates per delivered packet, and the bytes each export writes per
+   delivered packet.  A ring store allocates nothing, so the recorder's
+   words equal off's.  Each pin fails on any increase; a change that
+   lowers a figure pins the new one. *)
+let test_e20_exact_rows () =
+  (* the first run pays any one-time set-up *)
+  ignore (E20.exact ~flows:8);
+  let rows = E20.exact ~flows:8 in
+  Alcotest.(check (list string))
+    "rungs" [ "off"; "recorder"; "jsonl"; "pcap" ]
+    (List.map (fun r -> r.E20.rung) rows);
+  let words name =
+    (List.find (fun r -> r.E20.rung = name) rows).E20.words_per_packet
+  in
+  Alcotest.(check (float 0.0))
+    "the recorder allocates nothing" (words "off") (words "recorder");
+  List.iter2
+    (fun (r : E20.exact) (pin_words, pin_bytes) ->
+      if r.words_per_packet > pin_words then
+        Alcotest.failf "%s: %.6f minor words per packet, pinned at %.6f" r.rung
+          r.words_per_packet pin_words;
+      if r.bytes_per_packet > pin_bytes then
+        Alcotest.failf "%s: %.6f bytes written per packet, pinned at %.6f"
+          r.rung r.bytes_per_packet pin_bytes)
+    rows
+    [
+      (506.196875, 0.0);
+      (506.196875, 0.0);
+      (34271.959375, 29314.73125);
+      (3016.703125, 5704.075);
+    ]
+
 let suites =
   [
     ( "recorder",
       [
         Alcotest.test_case "ring basics" `Quick test_ring_basics;
-        Alcotest.test_case "ring flow sampling" `Quick test_ring_sampling;
+        Alcotest.test_case "ring capacity must be positive" `Quick
+          test_ring_capacity_positive;
         QCheck_alcotest.to_alcotest prop_ring_wraparound;
-        QCheck_alcotest.to_alcotest prop_sampling_deterministic;
+        QCheck_alcotest.to_alcotest prop_ring_mixed_kinds;
         QCheck_alcotest.to_alcotest prop_emit_paths;
         Alcotest.test_case "tee identity" `Quick test_tee_identity;
         Alcotest.test_case "recorder as tee sink" `Quick test_recorder_as_sink;
@@ -620,5 +667,7 @@ let suites =
           test_counts_ignore_consumers;
         Alcotest.test_case "profile counts at 8 flows" `Quick
           test_counts_at_8_flows;
+        Alcotest.test_case "E20 exact rows at 8 flows" `Quick
+          test_e20_exact_rows;
       ] );
   ]
